@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as tt
-from ._kernels import attn_probs_inplace, attn_softmax_backward
 from .schedule import CONV, SA
 from .tensor import ShapeError, Tensor, record
 
@@ -184,7 +183,8 @@ def conv_mixer_forward(x: TokenGrid, m: ConvMixer) -> TokenGrid:
 # Relative-bias geometry
 
 # Cached per lattice: flat relative-offset index for every (query, key) pair,
-# and the per-query mask of table offsets that step outside the grid.
+# and the per-query mask of table offsets that step outside the grid. Every
+# caller shares the cached arrays, so they are read-only.
 
 
 @lru_cache(maxsize=32)
@@ -200,18 +200,22 @@ def _rel_geometry(h_t: int, w_t: int):
     tr = rows[:, None, None] + all_dr[None, :, None]  # [N, 2h-1, 2w-1]
     tc = cols[:, None, None] + all_dc[None, None, :]
     offgrid = ((tr < 0) | (tr >= h_t) | (tc < 0) | (tc >= w_t)).reshape(n, -1)  # [N, R]
+    idx.setflags(write=False)
+    offgrid.setflags(write=False)
     return idx, offgrid
 
 
 _PAD_NEG = -1e30  # logit for an empty pad slot; never survives the softmax
 
 
-def expand_rel_bias(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool) -> np.ndarray:
-    """Expand a [H, 2h-1, 2w-1] table into per-pair logits [H, N, N(+1)].
+def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
+    """Expand a [H, 2h-1, 2w-1] table into (grid [H, N, N], pad [H, N], pad weights [H, N, R]).
 
     Grid part: B[h, q, k] = table entry at the key-minus-query offset, so
-    equal relative offsets always read the same entry. Pad column (when
-    enabled): logsumexp of the table over the query's off-grid offsets.
+    equal relative offsets always read the same entry. Pad logit (when
+    enabled, else pad and weights are None): stable masked logsumexp of the
+    table over the query's off-grid offsets. The weights are the softmax over
+    that masked subset, i.e. the pad logit's gradient w.r.t. the flat table.
     """
     heads = b_rel.shape[0]
     if b_rel.shape[1] != 2 * h_t - 1 or b_rel.shape[2] != 2 * w_t - 1:
@@ -220,17 +224,7 @@ def expand_rel_bias(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool) -> n
     flat = b_rel.reshape(heads, -1)
     grid = flat[:, idx]  # [H, N, N]
     if not pad_token:
-        return grid
-    pad, _, _ = _pad_logits(flat, offgrid)
-    return np.concatenate([grid, pad[:, :, None]], axis=-1)
-
-
-def _pad_logits(flat: np.ndarray, offgrid: np.ndarray):
-    """Stable masked logsumexp over off-grid offsets, per head and query.
-
-    Returns (pad [H, N], softmax weights [H, N, R] over the masked subset,
-    mask). The weights are the pad logit's gradient w.r.t. the flat table.
-    """
+        return grid, None, None
     masked = np.where(offgrid[None, :, :], flat[:, None, :], -np.inf)
     m = masked.max(axis=-1)  # [H, N]
     have_any = np.isfinite(m)
@@ -242,28 +236,62 @@ def _pad_logits(flat: np.ndarray, offgrid: np.ndarray):
         pad = np.where(have_any, m_safe + np.log(np.maximum(s, 1e-300)), _PAD_NEG)
     weights = e / np.maximum(s, 1e-300)[:, :, None]
     weights = np.where(have_any[:, :, None], weights, 0.0)
-    return pad.astype(flat.dtype), weights.astype(flat.dtype), offgrid
+    return grid, pad.astype(flat.dtype), weights.astype(flat.dtype)
+
+
+def expand_rel_bias(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool) -> np.ndarray:
+    """Per-pair logits [H, N, N(+1)]: the grid logits, then the pad column when enabled."""
+    grid, pad, _ = _bias_logits(b_rel, h_t, w_t, pad_token)
+    return grid if pad is None else np.concatenate([grid, pad[:, :, None]], axis=-1)
+
+
+# The pad slot is carried out-of-band: probability arrays stay [.., N] over
+# grid keys and the pad probability is a separate [batch, heads, N] array,
+# which keeps every gemm touching the probabilities contiguous.
+
+
+def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray | None):
+    """Turn raw scores into probabilities in place; returns the pad
+    probability array (or None when no pad slot exists)."""
+    p += grid
+    if pad is None:
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return None
+    pad_b = np.broadcast_to(pad, p.shape[:-1])
+    m = np.maximum(p.max(axis=-1), pad_b)
+    p -= m[..., None]
+    np.exp(p, out=p)
+    e_pad = np.exp(pad_b - m)
+    s = p.sum(axis=-1) + e_pad
+    p /= s[..., None]
+    return (e_pad / s).astype(p.dtype)
+
+
+def attn_softmax_backward(p: np.ndarray, p_pad: np.ndarray | None, dp: np.ndarray):
+    """Softmax-input gradient in place on ``dp``; returns the pad-logit
+    gradient (or None)."""
+    dot = np.einsum("bhqk,bhqk->bhq", p, dp)
+    dp -= dot[..., None]
+    dp *= p
+    if p_pad is None:
+        return None
+    return p_pad * -dot
 
 
 def _attn_probs(q_scaled: np.ndarray, k: np.ndarray, b_rel_data: np.ndarray,
                 h_t: int, w_t: int, pad_token: bool):
     """Attention probabilities over grid keys plus backward ingredients.
 
-    Returns (p [B, H, N, N], p_pad [B, H, N] or None, idx, pad_weights).
-    The pad slot is carried out-of-band so the probability array and every
-    gemm touching it stay contiguous. Shared by the fused training op and
-    the inspection helper so both always compute the same thing.
+    Returns (p [B, H, N, N], p_pad [B, H, N] or None, pad_weights). Shared by
+    the fused training op and the inspection helper so both always compute
+    the same thing.
     """
-    heads = b_rel_data.shape[0]
-    idx, offgrid = _rel_geometry(h_t, w_t)
-    flat = b_rel_data.reshape(heads, -1)
-    grid = flat[:, idx]  # [H, N, N]
-    pad = pad_weights = None
-    if pad_token:
-        pad, pad_weights, _ = _pad_logits(flat, offgrid)
+    grid, pad, pad_weights = _bias_logits(b_rel_data, h_t, w_t, pad_token)
     p = np.matmul(q_scaled, k.swapaxes(-1, -2))
     p_pad = attn_probs_inplace(p, grid, pad)
-    return p, p_pad, idx, pad_weights
+    return p, p_pad, pad_weights
 
 
 def attention_mix(q: Tensor, k: Tensor, v: Tensor, b_rel: Tensor,
@@ -276,7 +304,7 @@ def attention_mix(q: Tensor, k: Tensor, v: Tensor, b_rel: Tensor,
     the softmax denominator since its value vector is zero.
     """
     q_s = q.data * scale
-    p, p_pad, idx, pad_weights = _attn_probs(q_s, k.data, b_rel.data, h_t, w_t, pad_token)
+    p, p_pad, pad_weights = _attn_probs(q_s, k.data, b_rel.data, h_t, w_t, pad_token)
     # batched gemms with a narrow trailing dim hit a slow path here, so the
     # [.., N, d_h] products are computed in transposed (wide-output) form
     out = Tensor(np.matmul(v.data.swapaxes(-1, -2), p.swapaxes(-1, -2)).swapaxes(-1, -2))
@@ -289,6 +317,7 @@ def attention_mix(q: Tensor, k: Tensor, v: Tensor, b_rel: Tensor,
         batch = dp.shape[0]
         ones_row = np.ones((1, batch), dtype=dp.dtype)
         summed = (ones_row @ dp.reshape(batch, -1)).reshape(dp.shape[1:])  # batch-sum via gemv
+        idx = _rel_geometry(h_t, w_t)[0]
         r = b_rel.data.reshape(heads, -1).shape[1]
         d_flat = np.stack([
             np.bincount(idx.reshape(-1), weights=summed[h].reshape(-1).astype(np.float64), minlength=r)
@@ -407,7 +436,7 @@ def attention_scores(x: TokenGrid, head: int, a: AttnMixer) -> Tensor:
         raise ShapeError(f"head {head} out of range 0..{a.n_heads - 1}")
     q, k, _ = _project_qkv(x, a)
     q_s = q.data * (1.0 / np.sqrt(a.dim))
-    p, p_pad, _, _ = _attn_probs(q_s, k.data, a.b_rel.data, x.h_t, x.w_t, a.pad_token_enabled)
+    p, p_pad, _ = _attn_probs(q_s, k.data, a.b_rel.data, x.h_t, x.w_t, a.pad_token_enabled)
     rows = p[0, head]
     if p_pad is not None:
         rows = np.concatenate([rows, p_pad[0, head][:, None]], axis=-1)
@@ -511,17 +540,11 @@ class HybridBlock:
 
 
 def block_forward(z: TokenGrid, b: HybridBlock) -> TokenGrid:
-    mixer = b.active_mixer()
-    normed = z.like(b.ln1.forward(z.data))
-    mixed = conv_mixer_forward(normed, mixer) if b.mode == CONV else mhsa_forward(normed, mixer)
-    z1 = z.like(tt.add(mixed.data, z.data))
-    flat = tt.reshape(b.ln2.forward(z1.data), (z1.batch * z1.n_tokens, z1.d))
-    mlp_out = tt.reshape(b.mlp.forward(flat), z1.data.shape)
-    return z1.like(tt.add(mlp_out, z1.data))
+    return _block_outputs(z, b)[0]
 
 
-def _block_branch_output(z: TokenGrid, b: HybridBlock) -> tuple[TokenGrid, TokenGrid]:
-    """(z_l, pre-residual MLP branch) for the spectral tap-point option."""
+def _block_outputs(z: TokenGrid, b: HybridBlock) -> tuple[TokenGrid, TokenGrid]:
+    """(z_l, pre-residual MLP branch); the branch feeds the spectral tap option."""
     mixer = b.active_mixer()
     normed = z.like(b.ln1.forward(z.data))
     mixed = conv_mixer_forward(normed, mixer) if b.mode == CONV else mhsa_forward(normed, mixer)
@@ -588,15 +611,7 @@ def _check_modes(model: Model, epoch: int | None, sched) -> None:
 
 def model_forward(images: Tensor, model: Model, epoch: int | None = None, sched=None) -> Tensor:
     """Logits [batch, classes]; asserts block modes match the schedule when given."""
-    _check_modes(model, epoch, sched)
-    z = patch_embed_forward(images, model.patch_embed)
-    for blk in model.blocks:
-        z = block_forward(z, blk)
-    feats = z.data
-    if model.final_ln is not None:
-        feats = model.final_ln.forward(feats)
-    pooled = tt.mean_(tt.reshape(feats, (z.batch, z.n_tokens, z.d)), axis=1)
-    return tt.add(tt.matmul(pooled, model.head_w), model.head_b)
+    return _forward(images, model, epoch, sched, tap=None)[0]
 
 
 def model_forward_features(images: Tensor, model: Model, epoch: int | None = None, sched=None,
@@ -608,18 +623,24 @@ def model_forward_features(images: Tensor, model: Model, epoch: int | None = Non
     """
     if tap not in ("post-residual", "pre-residual"):
         raise ValueError(f"unknown tap point {tap!r}")
+    return _forward(images, model, epoch, sched, tap)
+
+
+def _forward(images: Tensor, model: Model, epoch: int | None, sched,
+             tap: str | None) -> tuple[Tensor, list[TokenGrid]]:
+    """Logits plus the grids ``tap`` selects (none when ``tap`` is None)."""
     _check_modes(model, epoch, sched)
     z = patch_embed_forward(images, model.patch_embed)
     captured: list[TokenGrid] = []
     for blk in model.blocks:
-        z, branch = _block_branch_output(z, blk)
-        captured.append(z if tap == "post-residual" else branch)
+        z, branch = _block_outputs(z, blk)
+        if tap is not None:
+            captured.append(z if tap == "post-residual" else branch)
     feats = z.data
     if model.final_ln is not None:
         feats = model.final_ln.forward(feats)
     pooled = tt.mean_(tt.reshape(feats, (z.batch, z.n_tokens, z.d)), axis=1)
-    logits = tt.add(tt.matmul(pooled, model.head_w), model.head_b)
-    return logits, captured
+    return tt.add(tt.matmul(pooled, model.head_w), model.head_b), captured
 
 
 def build_model(dim: int, num_layers: int, kernel_size: int, patch_size: int,

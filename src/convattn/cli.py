@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: train, reparam-check, fourier, schedule, interp. Every run
-writes a manifest before doing work and finalizes it with a status, so no
-artifact exists without a manifest accounting for it.
+writes a manifest before doing work and finalizes it with a status and a
+finish time on every exit path, so no artifact exists without a manifest
+accounting for it.
 
 Exit codes: 0 success, 1 reparam-check failure, 2 config/usage error,
-3 data error, 4 training divergence.
+3 data error or unreadable file, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .config import ConfigError, PRESETS, apply_overrides, build_train_config, l
 from .data import DataError
 from .reparam import reparameterize, verify_equivalence
 from .schedule import SwitchSchedule, switch_epochs
-from .spectral import auto_bin_width, delta_log_amplitude, depth_profile, depth_profile_rows, feature_spectrum, TARGET_FREQS
+from .spectral import (TARGET_FREQS, auto_bin_width, channel_maps, delta_log_amplitude, depth_profile,
+                       depth_profile_rows, populated_targets, spectrum_of_maps, write_depth_profile_csv)
 from .tensor import ShapeError, Tensor
 from .train import DivergenceError, TrainConfig, load_dataset, run_interpolation_suite, train
 
@@ -61,10 +63,9 @@ def _timestamp() -> str:
     return time.strftime("%Y%m%dT%H%M%S")
 
 
-def _make_out_dir(args, command: str, seed: int) -> str:
-    if args.out:
-        return args.out
-    return os.path.join("runs", f"{command}-{_timestamp()}-seed{seed}")
+def _new_manifest(command: str, config: TrainConfig, out_dir: str | None) -> RunManifest:
+    out_dir = out_dir or os.path.join("runs", f"{command}-{_timestamp()}-seed{config.seed}")
+    return RunManifest(command, sys.argv[1:], config.to_dict(), config.seed, out_dir, _timestamp())
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -79,33 +80,52 @@ def _resolve_config(args) -> TrainConfig:
     return build_train_config(mapping)
 
 
-def _populated_targets(config: TrainConfig, bin_width: float = 0.0) -> tuple[list[float], float]:
-    """Standard target frequencies restricted to bins the grid populates."""
-    h_t, w_t = config.grid_hw()
-    width = bin_width or auto_bin_width(h_t, w_t)
-    if h_t < 2 or w_t < 2:
-        return [], width
-    probe = feature_spectrum(_noise_grid(h_t, w_t, 1, 1), bin_width=width)
-    targets = []
-    for f in TARGET_FREQS:
-        idx = min(int(f / width), len(probe.counts) - 1)
-        if probe.counts[idx] > 0:
-            targets.append(f)
-    return targets, width
+# Documented failures: exception type -> manifest status, exit code and
+# message prefix. The first match wins, so subclasses precede their bases
+# (ConfigError and ShapeError are ValueErrors).
+_FAILURES = (
+    (ConfigError, "failed", EXIT_CONFIG, "config error"),
+    (DataError, "failed", EXIT_DATA, "data error"),
+    (ShapeError, "failed", EXIT_DATA, "geometry mismatch"),
+    ((CheckpointError, OSError), "failed", EXIT_DATA, "file error"),
+    (ValueError, "failed", EXIT_CONFIG, "error"),
+    (DivergenceError, "diverged", EXIT_DIVERGED, "diverged"),
+)
 
 
-def _noise_grid(h_t: int, w_t: int, batch: int, d: int, seed: int = 0):
-    from .blocks import TokenGrid
+def _failure(exc: Exception) -> tuple[str, int] | None:
+    """Report a documented failure on stderr and return its (status, exit
+    code); None for any other exception."""
+    for types, status, code, prefix in _FAILURES:
+        if isinstance(exc, types):
+            print(f"{prefix}: {exc}", file=sys.stderr)
+            return status, code
+    return None
 
-    rng = np.random.default_rng(seed)
-    return TokenGrid(Tensor(rng.standard_normal((batch, h_t, w_t, d))), h_t, w_t)
 
+def _run(manifest: RunManifest, work) -> int:
+    """Write ``manifest``, call ``work()``, and finalize the manifest with
+    ``status`` and ``finished_at`` on every exit path.
 
-def _write_profile_csv(path: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("depth,f,delta_log_amp\n")
-        for depth, f, v in rows:
-            fh.write(f"{depth:.6f},{f:.6f},{v:.6f}\n")
+    A documented failure returns its exit code; any other exception is
+    recorded as failed and re-raised.
+    """
+    manifest.write()
+    manifest.status = "failed"
+    try:
+        work()
+        manifest.status = "completed"
+        return EXIT_OK
+    except Exception as exc:
+        manifest.error = str(exc)
+        failure = _failure(exc)
+        if failure is None:
+            raise
+        manifest.status, code = failure
+        return code
+    finally:
+        manifest.finished_at = _timestamp()
+        manifest.write()
 
 
 # --------------------------------------------------------------------------
@@ -113,55 +133,36 @@ def _write_profile_csv(path: str, rows) -> None:
 
 
 def cmd_train(args) -> int:
-    try:
-        config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = _make_out_dir(args, "train", config.seed)
-    manifest = RunManifest("train", sys.argv[1:], config.to_dict(), config.seed, out_dir, _timestamp())
-    manifest.write()
-    try:
-        result = train(config, out_dir=out_dir, resume_from=args.resume_from)
-        metrics_path = os.path.join(out_dir, "metrics.jsonl")
+    config = _resolve_config(args)
+    manifest = _new_manifest("train", config, args.out)
+
+    def work() -> None:
+        result = train(config, out_dir=manifest.out_dir, resume_from=args.resume_from)
+        metrics_path = os.path.join(manifest.out_dir, "metrics.jsonl")
         with open(metrics_path, "w") as fh:
             for m in result.metrics:
                 fh.write(json.dumps(m) + "\n")
         manifest.artifacts["metrics"] = metrics_path
         manifest.artifacts["checkpoint"] = result.checkpoint_path
 
-        targets, width = _populated_targets(config)
+        targets, width = populated_targets(*config.grid_hw())
         if targets:
             eval_ds = load_dataset(config, "test")
             probe = eval_ds.images[: min(256, len(eval_ds))]
             profile = depth_profile(result.model, probe, epoch=config.total_epochs,
                                     sched=config.schedule(), targets=targets, bin_width=width)
-            profile_path = os.path.join(out_dir, "depth_profile.csv")
-            _write_profile_csv(profile_path, depth_profile_rows(profile))
+            profile_path = os.path.join(manifest.out_dir, "depth_profile.csv")
+            write_depth_profile_csv(profile_path, profile)
             manifest.artifacts["depth_profile"] = profile_path
             if len(targets) < len(TARGET_FREQS):
                 manifest.artifacts["depth_profile_note"] = (
                     f"grid {config.grid_hw()} populates only {len(targets)} of "
                     f"{len(TARGET_FREQS)} standard frequencies"
                 )
-        manifest.status = "completed"
-        manifest.finished_at = _timestamp()
-        manifest.write()
         last = result.metrics[-1]
         print(f"done: {len(result.metrics)} epochs, top1 {last['top1']:.2f}, top5 {last['top5']:.2f}")
-        return EXIT_OK
-    except DataError as exc:
-        manifest.status, manifest.error = "failed", str(exc)
-        manifest.finished_at = _timestamp()
-        manifest.write()
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as exc:
-        manifest.status, manifest.error = "diverged", str(exc)
-        manifest.finished_at = _timestamp()
-        manifest.write()
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+
+    return _run(manifest, work)
 
 
 # --------------------------------------------------------------------------
@@ -197,96 +198,56 @@ def cmd_reparam_check(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    out_dir = args.out or os.path.dirname(args.checkpoint) or "."
-    try:
-        header, tensors = load_checkpoint(args.checkpoint)
-        model = model_from_checkpoint(header, tensors)
-        config = TrainConfig.from_dict(header["config"])
-    except (CheckpointError, OSError) as exc:
-        print(f"cannot load checkpoint: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    header, tensors = load_checkpoint(args.checkpoint)
+    model = model_from_checkpoint(header, tensors)
+    config = TrainConfig.from_dict(header["config"])
     h_t, w_t = config.grid_hw()
-    if h_t < 2 or w_t < 2:
-        print(f"token grid {h_t}x{w_t} too small for spectral analysis; need at least 2x2", file=sys.stderr)
-        return EXIT_CONFIG
-
-    manifest = RunManifest("fourier", sys.argv[1:], config.to_dict(), config.seed, out_dir, _timestamp())
+    manifest = _new_manifest("fourier", config, args.out or os.path.dirname(args.checkpoint) or ".")
     manifest.artifacts["tap"] = args.tap
-    manifest.write()
-    try:
+
+    def work() -> None:
         if args.feature_dump:
             _, dump_tensors = read_container(args.feature_dump)
             rows = []
             for name in sorted(dump_tensors):
                 maps = dump_tensors[name]
-                profile = feature_spectrum_from_maps(maps, args.bin_width)
+                if maps.ndim == 4:
+                    maps = channel_maps(maps)
+                profile = spectrum_of_maps(maps, bin_width=args.bin_width or auto_bin_width(*maps.shape[-2:]))
                 for f in TARGET_FREQS:
                     rows.append((name, f, delta_log_amplitude(profile, f)))
-            path = os.path.join(out_dir, "feature_dump_profile.csv")
+            path = os.path.join(manifest.out_dir, "feature_dump_profile.csv")
             with open(path, "w") as fh:
                 fh.write("map,f,delta_log_amp\n")
                 for name, f, v in rows:
                     fh.write(f"{name},{f:.6f},{v:.6f}\n")
             manifest.artifacts["profile"] = path
+            return
+        targets, width = populated_targets(h_t, w_t, args.bin_width)
+        if not targets:
+            raise ValueError(f"no standard target frequency is populated on a {h_t}x{w_t} grid; "
+                             "grids of at least 2x2 tokens and a compatible bin width are needed")
+        if len(targets) < len(TARGET_FREQS):
+            manifest.artifacts["note"] = (
+                f"grid {h_t}x{w_t} populates only {len(targets)} of {len(TARGET_FREQS)} "
+                "standard frequencies"
+            )
+        if args.random_batch:
+            rng = np.random.default_rng(config.seed)
+            images = rng.random((args.random_batch, *config.image_hw, config.in_channels)).astype(np.float32)
         else:
-            if args.random_batch:
-                rng = np.random.default_rng(config.seed)
-                images = rng.random((args.random_batch, *config.image_hw, config.in_channels)).astype(np.float32)
-            else:
-                if args.data:
-                    from dataclasses import replace
+            data_config = replace(config, data_dir=args.data) if args.data else config
+            images = load_dataset(data_config, "test").images[: args.batch]
+        profile = depth_profile(model, images, targets=targets, tap=args.tap, bin_width=width)
+        csv_path = os.path.join(manifest.out_dir, "depth_profile.csv")
+        write_depth_profile_csv(csv_path, profile)
+        json_path = os.path.join(manifest.out_dir, "depth_profile.json")
+        with open(json_path, "w") as fh:
+            json.dump(profile.to_dict(), fh, indent=2)
+        manifest.artifacts["csv"] = csv_path
+        manifest.artifacts["json"] = json_path
 
-                    config = replace(config, data_dir=args.data)
-                ds = load_dataset(config, "test")
-                images = ds.images[: args.batch]
-            targets, width = _populated_targets(config, args.bin_width)
-            if not targets:
-                print(f"no standard target frequency is populated on a {h_t}x{w_t} grid; "
-                      "grids of at least 2x2 tokens and a compatible bin width are needed", file=sys.stderr)
-                manifest.status, manifest.error = "failed", "no populated target frequencies"
-                manifest.write()
-                return EXIT_CONFIG
-            if len(targets) < len(TARGET_FREQS):
-                manifest.artifacts["note"] = (
-                    f"grid {h_t}x{w_t} populates only {len(targets)} of {len(TARGET_FREQS)} "
-                    "standard frequencies"
-                )
-            profile = depth_profile(model, images, targets=targets, tap=args.tap, bin_width=width)
-            csv_path = os.path.join(out_dir, "depth_profile.csv")
-            _write_profile_csv(csv_path, depth_profile_rows(profile))
-            json_path = os.path.join(out_dir, "depth_profile.json")
-            with open(json_path, "w") as fh:
-                json.dump(profile.to_dict(), fh, indent=2)
-            manifest.artifacts["csv"] = csv_path
-            manifest.artifacts["json"] = json_path
-        manifest.status = "completed"
-        manifest.finished_at = _timestamp()
-        manifest.write()
-        return EXIT_OK
-    except DataError as exc:
-        manifest.status, manifest.error = "failed", str(exc)
-        manifest.write()
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ShapeError as exc:
-        manifest.status, manifest.error = "failed", str(exc)
-        manifest.write()
-        print(f"geometry mismatch: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        manifest.status, manifest.error = "failed", str(exc)
-        manifest.write()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-
-def feature_spectrum_from_maps(maps: np.ndarray, bin_width: float | None):
-    from .spectral import spectrum_of_maps
-
-    if maps.ndim == 4:  # [batch, h, w, d] feature dump
-        maps = np.moveaxis(maps, -1, 1).reshape(-1, maps.shape[1], maps.shape[2])
-    width = bin_width or auto_bin_width(maps.shape[-2], maps.shape[-1])
-    return spectrum_of_maps(maps, bin_width=width)
+    return _run(manifest, work)
 
 
 # --------------------------------------------------------------------------
@@ -323,17 +284,12 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_interp(args) -> int:
-    try:
-        config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = _make_out_dir(args, "interp", config.seed)
-    manifest = RunManifest("interp", sys.argv[1:], config.to_dict(), config.seed, out_dir, _timestamp())
-    manifest.write()
-    try:
-        results = run_interpolation_suite(config, out_dir, resume=args.resume)
-        combined = os.path.join(out_dir, "interpolation_combined.csv")
+    config = _resolve_config(args)
+    manifest = _new_manifest("interp", config, args.out)
+
+    def work() -> None:
+        results = run_interpolation_suite(config, manifest.out_dir, resume=args.resume)
+        combined = os.path.join(manifest.out_dir, "interpolation_combined.csv")
         with open(combined, "w") as fh:
             fh.write("conv_epochs,sa_epochs,depth,f,delta_log_amp\n")
             for rec in results:
@@ -345,21 +301,9 @@ def cmd_interp(args) -> int:
              "checkpoint": r["checkpoint"], "csv": r["csv"]}
             for r in results
         ]
-        manifest.status = "completed"
-        manifest.finished_at = _timestamp()
-        manifest.write()
         print(f"4 settings trained; combined profile at {combined}")
-        return EXIT_OK
-    except DataError as exc:
-        manifest.status, manifest.error = "failed", str(exc)
-        manifest.write()
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DivergenceError as exc:
-        manifest.status, manifest.error = "diverged", str(exc)
-        manifest.write()
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+
+    return _run(manifest, work)
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     limit_blas_threads()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # failures before a run manifest exists; _run handles the rest
+        failure = _failure(exc)
+        if failure is None:
+            raise
+        return failure[1]
 
 
 if __name__ == "__main__":

@@ -29,13 +29,16 @@ __all__ = [
     "TARGET_FREQS",
     "DEFAULT_BIN_WIDTH",
     "AMPLITUDE_FLOOR",
+    "channel_maps",
     "feature_spectrum",
     "spectrum_of_maps",
     "delta_log_amplitude",
     "depth_profile",
     "depth_profile_rows",
+    "write_depth_profile_csv",
     "depth_slope",
     "auto_bin_width",
+    "populated_targets",
 ]
 
 TARGET_FREQS = (math.pi / 3, 2 * math.pi / 3, math.pi)
@@ -129,12 +132,16 @@ def spectrum_of_maps(maps: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH,
     )
 
 
+def channel_maps(features: np.ndarray) -> np.ndarray:
+    """Split channel-last features [B, h, w, d] into [B*d, h, w] spatial maps."""
+    return np.moveaxis(features, -1, 1).reshape(-1, features.shape[1], features.shape[2])
+
+
 def feature_spectrum(x: TokenGrid, bin_width: float = DEFAULT_BIN_WIDTH,
                      floor: float = AMPLITUDE_FLOOR, average_before_log: bool = False) -> SpectrumProfile:
     """Profile every channel of every sample in a token-grid batch."""
-    data = x.data.data  # [B, h, w, d]
-    maps = np.moveaxis(data, -1, 1).reshape(-1, x.h_t, x.w_t)
-    return spectrum_of_maps(maps, bin_width=bin_width, floor=floor, average_before_log=average_before_log)
+    return spectrum_of_maps(channel_maps(x.data.data), bin_width=bin_width, floor=floor,
+                            average_before_log=average_before_log)
 
 
 def delta_log_amplitude(profile: SpectrumProfile, f_target: float) -> float:
@@ -193,6 +200,14 @@ def depth_profile_rows(profile: DepthProfile) -> list[tuple[float, float, float]
     return rows
 
 
+def write_depth_profile_csv(path: str, profile: DepthProfile) -> None:
+    """Write ``profile`` as a ``depth,f,delta_log_amp`` CSV."""
+    with open(path, "w") as fh:
+        fh.write("depth,f,delta_log_amp\n")
+        for depth, f, v in depth_profile_rows(profile):
+            fh.write(f"{depth:.6f},{f:.6f},{v:.6f}\n")
+
+
 def depth_slope(profile: DepthProfile, target: float = math.pi) -> float:
     """Least-squares slope of delta log amplitude vs normalized depth."""
     try:
@@ -216,3 +231,16 @@ def auto_bin_width(h_t: int, w_t: int) -> float:
     if side >= 8:
         return math.pi / 8
     return math.pi / 4
+
+
+def populated_targets(h_t: int, w_t: int, bin_width: float = 0.0) -> tuple[list[float], float]:
+    """Standard target frequencies whose radial bin an h_t x w_t grid populates.
+
+    Returns them with the bin width used; 0 selects ``auto_bin_width``.
+    """
+    width = bin_width or auto_bin_width(h_t, w_t)
+    if h_t < 2 or w_t < 2:
+        return [], width
+    idx, n_bins = _radial_bins(h_t, w_t, width)
+    counts = np.bincount(idx.reshape(-1), minlength=n_bins)
+    return [f for f in TARGET_FREQS if counts[min(int(f / width), n_bins - 1)] > 0], width

@@ -26,7 +26,7 @@ from .data import NORM_STATS, Dataset, augment_batch, load_cifar, make_synthetic
 from .optim import AdamW, lr_at
 from .reparam import DEFAULT_BETA, switch_block
 from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at
-from .spectral import DepthProfile, auto_bin_width, depth_profile, depth_profile_rows
+from .spectral import auto_bin_width, depth_profile, write_depth_profile_csv
 from .tensor import Graph, Tensor, backward, record
 
 __all__ = [
@@ -358,13 +358,6 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
 # Interpolation suite
 
 
-def _profile_csv(path: str, profile: DepthProfile) -> None:
-    with open(path, "w") as fh:
-        fh.write("depth,f,delta_log_amp\n")
-        for depth, f, v in depth_profile_rows(profile):
-            fh.write(f"{depth:.6f},{f:.6f},{v:.6f}\n")
-
-
 def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool = False) -> list[dict]:
     """Train one model per interpolation setting and profile its spectra.
 
@@ -395,7 +388,7 @@ def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool
         grid = cfg.grid_hw()
         profile = depth_profile(model, probe, epoch=cfg.total_epochs, sched=cfg.schedule(),
                                 bin_width=auto_bin_width(*grid))
-        _profile_csv(csv_path, profile)
+        write_depth_profile_csv(csv_path, profile)
         results.append({
             "e_switch": setting.e_switch,
             "sa_epochs": sa_epochs,

@@ -10,6 +10,7 @@ from convattn.blocks import (
     Mlp,
     PatchEmbed,
     TokenGrid,
+    _rel_geometry,
     attention_scores,
     block_forward,
     build_model,
@@ -129,6 +130,15 @@ def test_rel_bias_pad_collapses_offgrid_mass(rng):
         np.testing.assert_allclose(full[0, q, -1], expected, rtol=1e-5)
 
 
+def test_rel_geometry_cache_is_read_only():
+    # the cached index and mask are shared by every later caller
+    idx, offgrid = _rel_geometry(3, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        offgrid[0, 0] = True
+
+
 # --------------------------------------------------------------------------
 # Attention
 
@@ -221,27 +231,6 @@ def test_mhsa_matches_bruteforce(rng, pad):
         expected = mhsa_loops(x.reshape(2, 4, d), a.w_q.data, a.w_k.data, a.w_v.data,
                               a.w_o.data, a.b_rel.data, a.out_bias.data, h_t, w_t, pad)
         np.testing.assert_allclose(got, expected.reshape(2, h_t, w_t, d), atol=1e-6)
-
-
-def test_numba_and_numpy_kernels_agree(rng):
-    from convattn import _kernels
-
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable; only the numpy path exists")
-    p_raw = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-    grid = rng.normal(size=(3, 8, 8)).astype(np.float32)
-    pad = rng.normal(size=(3, 8)).astype(np.float32)
-    p1, p2 = p_raw.copy(), p_raw.copy()
-    pad1 = _kernels.attn_probs_inplace(p1, grid, pad)
-    pad2 = _kernels._probs_numpy(p2, grid, pad)
-    np.testing.assert_allclose(p1, p2, atol=1e-6)
-    np.testing.assert_allclose(pad1, pad2, atol=1e-6)
-    dp1 = rng.normal(size=p_raw.shape).astype(np.float32)
-    dp2 = dp1.copy()
-    dpad1 = _kernels.attn_softmax_backward(p1, pad1, dp1)
-    dpad2 = _kernels._softmax_bwd_numpy(p2, pad2, dp2)
-    np.testing.assert_allclose(dp1, dp2, atol=1e-6)
-    np.testing.assert_allclose(dpad1, dpad2, atol=1e-6)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from convattn.blocks import build_model
+from convattn.checkpoint import save_checkpoint
 from convattn.cli import main
 from convattn.config import (
     ConfigError,
@@ -165,6 +167,35 @@ def test_cmd_train_missing_dataset_exits_3(tmp_path, capsys):
     assert "/nonexistent/cifar" in capsys.readouterr().err
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["status"] == "failed"
+    assert manifest["finished_at"] is not None
+
+
+@pytest.fixture
+def cifar_ckpt(tmp_path):
+    """Untrained tiny checkpoint whose config reads CIFAR-10 from a missing directory."""
+    config = build_train_config({**parse_config_text(TINY_CFG), "data.dataset": "cifar10",
+                                 "data_dir": "/nonexistent/cifar"})
+    model = build_model(config.dim, config.num_layers, config.kernel_size, config.patch_size, config.image_hw,
+                        config.in_channels, config.num_classes, ["conv"] * config.num_layers,
+                        np.random.default_rng(0))
+    path = str(tmp_path / "untrained.bin")
+    save_checkpoint(path, model, config.to_dict(), 0, [])
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{cfg}", "--resume-from", "{tmp}/missing.bin"],
+    ["fourier", "--checkpoint", "{ckpt}", "--feature-dump", "{tmp}/missing.bin"],
+    ["fourier", "--checkpoint", "{ckpt}", "--data", "/nonexistent/cifar"],
+], ids=["train-resume-missing", "fourier-dump-missing", "fourier-dataset-missing"])
+def test_cmd_unreadable_input_exits_3(argv, tiny_cfg_path, cifar_ckpt, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    argv = [a.format(cfg=tiny_cfg_path, ckpt=cifar_ckpt, tmp=tmp_path) for a in argv]
+    assert main(argv + ["--out", out]) == 3
+    assert capsys.readouterr().err.startswith(("file error:", "data error:"))
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["status"] == "failed"
+    assert manifest["finished_at"] is not None
 
 
 def test_cmd_train_bad_config_exits_2(tmp_path, capsys):
@@ -182,6 +213,7 @@ def test_cmd_train_divergence_exits_4(tiny_cfg_path, tmp_path, capsys):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["status"] == "diverged"
     assert "epoch" in manifest["error"]
+    assert manifest["finished_at"] is not None
 
 
 # --------------------------------------------------------------------------
