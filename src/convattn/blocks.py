@@ -212,10 +212,12 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     """Expand a [H, 2h-1, 2w-1] table into (grid [H, N, N], pad [H, N], pad weights [H, N, R]).
 
     Grid part: B[h, q, k] = table entry at the key-minus-query offset, so
-    equal relative offsets always read the same entry. Pad logit (when
-    enabled, else pad and weights are None): stable masked logsumexp of the
-    table over the query's off-grid offsets. The weights are the softmax over
-    that masked subset, i.e. the pad logit's gradient w.r.t. the flat table.
+    equal relative offsets always read the same entry. Pad logit: stable
+    masked logsumexp of the table over the query's off-grid offsets. The
+    weights are the softmax over that masked subset, i.e. the pad logit's
+    gradient w.r.t. the flat table. Without a pad slot (and for a query with
+    no off-grid offset) the pad logit is _PAD_NEG and its weights are zero,
+    so the slot takes no probability and routes no gradient.
     """
     heads = b_rel.shape[0]
     if b_rel.shape[1] != 2 * h_t - 1 or b_rel.shape[2] != 2 * w_t - 1:
@@ -224,25 +226,24 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     flat = b_rel.reshape(heads, -1)
     grid = flat[:, idx]  # [H, N, N]
     if not pad_token:
-        return grid, None, None
+        return (grid, np.full((heads, idx.shape[0]), _PAD_NEG, dtype=flat.dtype),
+                np.zeros((heads, *offgrid.shape), dtype=flat.dtype))
     masked = np.where(offgrid[None, :, :], flat[:, None, :], -np.inf)
     m = masked.max(axis=-1)  # [H, N]
     have_any = np.isfinite(m)
     m_safe = np.where(have_any, m, 0.0)
     e = np.exp(masked - m_safe[:, :, None])
     e = np.where(offgrid[None, :, :], e, 0.0)
-    s = e.sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        pad = np.where(have_any, m_safe + np.log(np.maximum(s, 1e-300)), _PAD_NEG)
-    weights = e / np.maximum(s, 1e-300)[:, :, None]
-    weights = np.where(have_any[:, :, None], weights, 0.0)
+    s = np.where(have_any, e.sum(axis=-1), 1.0)  # >= 1 where any offset is off-grid
+    pad = np.where(have_any, m_safe + np.log(s), _PAD_NEG)
+    weights = e / s[:, :, None]
     return grid, pad.astype(flat.dtype), weights.astype(flat.dtype)
 
 
 def expand_rel_bias(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool) -> np.ndarray:
     """Per-pair logits [H, N, N(+1)]: the grid logits, then the pad column when enabled."""
     grid, pad, _ = _bias_logits(b_rel, h_t, w_t, pad_token)
-    return grid if pad is None else np.concatenate([grid, pad[:, :, None]], axis=-1)
+    return np.concatenate([grid, pad[:, :, None]], axis=-1) if pad_token else grid
 
 
 # The pad slot is carried out-of-band: probability arrays stay [.., N] over
@@ -250,15 +251,10 @@ def expand_rel_bias(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool) -> n
 # which keeps every gemm touching the probabilities contiguous.
 
 
-def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray | None):
+def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray):
     """Turn raw scores into probabilities in place; returns the pad
-    probability array (or None when no pad slot exists)."""
+    probability array."""
     p += grid
-    if pad is None:
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return None
     pad_b = np.broadcast_to(pad, p.shape[:-1])
     m = np.maximum(p.max(axis=-1), pad_b)
     p -= m[..., None]
@@ -269,14 +265,12 @@ def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray | None):
     return (e_pad / s).astype(p.dtype)
 
 
-def attn_softmax_backward(p: np.ndarray, p_pad: np.ndarray | None, dp: np.ndarray):
+def attn_softmax_backward(p: np.ndarray, p_pad: np.ndarray, dp: np.ndarray):
     """Softmax-input gradient in place on ``dp``; returns the pad-logit
-    gradient (or None)."""
+    gradient."""
     dot = np.einsum("bhqk,bhqk->bhq", p, dp)
     dp -= dot[..., None]
     dp *= p
-    if p_pad is None:
-        return None
     return p_pad * -dot
 
 
@@ -284,9 +278,9 @@ def _attn_probs(q_scaled: np.ndarray, k: np.ndarray, b_rel_data: np.ndarray,
                 h_t: int, w_t: int, pad_token: bool):
     """Attention probabilities over grid keys plus backward ingredients.
 
-    Returns (p [B, H, N, N], p_pad [B, H, N] or None, pad_weights). Shared by
-    the fused training op and the inspection helper so both always compute
-    the same thing.
+    Returns (p [B, H, N, N], p_pad [B, H, N], pad_weights). Shared by the
+    fused training op and the inspection helper so both always compute the
+    same thing.
     """
     grid, pad, pad_weights = _bias_logits(b_rel_data, h_t, w_t, pad_token)
     p = np.matmul(q_scaled, k.swapaxes(-1, -2))
@@ -305,13 +299,11 @@ def attention_mix(q: Tensor, k: Tensor, v: Tensor, b_rel: Tensor,
     """
     q_s = q.data * scale
     p, p_pad, pad_weights = _attn_probs(q_s, k.data, b_rel.data, h_t, w_t, pad_token)
-    # batched gemms with a narrow trailing dim hit a slow path here, so the
-    # [.., N, d_h] products are computed in transposed (wide-output) form
-    out = Tensor(np.matmul(v.data.swapaxes(-1, -2), p.swapaxes(-1, -2)).swapaxes(-1, -2))
+    out = Tensor(p @ v.data)
     heads = b_rel.shape[0]
 
     def bwd(g):
-        dv = np.ascontiguousarray(np.matmul(g.swapaxes(-1, -2), p).swapaxes(-1, -2))
+        dv = p.swapaxes(-1, -2) @ g
         dp = g @ v.data.swapaxes(-1, -2)  # [B, H, N, N]
         dpad = attn_softmax_backward(p, p_pad, dp)  # dp becomes the logit gradient
         batch = dp.shape[0]
@@ -319,18 +311,16 @@ def attention_mix(q: Tensor, k: Tensor, v: Tensor, b_rel: Tensor,
         summed = (ones_row @ dp.reshape(batch, -1)).reshape(dp.shape[1:])  # batch-sum via gemv
         idx = _rel_geometry(h_t, w_t)[0]
         r = b_rel.data.reshape(heads, -1).shape[1]
-        d_flat = np.stack([
-            np.bincount(idx.reshape(-1), weights=summed[h].reshape(-1).astype(np.float64), minlength=r)
-            for h in range(heads)
-        ])
-        if pad_token:
-            # pad-logit gradient routed into the table through the off-grid
-            # logsumexp weights
-            d_flat += np.einsum("hq,hqr->hr", dpad.sum(axis=0), pad_weights)
-        dq = np.ascontiguousarray(np.matmul(k.data.swapaxes(-1, -2), dp.swapaxes(-1, -2)).swapaxes(-1, -2))
+        # grid-logit gradient scattered into the table, all heads in one pass
+        bins = (np.arange(heads)[:, None] * r + idx.reshape(1, -1)).reshape(-1)
+        d_flat = np.bincount(bins, weights=summed.reshape(-1).astype(np.float64),
+                             minlength=heads * r).reshape(heads, r)
+        # pad-logit gradient routed into the table through the off-grid
+        # logsumexp weights
+        d_flat += np.einsum("hq,hqr->hr", dpad.sum(axis=0), pad_weights)
+        dq = dp @ k.data
         dq *= scale
-        q_st = np.ascontiguousarray(q_s.swapaxes(-1, -2))
-        dk = np.ascontiguousarray(np.matmul(q_st, dp).swapaxes(-1, -2))
+        dk = dp.swapaxes(-1, -2) @ q_s
         return dq, dk, dv, d_flat.reshape(b_rel.shape).astype(b_rel.data.dtype)
 
     return record(out, (q, k, v, b_rel), bwd)
@@ -438,7 +428,7 @@ def attention_scores(x: TokenGrid, head: int, a: AttnMixer) -> Tensor:
     q_s = q.data * (1.0 / np.sqrt(a.dim))
     p, p_pad, _ = _attn_probs(q_s, k.data, a.b_rel.data, x.h_t, x.w_t, a.pad_token_enabled)
     rows = p[0, head]
-    if p_pad is not None:
+    if a.pad_token_enabled:
         rows = np.concatenate([rows, p_pad[0, head][:, None]], axis=-1)
     return Tensor(rows.copy())
 

@@ -63,9 +63,9 @@ def _timestamp() -> str:
     return time.strftime("%Y%m%dT%H%M%S")
 
 
-def _new_manifest(command: str, config: TrainConfig, out_dir: str | None) -> RunManifest:
+def _new_manifest(command: str, argv: list[str], config: TrainConfig, out_dir: str | None) -> RunManifest:
     out_dir = out_dir or os.path.join("runs", f"{command}-{_timestamp()}-seed{config.seed}")
-    return RunManifest(command, sys.argv[1:], config.to_dict(), config.seed, out_dir, _timestamp())
+    return RunManifest(command, argv, config.to_dict(), config.seed, out_dir, _timestamp())
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -134,7 +134,7 @@ def _run(manifest: RunManifest, work) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
-    manifest = _new_manifest("train", config, args.out)
+    manifest = _new_manifest("train", args.argv, config, args.out)
 
     def work() -> None:
         result = train(config, out_dir=manifest.out_dir, resume_from=args.resume_from)
@@ -202,7 +202,7 @@ def cmd_fourier(args) -> int:
     model = model_from_checkpoint(header, tensors)
     config = TrainConfig.from_dict(header["config"])
     h_t, w_t = config.grid_hw()
-    manifest = _new_manifest("fourier", config, args.out or os.path.dirname(args.checkpoint) or ".")
+    manifest = _new_manifest("fourier", args.argv, config, args.out or os.path.dirname(args.checkpoint) or ".")
     manifest.artifacts["tap"] = args.tap
 
     def work() -> None:
@@ -211,6 +211,9 @@ def cmd_fourier(args) -> int:
             rows = []
             for name in sorted(dump_tensors):
                 maps = dump_tensors[name]
+                if maps.ndim not in (2, 3, 4):
+                    raise ShapeError(f"feature dump tensor {name!r} has shape {maps.shape}; "
+                                     "expected [h, w], [n, h, w] or [B, h, w, d]")
                 if maps.ndim == 4:
                     maps = channel_maps(maps)
                 profile = spectrum_of_maps(maps, bin_width=args.bin_width or auto_bin_width(*maps.shape[-2:]))
@@ -285,7 +288,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_interp(args) -> int:
     config = _resolve_config(args)
-    manifest = _new_manifest("interp", config, args.out)
+    manifest = _new_manifest("interp", args.argv, config, args.out)
 
     def work() -> None:
         results = run_interpolation_suite(config, manifest.out_dir, resume=args.resume)
@@ -370,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     limit_blas_threads()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # recorded in the run manifest
     try:
         return args.func(args)
     except Exception as exc:  # failures before a run manifest exists; _run handles the rest

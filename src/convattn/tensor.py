@@ -364,12 +364,8 @@ def gelu(a: Tensor) -> Tensor:
 # matmul
 
 
-def matmul(a: Tensor, b: Tensor, scale_by: float | None = None) -> Tensor:
-    """Matrix product, 2-D operands or stacked operands with equal leading dims.
-
-    ``scale_by`` fuses a scalar multiple into the product (and its gradient)
-    without an extra full-size temporary.
-    """
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product, 2-D operands or stacked operands with equal leading dims."""
     A, B = a.data, b.data
     if A.ndim < 2 or B.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {A.shape} @ {B.shape}")
@@ -377,21 +373,11 @@ def matmul(a: Tensor, b: Tensor, scale_by: float | None = None) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {A.shape} @ {B.shape}")
     if A.shape[:-2] != B.shape[:-2]:
         raise ShapeError(f"matmul leading dims differ: {A.shape} @ {B.shape}")
-    out_data = A @ B
-    if scale_by is not None:
-        out_data *= scale_by
-    out = Tensor(out_data)
+    out = Tensor(A @ B)
 
     def bwd(g):
-        da = db = None
-        if a.requires_grad:
-            da = g @ B.swapaxes(-1, -2)
-            if scale_by is not None:
-                da *= scale_by
-        if b.requires_grad:
-            db = A.swapaxes(-1, -2) @ g
-            if scale_by is not None:
-                db *= scale_by
+        da = g @ B.swapaxes(-1, -2) if a.requires_grad else None
+        db = A.swapaxes(-1, -2) @ g if b.requires_grad else None
         return da, db
 
     return record(out, (a, b), bwd)

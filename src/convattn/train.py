@@ -272,9 +272,6 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
                             config.image_hw, config.in_channels, config.num_classes, init_modes,
                             _rng(config.seed, _TAG_INIT), mlp_ratio=config.mlp_ratio,
                             use_abs_pos=config.use_abs_pos, final_ln=config.final_ln)
-        for blk in model.blocks:
-            if blk.mode == SA:
-                blk.attn.pad_token_enabled = False  # fresh attention, no conv ancestry
         optimizer = AdamW(model.named_parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
                           weight_decay=config.weight_decay)
 

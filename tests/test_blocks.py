@@ -11,6 +11,7 @@ from convattn.blocks import (
     PatchEmbed,
     TokenGrid,
     _rel_geometry,
+    attention_mix,
     attention_scores,
     block_forward,
     build_model,
@@ -231,6 +232,28 @@ def test_mhsa_matches_bruteforce(rng, pad):
         expected = mhsa_loops(x.reshape(2, 4, d), a.w_q.data, a.w_k.data, a.w_v.data,
                               a.w_o.data, a.b_rel.data, a.out_bias.data, h_t, w_t, pad)
         np.testing.assert_allclose(got, expected.reshape(2, h_t, w_t, d), atol=1e-6)
+
+
+@pytest.mark.parametrize("wrt", ["q", "k", "v", "b_rel"])
+@pytest.mark.parametrize("pad", [False, True])
+def test_attention_mix_gradient(rng, pad, wrt):
+    # every input of the fused op, batch 2 so the batch-sum of the bias
+    # gradient is exercised; with the pad slot on, the pad logit's gradient
+    # also reaches the table through the off-grid logsumexp weights
+    with tt.using_dtype(np.float64):
+        b, heads, h_t, w_t, d_h = 2, 2, 3, 3, 3
+        n = h_t * w_t
+        inputs = {name: Tensor(rng.normal(size=(b, heads, n, d_h))) for name in ("q", "k", "v")}
+        inputs["b_rel"] = Tensor(rng.normal(size=(heads, 2 * h_t - 1, 2 * w_t - 1)))
+        r = Tensor(rng.uniform(-1, 1, size=(b, heads, n, d_h)))
+
+        def f(_):
+            out = attention_mix(inputs["q"], inputs["k"], inputs["v"], inputs["b_rel"],
+                                h_t, w_t, pad, 1.0 / np.sqrt(d_h))
+            return sum_(mul(out, r))
+
+        report = finite_diff_check(f, inputs[wrt], step=1e-5, tol=1e-5)
+        assert report.passed, report
 
 
 # --------------------------------------------------------------------------

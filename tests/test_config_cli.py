@@ -187,15 +187,25 @@ def cifar_ckpt(tmp_path):
     ["train", "--config", "{cfg}", "--resume-from", "{tmp}/missing.bin"],
     ["fourier", "--checkpoint", "{ckpt}", "--feature-dump", "{tmp}/missing.bin"],
     ["fourier", "--checkpoint", "{ckpt}", "--data", "/nonexistent/cifar"],
-], ids=["train-resume-missing", "fourier-dump-missing", "fourier-dataset-missing"])
-def test_cmd_unreadable_input_exits_3(argv, tiny_cfg_path, cifar_ckpt, tmp_path, capsys):
+    ["fourier", "--checkpoint", "{ckpt}", "--feature-dump", "{tmp}/rank1.bin"],
+    ["fourier", "--checkpoint", "{ckpt}", "--feature-dump", "{tmp}/rank5.bin"],
+], ids=["train-resume-missing", "fourier-dump-missing", "fourier-dataset-missing",
+        "fourier-dump-rank1", "fourier-dump-rank5"])
+def test_cmd_unreadable_input_exits_3(argv, tiny_cfg_path, cifar_ckpt, tmp_path, capsys, monkeypatch):
+    from convattn.checkpoint import write_container
+
+    for name, shape in (("rank1", (8,)), ("rank5", (1, 2, 4, 4, 3))):
+        write_container(str(tmp_path / f"{name}.bin"), {"kind": "feature-dump"}, {"maps": np.zeros(shape)})
+    # the manifest records the arguments handed to main, not the host process's
+    monkeypatch.setattr("sys.argv", ["host-program", "--some-flag"])
     out = str(tmp_path / "run")
-    argv = [a.format(cfg=tiny_cfg_path, ckpt=cifar_ckpt, tmp=tmp_path) for a in argv]
-    assert main(argv + ["--out", out]) == 3
-    assert capsys.readouterr().err.startswith(("file error:", "data error:"))
+    argv = [a.format(cfg=tiny_cfg_path, ckpt=cifar_ckpt, tmp=tmp_path) for a in argv] + ["--out", out]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(("file error:", "data error:", "geometry mismatch:"))
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["status"] == "failed"
     assert manifest["finished_at"] is not None
+    assert manifest["argv"] == argv
 
 
 def test_cmd_train_bad_config_exits_2(tmp_path, capsys):
@@ -204,6 +214,7 @@ def test_cmd_train_bad_config_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr=1e6 overflows gelu on purpose
 def test_cmd_train_divergence_exits_4(tiny_cfg_path, tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["train", "--config", tiny_cfg_path, "--out", out,
