@@ -13,6 +13,7 @@ what makes a reparameterized convolution match zero padding on border tokens.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -253,16 +254,26 @@ def expand_rel_bias(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool) -> n
 
 def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray):
     """Turn raw scores into probabilities in place; returns the pad
-    probability array."""
+    probability array.
+
+    A logit gap below log(tiny) of the buffer's dtype would exponentiate to a
+    subnormal; it is flushed to -inf so its probability is an exact zero.
+    After a switch at beta=100 that is nearly the whole row, and subnormal
+    arithmetic is many times slower than normal arithmetic on this path.
+    """
     p += grid
     pad_b = np.broadcast_to(pad, p.shape[:-1])
     m = np.maximum(p.max(axis=-1), pad_b)
     p -= m[..., None]
+    floor = np.log(np.finfo(p.dtype).tiny)
+    np.putmask(p, p < floor, -np.inf)
     np.exp(p, out=p)
-    e_pad = np.exp(pad_b - m)
+    gap_pad = pad_b - m
+    np.putmask(gap_pad, gap_pad < floor, -np.inf)
+    e_pad = np.exp(gap_pad)
     s = p.sum(axis=-1) + e_pad
     p /= s[..., None]
-    return (e_pad / s).astype(p.dtype)
+    return e_pad / s
 
 
 def attn_softmax_backward(p: np.ndarray, p_pad: np.ndarray, dp: np.ndarray):
@@ -414,6 +425,12 @@ def _project_qkv(x: TokenGrid, a: AttnMixer) -> tuple[Tensor, Tensor, Tensor]:
     return q, k, v
 
 
+def _attn_scale(d: int) -> float:
+    """1/sqrt(d) as a Python float, so it keeps float32 scores float32 (a
+    numpy float64 scalar would promote the whole [B, H, N, N] buffer)."""
+    return 1.0 / math.sqrt(d)
+
+
 def attention_scores(x: TokenGrid, head: int, a: AttnMixer) -> Tensor:
     """Attention rows for one head on a single sample: [N, N_keys].
 
@@ -425,7 +442,7 @@ def attention_scores(x: TokenGrid, head: int, a: AttnMixer) -> Tensor:
     if not 0 <= head < a.n_heads:
         raise ShapeError(f"head {head} out of range 0..{a.n_heads - 1}")
     q, k, _ = _project_qkv(x, a)
-    q_s = q.data * (1.0 / np.sqrt(a.dim))
+    q_s = q.data * _attn_scale(a.dim)
     p, p_pad, _ = _attn_probs(q_s, k.data, a.b_rel.data, x.h_t, x.w_t, a.pad_token_enabled)
     rows = p[0, head]
     if a.pad_token_enabled:
@@ -441,7 +458,7 @@ def mhsa_forward(x: TokenGrid, a: AttnMixer) -> TokenGrid:
     """
     b, n, d = x.batch, x.n_tokens, x.d
     q, k, v = _project_qkv(x, a)
-    per_head = attention_mix(q, k, v, a.b_rel, x.h_t, x.w_t, a.pad_token_enabled, 1.0 / np.sqrt(d))
+    per_head = attention_mix(q, k, v, a.b_rel, x.h_t, x.w_t, a.pad_token_enabled, _attn_scale(d))
     merged = tt.reshape(tt.transpose(per_head, (0, 2, 1, 3)), (b * n, a.n_heads * a.d_head))
     w_o_flat = tt.reshape(a.w_o, (a.n_heads * a.d_head, d))
     out = tt.add(tt.matmul(merged, w_o_flat), a.out_bias)

@@ -17,6 +17,7 @@ arrays, which is what makes save -> load -> forward reproducible bitwise.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -42,20 +43,31 @@ class CheckpointError(RuntimeError):
 
 
 def write_container(path: str, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write atomically: a temp file in the same directory, fsynced, then
+    renamed over ``path``. A failure midway leaves ``path`` as it was."""
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for name, arr in tensors.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<I", data.ndim))
-            for extent in data.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(data.tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            for name, arr in tensors.items():
+                data = np.ascontiguousarray(arr, dtype="<f4")
+                name_bytes = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_bytes)))
+                fh.write(name_bytes)
+                fh.write(struct.pack("<I", data.ndim))
+                for extent in data.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(data.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

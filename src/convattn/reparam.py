@@ -5,8 +5,12 @@ offset. Each head gets zero query/key projections, an identity value
 projection, the conv tap as its output projection, and a bias spike that
 makes its attention row one-hot on the key at that offset (or on the
 all-zero pad slot when the offset leaves the grid, reproducing zero
-padding). The result is an ordinary trainable attention layer whose output
-matches the convolution to within the softmax tail, ~N*exp(-beta).
+padding). The result is an ordinary trainable attention layer. Off the
+spike every logit gap is about -beta; at the default beta=100 that is below
+log(tiny) of float32, so the softmax flushes the tail to exact zero, each
+head is exactly one-hot, and the output matches the convolution up to
+float32 rounding. A tail that stays above tiny (a small beta, or the float64
+verification dtype) bounds the difference by ~N*exp(-beta).
 """
 
 from __future__ import annotations

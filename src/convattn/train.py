@@ -249,6 +249,21 @@ def _configure_threads() -> None:
         _threads_configured = True
 
 
+# Fields a resumed run must share with the run that wrote the checkpoint: the
+# architecture comes from the checkpoint, the schedule from the caller.
+_RESUME_FIELDS = ("num_layers", "total_epochs", "schedule_kind", "e_switch", "image_hw", "patch_size")
+
+
+def _check_resume_config(saved: dict, config: TrainConfig) -> None:
+    from .config import ConfigError  # local import keeps module deps one-way
+
+    current = config.to_dict()
+    for name in _RESUME_FIELDS:
+        if saved.get(name) != current[name]:
+            raise ConfigError(f"resume checkpoint has {name}={saved.get(name)!r} "
+                              f"but the config has {name}={current[name]!r}")
+
+
 def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | None = None) -> TrainResult:
     _configure_threads()
     sched = config.schedule()
@@ -260,6 +275,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     start_epoch = 1
     if resume_from is not None:
         header, tensors = load_checkpoint(resume_from)
+        _check_resume_config(header["config"], config)
         model = model_from_checkpoint(header, tensors)
         optimizer = AdamW(model.named_parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
                           weight_decay=config.weight_decay)
@@ -288,14 +304,19 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
         optimizer.lr = lr_at(epoch, config.total_epochs, config.lr, config.warmup_epochs, config.cosine_decay)
 
         switches = []
+        # Nothing trains between two switches of one epoch, so one switch's
+        # loss_after is the next one's loss_before: L+1 probe forwards, not 2L.
+        probe_loss = None
         for layer in range(config.num_layers, 0, -1):  # rear-to-front
             blk = model.blocks[layer - 1]
             if blk.mode == CONV and mode_at(sched, epoch, layer) == SA:
-                loss_before = _probe_loss(model, probe_images, probe_labels, config)
+                if probe_loss is None:
+                    probe_loss = _probe_loss(model, probe_images, probe_labels, config)
+                loss_before = probe_loss
                 switch_block(blk, grid_hw, beta=config.beta_spike)
-                loss_after = _probe_loss(model, probe_images, probe_labels, config)
+                probe_loss = _probe_loss(model, probe_images, probe_labels, config)
                 switches.append({"epoch": epoch, "layer": layer,
-                                 "loss_before": loss_before, "loss_after": loss_after})
+                                 "loss_before": loss_before, "loss_after": probe_loss})
         if switches:
             params = list(model.named_parameters())
             optimizer.set_params(params)  # fresh moments for the new attention tensors

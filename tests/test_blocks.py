@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convattn import blocks
 from convattn import tensor as tt
 from convattn.blocks import (
     AttnMixer,
@@ -254,6 +255,50 @@ def test_attention_mix_gradient(rng, pad, wrt):
 
         report = finite_diff_check(f, inputs[wrt], step=1e-5, tol=1e-5)
         assert report.passed, report
+
+
+def capture_attention(monkeypatch):
+    """Record each probability buffer (p, p_pad) and each raw gradient tuple
+    the fused attention op returns, before the tape casts it."""
+    probs, grads = [], []
+    probs_inplace, record = blocks.attn_probs_inplace, blocks.record
+
+    def capture_probs(p, grid, pad):
+        p_pad = probs_inplace(p, grid, pad)
+        probs.append((p, p_pad))
+        return p_pad
+
+    def capture_record(out, inputs, backward_fn):
+        def bwd(g):
+            result = backward_fn(g)
+            grads.append(result)
+            return result
+
+        return record(out, inputs, bwd)
+
+    monkeypatch.setattr(blocks, "attn_probs_inplace", capture_probs)
+    monkeypatch.setattr(blocks, "record", capture_record)
+    return probs, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_runs_in_tensor_dtype(rng, monkeypatch, dtype):
+    # float32 tensors keep the [B, H, N, N] buffer and every gradient float32
+    # (a float64 scale would promote them); the float64 oracles stay float64
+    probs, grads = capture_attention(monkeypatch)
+    with tt.using_dtype(dtype):
+        d = 8
+        a = AttnMixer.init(d, 9, d, (4, 4), rng, pad_token_enabled=True)
+        g = tt.Graph()
+        with g:
+            out = mhsa_forward(grid_of(rng, 2, 4, 4, d), a)
+            loss = sum_(out.data)
+        tt.backward(loss, g)
+    [(p, p_pad)] = probs
+    [(dq, dk, dv, d_rel)] = grads
+    assert out.data.data.dtype == dtype
+    assert p.dtype == p_pad.dtype == dtype
+    assert [t.dtype for t in (dq, dk, dv, d_rel)] == [dtype] * 4
 
 
 # --------------------------------------------------------------------------

@@ -208,6 +208,23 @@ def test_cmd_unreadable_input_exits_3(argv, tiny_cfg_path, cifar_ckpt, tmp_path,
     assert manifest["argv"] == argv
 
 
+def test_cmd_train_resume_config_mismatch_exits_2(tiny_cfg_path, tmp_path, capsys):
+    uniform = ["--set", "schedule.kind=uniform", "--set", "schedule.total_epochs=2"]
+    first = str(tmp_path / "first")
+    assert main(["train", "--config", tiny_cfg_path, "--out", first, *uniform,
+                 "--set", "schedule.e_switch=1", "--set", "train.checkpoint_every=1"]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "resumed")
+    code = main(["train", "--config", tiny_cfg_path, "--out", out, *uniform, "--set", "schedule.e_switch=2",
+                 "--resume-from", os.path.join(first, "checkpoint_epoch_1.bin")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "e_switch" in err
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["status"] == "failed"
+    assert manifest["finished_at"] is not None
+
+
 def test_cmd_train_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.banana = 3\n")

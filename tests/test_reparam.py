@@ -8,7 +8,7 @@ from convattn.reparam import reparameterize, switch_block, verify_equivalence
 from convattn.schedule import CONV, SA
 from convattn.tensor import Graph, ShapeError, Tensor, backward
 from convattn.train import cross_entropy_label_smooth
-from test_blocks import make_block, small_model
+from test_blocks import capture_attention, make_block, small_model
 
 
 def random_conv(rng, k=3, d=16, std=0.1):
@@ -113,6 +113,33 @@ def test_softmax_tail_bound(rng):
         rows = attention_scores(x, head, attn).data
         off_mass = 1.0 - rows.max(axis=-1)
         assert np.all(off_mass < n * np.exp(-100.0) + 1e-12)
+
+
+def test_switched_softmax_tail_is_exact_zero(rng, monkeypatch):
+    # every off-spike logit gap is about -beta, below log(float32 tiny), so
+    # it is flushed to an exact zero instead of a subnormal exp(-100)
+    d, h_t, w_t = 16, 8, 8
+    probs, _ = capture_attention(monkeypatch)
+    blk = make_block(rng, d, CONV, h_t, w_t)
+    switch_block(blk, (h_t, w_t))
+    mhsa_forward(TokenGrid(Tensor(rng.normal(size=(2, h_t, w_t, d))), h_t, w_t), blk.attn)
+    [(p, p_pad)] = probs
+    assert p.dtype == p_pad.dtype == np.float32
+    tiny = np.finfo(np.float32).tiny
+    for arr in (p, p_pad):
+        assert not np.any((arr > 0) & (arr < tiny))
+    # the one-hot target of head i*3+j at query (r, c) is the key at
+    # (r+i-1, c+j-1), or the pad slot when that leaves the grid
+    expected = np.zeros((9, h_t * w_t, h_t * w_t + 1), dtype=np.float32)
+    for head in range(9):
+        dr, dc = divmod(head, 3)
+        for q in range(h_t * w_t):
+            r, c = divmod(q, w_t)
+            r, c = r + dr - 1, c + dc - 1
+            expected[head, q, r * w_t + c if 0 <= r < h_t and 0 <= c < w_t else -1] = 1.0
+    rows = np.concatenate([p, p_pad[..., None]], axis=-1)
+    np.testing.assert_array_equal(rows[rows != 1.0], 0.0)
+    np.testing.assert_array_equal(rows == 1.0, np.broadcast_to(expected == 1.0, rows.shape))
 
 
 def test_switch_block_preserves_function(rng):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 
@@ -175,6 +176,25 @@ def test_switch_events_and_loss_continuity():
         assert m["modes"] == [mode_at(sched, m["epoch"], l) for l in (1, 2)]
 
 
+def test_switch_probe_forwards_are_shared(monkeypatch):
+    # two layers switching in one epoch: the rear switch's loss_after is the
+    # front switch's loss_before, so 3 probe forwards instead of 4
+    train_module = importlib.import_module("convattn.train")  # the package re-exports train() as .train
+    calls = []
+    probe_loss = train_module._probe_loss
+
+    def counting(*args):
+        calls.append(args)
+        return probe_loss(*args)
+
+    monkeypatch.setattr(train_module, "_probe_loss", counting)
+    res = train(tiny_config(schedule_kind="uniform", e_switch=1, total_epochs=2))
+    assert len(calls) == 3
+    events = res.switch_events
+    assert [(ev["epoch"], ev["layer"]) for ev in events] == [(2, 2), (2, 1)]
+    assert events[1]["loss_before"] == events[0]["loss_after"]
+
+
 def test_switch_order_rear_to_front():
     cfg = tiny_config(schedule_kind="uniform", e_switch=2, total_epochs=4)
     res = train(cfg)
@@ -227,6 +247,23 @@ def test_container_roundtrip(tmp_path, rng):
     assert header["kind"] == "feature-dump"
     for name, arr in tensors.items():
         np.testing.assert_array_equal(loaded[name], arr)
+
+
+def test_write_container_is_atomic(tmp_path, rng):
+    path = str(tmp_path / "ckpt.bin")
+    write_container(path, {"kind": "feature-dump"}, {"a": rng.normal(size=(3, 4))})
+    with open(path, "rb") as fh:
+        good = fh.read()
+
+    class FailsMidway:
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("write failed midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        write_container(path, {"kind": "feature-dump"}, {"a": rng.normal(size=(3, 4)), "b": FailsMidway()})
+    with open(path, "rb") as fh:
+        assert fh.read() == good
+    assert os.listdir(tmp_path) == ["ckpt.bin"]
 
 
 def test_save_load_forward_bitwise(tmp_path, rng):
