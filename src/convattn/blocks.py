@@ -247,94 +247,46 @@ def expand_rel_bias(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool) -> n
     return np.concatenate([grid, pad[:, :, None]], axis=-1) if pad_token else grid
 
 
-# The pad slot is carried out-of-band: probability arrays stay [.., N] over
-# grid keys and the pad probability is a separate [batch, heads, N] array,
-# which keeps every gemm touching the probabilities contiguous.
+# Probabilities are stored key-major, [.., N_keys, N_queries], so the
+# softmax's max and sum run over axis -2, across contiguous rows. The pad
+# slot is carried out-of-band: the pad probability is a separate [.., N_queries]
+# array, which keeps every gemm touching the probabilities contiguous.
 
 
 def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray):
-    """Turn raw scores into probabilities in place; returns the pad
-    probability array.
+    """Turn key-major raw scores into probabilities in place; returns the
+    pad probability array.
 
-    A logit gap below log(tiny) of the buffer's dtype would exponentiate to a
-    subnormal; it is flushed to -inf so its probability is an exact zero.
-    After a switch at beta=100 that is nearly the whole row, and subnormal
-    arithmetic is many times slower than normal arithmetic on this path.
+    ``grid`` is the key-major bias [H, N_keys, N_queries] and ``pad`` the
+    pad logit [H, N_queries]. A logit gap below log(tiny) of the buffer's
+    dtype would exponentiate to a subnormal; it is flushed to -inf so its
+    probability is an exact zero. After a switch at beta=100 that is nearly
+    the whole column, and subnormal arithmetic is many times slower than
+    normal arithmetic on this path.
     """
     p += grid
-    pad_b = np.broadcast_to(pad, p.shape[:-1])
-    m = np.maximum(p.max(axis=-1), pad_b)
-    p -= m[..., None]
+    m = p.max(axis=-2)
+    np.maximum(m, pad, out=m)
+    p -= m[..., None, :]
     floor = np.log(np.finfo(p.dtype).tiny)
-    np.putmask(p, p < floor, -np.inf)
+    np.copyto(p, -np.inf, where=p < floor)
     np.exp(p, out=p)
-    gap_pad = pad_b - m
-    np.putmask(gap_pad, gap_pad < floor, -np.inf)
-    e_pad = np.exp(gap_pad)
-    s = p.sum(axis=-1) + e_pad
-    p /= s[..., None]
+    e_pad = pad - m
+    np.copyto(e_pad, -np.inf, where=e_pad < floor)
+    np.exp(e_pad, out=e_pad)
+    s = p.sum(axis=-2)
+    s += e_pad
+    p /= s[..., None, :]
     return e_pad / s
 
 
 def attn_softmax_backward(p: np.ndarray, p_pad: np.ndarray, dp: np.ndarray):
-    """Softmax-input gradient in place on ``dp``; returns the pad-logit
-    gradient."""
-    dot = np.einsum("bhqk,bhqk->bhq", p, dp)
-    dp -= dot[..., None]
+    """Softmax-input gradient in place on the key-major ``dp``; returns the
+    pad-logit gradient."""
+    dot = np.einsum("bhkq,bhkq->bhq", p, dp)
+    dp -= dot[..., None, :]
     dp *= p
     return p_pad * -dot
-
-
-def _attn_probs(q_scaled: np.ndarray, k: np.ndarray, b_rel_data: np.ndarray,
-                h_t: int, w_t: int, pad_token: bool):
-    """Attention probabilities over grid keys plus backward ingredients.
-
-    Returns (p [B, H, N, N], p_pad [B, H, N], pad_weights). Shared by the
-    fused training op and the inspection helper so both always compute the
-    same thing.
-    """
-    grid, pad, pad_weights = _bias_logits(b_rel_data, h_t, w_t, pad_token)
-    p = np.matmul(q_scaled, k.swapaxes(-1, -2))
-    p_pad = attn_probs_inplace(p, grid, pad)
-    return p, p_pad, pad_weights
-
-
-def attention_mix(q: Tensor, k: Tensor, v: Tensor, b_rel: Tensor,
-                  h_t: int, w_t: int, pad_token: bool, scale: float) -> Tensor:
-    """Fused per-head attention: softmax(q k^T * scale + B) v.
-
-    One tape node covering score computation, bias attachment (pad slot
-    included), softmax, and value mixing; fusing these keeps the [B, H, N,
-    N] traffic to a single retained buffer. The pad key contributes only to
-    the softmax denominator since its value vector is zero.
-    """
-    q_s = q.data * scale
-    p, p_pad, pad_weights = _attn_probs(q_s, k.data, b_rel.data, h_t, w_t, pad_token)
-    out = Tensor(p @ v.data)
-    heads = b_rel.shape[0]
-
-    def bwd(g):
-        dv = p.swapaxes(-1, -2) @ g
-        dp = g @ v.data.swapaxes(-1, -2)  # [B, H, N, N]
-        dpad = attn_softmax_backward(p, p_pad, dp)  # dp becomes the logit gradient
-        batch = dp.shape[0]
-        ones_row = np.ones((1, batch), dtype=dp.dtype)
-        summed = (ones_row @ dp.reshape(batch, -1)).reshape(dp.shape[1:])  # batch-sum via gemv
-        idx = _rel_geometry(h_t, w_t)[0]
-        r = b_rel.data.reshape(heads, -1).shape[1]
-        # grid-logit gradient scattered into the table, all heads in one pass
-        bins = (np.arange(heads)[:, None] * r + idx.reshape(1, -1)).reshape(-1)
-        d_flat = np.bincount(bins, weights=summed.reshape(-1).astype(np.float64),
-                             minlength=heads * r).reshape(heads, r)
-        # pad-logit gradient routed into the table through the off-grid
-        # logsumexp weights
-        d_flat += np.einsum("hq,hqr->hr", dpad.sum(axis=0), pad_weights)
-        dq = dp @ k.data
-        dq *= scale
-        dk = dp.swapaxes(-1, -2) @ q_s
-        return dq, dk, dv, d_flat.reshape(b_rel.shape).astype(b_rel.data.dtype)
-
-    return record(out, (q, k, v, b_rel), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -403,51 +355,162 @@ class AttnMixer:
         yield "out_bias", self.out_bias
 
 
-def _project_heads(tokens_flat: Tensor, w: Tensor, b: int, n: int) -> Tensor:
-    """[B*N, d] x [H, d, d_h] -> [B, H, N, d_h] through one flat matmul."""
-    heads, d, d_h = w.shape
-    w_flat = tt.reshape(tt.transpose(w, (1, 0, 2)), (d, heads * d_h))
-    p = tt.matmul(tokens_flat, w_flat)
-    p = tt.reshape(p, (b, n, heads, d_h))
-    return tt.transpose(p, (0, 2, 1, 3))
-
-
-def _project_qkv(x: TokenGrid, a: AttnMixer) -> tuple[Tensor, Tensor, Tensor]:
-    if (x.h_t, x.w_t) != a.grid_hw:
-        raise ShapeError(f"grid {x.h_t}x{x.w_t} does not match mixer geometry {a.grid_hw}")
-    b, n, d = x.batch, x.n_tokens, x.d
-    if d != a.dim:
-        raise ShapeError(f"grid channels {d} != mixer dim {a.dim}")
-    flat = tt.reshape(x.tokens(), (b * n, d))
-    q = _project_heads(flat, a.w_q, b, n)
-    k = _project_heads(flat, a.w_k, b, n)
-    v = _project_heads(flat, a.w_v, b, n)
-    return q, k, v
-
-
 def _attn_scale(d: int) -> float:
     """1/sqrt(d) as a Python float, so it keeps float32 scores float32 (a
     numpy float64 scalar would promote the whole [B, H, N, N] buffer)."""
     return 1.0 / math.sqrt(d)
 
 
+def _check_attn_input(x: TokenGrid, a: AttnMixer) -> None:
+    if (x.h_t, x.w_t) != a.grid_hw:
+        raise ShapeError(f"grid {x.h_t}x{x.w_t} does not match mixer geometry {a.grid_hw}")
+    if x.d != a.dim:
+        raise ShapeError(f"grid channels {x.d} != mixer dim {a.dim}")
+
+
+# Bytes of probabilities per batch slice: each pass over a slice's buffer
+# (scores, softmax, value mixing, and their backward) stays in a core's L2.
+_SLICE_BYTES = 512 * 1024
+
+
+def _batch_slices(batch: int, heads: int, n: int, dtype) -> list[slice]:
+    """Consecutive batch slices of _SLICE_BYTES of probabilities each (at
+    least one row; an empty batch gets one empty slice)."""
+    rows = max(1, _SLICE_BYTES // (heads * n * n * np.dtype(dtype).itemsize))
+    return [slice(s, min(s + rows, batch)) for s in range(0, max(batch, 1), rows)]
+
+
+def _head_views(qkv: np.ndarray, batch: int, n: int, heads: int, d_h: int):
+    """q, k, v as strided [B, H, N, d_h] views of a [B*N, 3*H*d_h] buffer."""
+    split = qkv.reshape(batch, n, 3, heads, d_h)
+    return tuple(split[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+
+
+def _qkv_gemm(x_flat: np.ndarray, a: AttnMixer, batch: int, n: int):
+    """One gemm X[B*N, d] @ W[d, 3*H*d_h] for q, k and v.
+
+    Returns (W, the projected buffer, its (q_scaled, k, v) head views); q is
+    scaled in place.
+    """
+    w = np.concatenate([t.data.transpose(1, 0, 2) for t in (a.w_q, a.w_k, a.w_v)], axis=1)
+    w = w.reshape(a.dim, -1)
+    qkv = x_flat @ w
+    q_s, k, v = _head_views(qkv, batch, n, a.n_heads, a.d_head)
+    q_s *= _attn_scale(a.dim)
+    return w, qkv, (q_s, k, v)
+
+
+def _key_major_bias(a: AttnMixer, h_t: int, w_t: int):
+    """(grid logits [H, N_keys, N_queries], pad logits [H, N], pad weights)."""
+    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
+    return np.ascontiguousarray(grid.transpose(0, 2, 1)), pad, pad_weights
+
+
+def _slice_probs(k: np.ndarray, q_s: np.ndarray, grid_t: np.ndarray, pad: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Key-major probabilities of one batch slice into ``out``; returns the
+    pad probabilities. Shared by the fused op and the inspection helper so
+    both always compute the same thing."""
+    np.matmul(k, q_s.swapaxes(-1, -2), out=out)
+    return attn_probs_inplace(out, grid_t, pad)
+
+
+def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
+    """The attention mixer as one tape node: [B, h_t, w_t, d] in and out.
+
+    Sum over heads of softmax(q k^T * scale + B) v W_o, plus the output
+    bias. q, k and v come from one stacked gemm and are read as strided
+    per-head views; head outputs are written straight into a [B, N, H, d_h]
+    buffer that the output projection reads flat, so no head transpose is
+    copied. Scores, softmax and value mixing run per batch slice of about
+    _SLICE_BYTES of probabilities. The full probability buffer is kept only
+    when a tape records the node; a tape-free forward reuses one slice.
+    The pad key contributes only to the softmax denominator since its value
+    vector is zero.
+    """
+    batch, h_t, w_t, d = x.shape
+    n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
+    inputs = (x, a.w_q, a.w_k, a.w_v, a.w_o, a.b_rel, a.out_bias)
+    taped = tt.recording(inputs)
+    x_flat = x.data.reshape(batch * n, d)
+    w, qkv, (q_s, k, v) = _qkv_gemm(x_flat, a, batch, n)
+    grid_t, pad, pad_weights = _key_major_bias(a, h_t, w_t)
+    slices = _batch_slices(batch, heads, n, qkv.dtype)
+    p = np.empty((batch if taped else slices[0].stop, heads, n, n), dtype=qkv.dtype)
+    p_pad = np.empty((batch, heads, n), dtype=qkv.dtype)
+    merged = np.empty((batch * n, heads * d_h), dtype=qkv.dtype)
+    o = merged.reshape(batch, n, heads, d_h).transpose(0, 2, 1, 3)
+    for s in slices:
+        ps = p[s] if taped else p[: s.stop - s.start]
+        p_pad[s] = _slice_probs(k[s], q_s[s], grid_t, pad, ps)
+        np.matmul(ps.swapaxes(-1, -2), v[s], out=o[s])
+    w_o = a.w_o.data.reshape(heads * d_h, d)
+    y = merged @ w_o
+    y += a.out_bias.data
+    out = Tensor(y.reshape(x.shape))
+
+    def bwd(g):
+        g_flat = g.reshape(batch * n, d)
+        d_out_bias = g_flat.sum(axis=0)
+        d_w_o = (merged.T @ g_flat).reshape(a.w_o.shape)
+        d_o = (g_flat @ w_o.T).reshape(batch, n, heads, d_h).transpose(0, 2, 1, 3)
+        d_qkv = np.empty_like(qkv)
+        dq, dk, dv = _head_views(d_qkv, batch, n, heads, d_h)
+        dp = np.empty((slices[0].stop, heads, n, n), dtype=np.result_type(v, d_o))
+        ones_row = np.ones((1, dp.shape[0]), dtype=dp.dtype)
+        grid_sum = np.zeros((heads, n, n), dtype=dp.dtype)  # batch-summed logit gradient
+        pad_sum = np.zeros((heads, n), dtype=dp.dtype)
+        for s in slices:
+            rows = s.stop - s.start
+            ps, dps = p[s], dp[:rows]
+            np.matmul(ps, d_o[s], out=dv[s])
+            np.matmul(v[s], d_o[s].swapaxes(-1, -2), out=dps)
+            dpad = attn_softmax_backward(ps, p_pad[s], dps)  # dps becomes the logit gradient
+            summed = ones_row[:, :rows] @ dps.reshape(rows, grid_sum.size)  # batch-sum via gemv
+            grid_sum += summed.reshape(grid_sum.shape)
+            pad_sum += dpad.sum(axis=0)
+            np.matmul(dps.swapaxes(-1, -2), k[s], out=dq[s])
+            np.matmul(dps, q_s[s], out=dk[s])
+        dq *= _attn_scale(d)
+        d_w = (x_flat.T @ d_qkv).reshape(d, 3, heads, d_h)
+        d_wq, d_wk, d_wv = (np.ascontiguousarray(d_w[:, i].transpose(1, 0, 2)) for i in range(3))
+        dx = (d_qkv @ w.T).reshape(x.shape)
+        # key-major grid-logit gradient scattered into the table, all heads
+        # in one pass over the transposed index
+        idx_t = _rel_geometry(h_t, w_t)[0].T
+        r = a.b_rel.data[0].size
+        bins = (np.arange(heads)[:, None] * r + idx_t.reshape(1, -1)).reshape(-1)
+        d_flat = np.bincount(bins, weights=grid_sum.reshape(-1).astype(np.float64),
+                             minlength=heads * r).reshape(heads, r)
+        # pad-logit gradient routed into the table through the off-grid
+        # logsumexp weights
+        d_flat += np.einsum("hq,hqr->hr", pad_sum, pad_weights)
+        d_rel = d_flat.reshape(a.b_rel.shape).astype(a.b_rel.data.dtype)
+        return dx, d_wq, d_wk, d_wv, d_w_o, d_rel, d_out_bias
+
+    return record(out, inputs, bwd)
+
+
 def attention_scores(x: TokenGrid, head: int, a: AttnMixer) -> Tensor:
     """Attention rows for one head on a single sample: [N, N_keys].
 
     Inspection helper over the same probability computation mhsa_forward
-    uses; the result is detached from any active tape.
+    uses, returned query-major; the result is detached from any active tape.
     """
     if x.batch != 1:
         raise ShapeError("attention_scores inspects a single sample; pass batch 1")
     if not 0 <= head < a.n_heads:
         raise ShapeError(f"head {head} out of range 0..{a.n_heads - 1}")
-    q, k, _ = _project_qkv(x, a)
-    q_s = q.data * _attn_scale(a.dim)
-    p, p_pad, _ = _attn_probs(q_s, k.data, a.b_rel.data, x.h_t, x.w_t, a.pad_token_enabled)
-    rows = p[0, head]
+    _check_attn_input(x, a)
+    n = x.n_tokens
+    _, qkv, (q_s, k, _) = _qkv_gemm(x.data.data.reshape(n, x.d), a, 1, n)
+    grid_t, pad, _ = _key_major_bias(a, x.h_t, x.w_t)
+    p = np.empty((1, a.n_heads, n, n), dtype=qkv.dtype)
+    p_pad = _slice_probs(k, q_s, grid_t, pad, p)
+    rows = p[0, head].T
     if a.pad_token_enabled:
         rows = np.concatenate([rows, p_pad[0, head][:, None]], axis=-1)
-    return Tensor(rows.copy())
+    return Tensor(rows)
 
 
 def mhsa_forward(x: TokenGrid, a: AttnMixer) -> TokenGrid:
@@ -456,13 +519,8 @@ def mhsa_forward(x: TokenGrid, a: AttnMixer) -> TokenGrid:
     The scale divisor is sqrt(d) as the block's token width, and the pad key
     (when enabled) contributes a zero value vector.
     """
-    b, n, d = x.batch, x.n_tokens, x.d
-    q, k, v = _project_qkv(x, a)
-    per_head = attention_mix(q, k, v, a.b_rel, x.h_t, x.w_t, a.pad_token_enabled, _attn_scale(d))
-    merged = tt.reshape(tt.transpose(per_head, (0, 2, 1, 3)), (b * n, a.n_heads * a.d_head))
-    w_o_flat = tt.reshape(a.w_o, (a.n_heads * a.d_head, d))
-    out = tt.add(tt.matmul(merged, w_o_flat), a.out_bias)
-    return x.like(tt.reshape(out, (b, x.h_t, x.w_t, d)))
+    _check_attn_input(x, a)
+    return x.like(attention_mix(x.data, a))
 
 
 # --------------------------------------------------------------------------

@@ -138,11 +138,7 @@ def cmd_train(args) -> int:
 
     def work() -> None:
         result = train(config, out_dir=manifest.out_dir, resume_from=args.resume_from)
-        metrics_path = os.path.join(manifest.out_dir, "metrics.jsonl")
-        with open(metrics_path, "w") as fh:
-            for m in result.metrics:
-                fh.write(json.dumps(m) + "\n")
-        manifest.artifacts["metrics"] = metrics_path
+        manifest.artifacts["metrics"] = result.metrics_path
         manifest.artifacts["checkpoint"] = result.checkpoint_path
 
         targets, width = populated_targets(*config.grid_hw())

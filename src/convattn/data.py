@@ -193,4 +193,19 @@ def augment(image: np.ndarray, rng: np.random.Generator, pad: int = 4, flip: boo
 
 
 def augment_batch(images: np.ndarray, rng: np.random.Generator, pad: int = 4, flip: bool = True) -> np.ndarray:
-    return np.stack([augment(img, rng, pad=pad, flip=flip) for img in images])
+    """``augment`` on every image of a [n, h, w, c] batch, in one gather.
+
+    The random draws are made per image in ``augment``'s order, so the
+    output is bitwise what the per-image loop gives for the same ``rng``.
+    """
+    n, h, w, _ = images.shape
+    offsets = np.empty((n, 2), dtype=np.int64)
+    flipped = np.zeros(n, dtype=bool)
+    for i in range(n):
+        offsets[i] = rng.integers(0, 2 * pad + 1, size=2)
+        flipped[i] = flip and rng.random() < 0.5
+    padded = np.pad(images, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    rows = offsets[:, :1] + np.arange(h)  # [n, h]
+    cols = offsets[:, 1:] + np.arange(w)  # [n, w]
+    cols = np.where(flipped[:, None], cols[:, ::-1], cols)
+    return padded[np.arange(n)[:, None, None], rows[:, :, None], cols[:, None, :]]

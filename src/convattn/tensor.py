@@ -4,7 +4,8 @@ The autodiff granularity is coarse: each primitive (matmul, softmax,
 layer_norm, conv2d_same, ...) records one tape entry holding a closure that
 maps the output gradient to input gradients. Recording happens only while a
 :class:`Graph` is active (``with Graph() as g: ...``), so plain calls outside
-a graph are tape-free inference.
+a graph are tape-free inference. The open graphs and the default dtype are
+held per context, so each thread sees only its own.
 
 Storage is float32 by default. ``using_dtype(np.float64)`` switches new
 tensors to float64; it exists for numerical verification (finite-difference
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,23 +52,24 @@ __all__ = [
     "GradCheckReport",
 ]
 
-_DEFAULT_DTYPE = np.float32
+# Per context (each thread has its own), so a dtype switch in one thread
+# leaves tensors created by another alone.
+_DEFAULT_DTYPE: ContextVar[type] = ContextVar("convattn_default_dtype", default=np.float32)
 
 
 def default_dtype():
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
 
 
 @contextmanager
 def using_dtype(dtype):
-    """Temporarily change the dtype used for newly created tensors."""
-    global _DEFAULT_DTYPE
-    prev = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.dtype(dtype).type
+    """Temporarily change the dtype used for newly created tensors, in the
+    current context only."""
+    token = _DEFAULT_DTYPE.set(np.dtype(dtype).type)
     try:
         yield
     finally:
-        _DEFAULT_DTYPE = prev
+        _DEFAULT_DTYPE.reset(token)
 
 
 class ShapeError(ValueError):
@@ -88,7 +91,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.ascontiguousarray(np.asarray(data, dtype=dtype or _DEFAULT_DTYPE))
+        self.data = np.ascontiguousarray(np.asarray(data, dtype=dtype or _DEFAULT_DTYPE.get()))
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
@@ -151,7 +154,8 @@ class Graph:
     Ops append themselves in execution order, so the record is topologically
     sorted by construction: every operand precedes its result. One backward
     pass per recording; a second backward without re-recording raises
-    :class:`GraphReuseError`.
+    :class:`GraphReuseError`. The stack of open graphs is per context: ops in
+    one thread never record onto a graph another thread holds open.
     """
 
     def __init__(self):
@@ -159,22 +163,29 @@ class Graph:
         self._consumed = False
 
     def __enter__(self) -> "Graph":
-        _GRAPH_STACK.append(self)
+        _GRAPH_STACK.set(_GRAPH_STACK.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _GRAPH_STACK.pop()
-        assert popped is self
+        stack = _GRAPH_STACK.get()
+        assert stack and stack[-1] is self
+        _GRAPH_STACK.set(stack[:-1])
 
     def __len__(self) -> int:
         return len(self._nodes)
 
 
-_GRAPH_STACK: list[Graph] = []
+_GRAPH_STACK: ContextVar[tuple[Graph, ...]] = ContextVar("convattn_graph_stack", default=())
 
 
 def _active_graph() -> Graph | None:
-    return _GRAPH_STACK[-1] if _GRAPH_STACK else None
+    stack = _GRAPH_STACK.get()
+    return stack[-1] if stack else None
+
+
+def recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether :func:`record` would put an op over ``inputs`` on a tape."""
+    return _active_graph() is not None and any(t.requires_grad for t in inputs)
 
 
 def record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -184,10 +195,9 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     input, in order. Exposed so layers outside this module can define fused
     primitives on the same tape.
     """
-    g = _active_graph()
-    if g is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
-        g._nodes.append((out, inputs, backward_fn))
+        _active_graph()._nodes.append((out, inputs, backward_fn))
     return out
 
 

@@ -14,6 +14,7 @@ random streams as an uninterrupted one.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -116,6 +117,7 @@ class TrainResult:
     optimizer: AdamW
     switch_events: list[dict] = field(default_factory=list)
     checkpoint_path: str | None = None
+    metrics_path: str | None = None
 
 
 class DivergenceError(RuntimeError):
@@ -264,7 +266,20 @@ def _check_resume_config(saved: dict, config: TrainConfig) -> None:
                               f"but the config has {name}={current[name]!r}")
 
 
+def _write_metrics(path: str, records: list[dict], mode: str) -> None:
+    """One JSON object a line; the file is closed, so flushed, on return."""
+    with open(path, mode) as fh:
+        for m in records:
+            fh.write(json.dumps(m) + "\n")
+
+
 def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | None = None) -> TrainResult:
+    """Train under the config's schedule.
+
+    With ``out_dir``, ``metrics.jsonl`` there gets each epoch's record as
+    soon as the epoch ends (a resumed run first writes the checkpoint's
+    history), so a run that dies keeps every finished epoch.
+    """
     _configure_threads()
     sched = config.schedule()
     train_ds = load_dataset(config, "train")
@@ -297,7 +312,11 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
 
     params = list(model.named_parameters())
     all_switch_events: list[dict] = [ev for m in metrics for ev in m.get("switches", [])]
-    ckpt_path = None
+    ckpt_path = metrics_path = None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        metrics_path = os.path.join(out_dir, "metrics.jsonl")
+        _write_metrics(metrics_path, metrics, "w")
 
     for epoch in range(start_epoch, config.total_epochs + 1):
         t0 = time.perf_counter()
@@ -357,19 +376,20 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
             "switches": switches,
             "epoch_seconds": time.perf_counter() - t0,
         })
+        if metrics_path is not None:
+            _write_metrics(metrics_path, metrics[-1:], "a")
 
         if out_dir is not None and config.checkpoint_every and epoch % config.checkpoint_every == 0:
-            os.makedirs(out_dir, exist_ok=True)
             save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch_{epoch}.bin"),
                             model, config.to_dict(), epoch, metrics, optimizer)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         ckpt_path = os.path.join(out_dir, "checkpoint_final.bin")
         save_checkpoint(ckpt_path, model, config.to_dict(), config.total_epochs, metrics, optimizer)
 
     return TrainResult(metrics=metrics, model=model, optimizer=optimizer,
-                       switch_events=all_switch_events, checkpoint_path=ckpt_path)
+                       switch_events=all_switch_events, checkpoint_path=ckpt_path,
+                       metrics_path=metrics_path)
 
 
 # --------------------------------------------------------------------------

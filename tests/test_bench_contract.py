@@ -12,6 +12,8 @@ import os
 import pkgutil
 import sys
 
+import numpy as np
+
 import convattn
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -64,3 +66,27 @@ def test_tracer_patches_every_traced_name_and_restores_it():
             assert after[attr] is value, f"{name}.{attr} not restored"
     for (cls, attr), original in zip(methods, methods_before):
         assert cls.__dict__[attr] is original
+
+
+def test_tracer_sees_the_attention_layer():
+    # one forward and backward of a tiny attention block must reach every
+    # span the benchmark reads for the attention layer; a fused node under
+    # another name would otherwise report zero calls and no test would fail
+    for info in pkgutil.iter_modules(convattn.__path__):
+        importlib.import_module(f"convattn.{info.name}")
+    blocks, tensor = sys.modules["convattn.blocks"], sys.modules["convattn.tensor"]
+    rng = np.random.default_rng(0)
+    d, h_t, w_t = 4, 3, 3
+    blk = blocks.HybridBlock("sa", None, blocks.AttnMixer.init(d, 9, d, (h_t, w_t), rng),
+                             blocks.LayerNormParams(d), blocks.LayerNormParams(d), blocks.Mlp.init(d, 2, rng))
+    x = blocks.TokenGrid(tensor.Tensor(rng.normal(size=(2, h_t, w_t, d))), h_t, w_t)
+
+    with _load_tracer().Tracer() as tracer:
+        g = tensor.Graph()
+        with g:
+            loss = tensor.sum_(blocks.block_forward(x, blk).data)
+        tensor.backward(loss, g)
+
+    for key in (("blocks.attention_mix", "fwd"), ("blocks.attention_mix", "bwd"),
+                ("kernels.attn_probs", "s"), ("kernels.attn_softmax_backward", "s")):
+        assert tracer.calls[key] >= 1, f"{key} recorded no call"

@@ -235,37 +235,76 @@ def test_mhsa_matches_bruteforce(rng, pad):
         np.testing.assert_allclose(got, expected.reshape(2, h_t, w_t, d), atol=1e-6)
 
 
-@pytest.mark.parametrize("wrt", ["q", "k", "v", "b_rel"])
+@pytest.mark.parametrize("wrt", ["x", "q", "k", "v", "o", "b_rel", "out_bias"])
 @pytest.mark.parametrize("pad", [False, True])
-def test_attention_mix_gradient(rng, pad, wrt):
-    # every input of the fused op, batch 2 so the batch-sum of the bias
-    # gradient is exercised; with the pad slot on, the pad logit's gradient
-    # also reaches the table through the off-grid logsumexp weights
+def test_attention_mix_gradient(rng, monkeypatch, pad, wrt):
+    # the fused node w.r.t. its input and every parameter (q, k, v and o are
+    # the projections w_q, w_k, w_v and w_o). Batch 5 in 2-row slices: two
+    # full slices and a remainder, so the bias gradient's batch-sum runs
+    # across slices; with the pad slot on, the pad logit's gradient also
+    # reaches the table through the off-grid logsumexp weights
     with tt.using_dtype(np.float64):
-        b, heads, h_t, w_t, d_h = 2, 2, 3, 3, 3
+        b, heads, h_t, w_t, d = 5, 2, 3, 3, 3
         n = h_t * w_t
-        inputs = {name: Tensor(rng.normal(size=(b, heads, n, d_h))) for name in ("q", "k", "v")}
-        inputs["b_rel"] = Tensor(rng.normal(size=(heads, 2 * h_t - 1, 2 * w_t - 1)))
-        r = Tensor(rng.uniform(-1, 1, size=(b, heads, n, d_h)))
+        monkeypatch.setattr(blocks, "_SLICE_BYTES", 2 * heads * n * n * 8)
+        assert [s.stop - s.start for s in blocks._batch_slices(b, heads, n, np.float64)] == [2, 2, 1]
+        a = AttnMixer.init(d, heads, d, (h_t, w_t), rng, pad_token_enabled=pad)
+        for _, param in a.named_parameters():
+            param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
+        a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
+        x = Tensor(rng.normal(size=(b, h_t, w_t, d)))
+        r = Tensor(rng.uniform(-1, 1, size=x.shape))
+        targets = {"x": x, "q": a.w_q, "k": a.w_k, "v": a.w_v, "o": a.w_o, "b_rel": a.b_rel,
+                   "out_bias": a.out_bias}
 
         def f(_):
-            out = attention_mix(inputs["q"], inputs["k"], inputs["v"], inputs["b_rel"],
-                                h_t, w_t, pad, 1.0 / np.sqrt(d_h))
-            return sum_(mul(out, r))
+            return sum_(mul(attention_mix(x, a), r))
 
-        report = finite_diff_check(f, inputs[wrt], step=1e-5, tol=1e-5)
+        report = finite_diff_check(f, targets[wrt], step=1e-4, tol=1e-5)
         assert report.passed, report
 
 
+def test_attention_mix_tape_free_forward_matches_taped(rng, monkeypatch):
+    # without a tape the slices share one slice-sized probability buffer;
+    # with one, each slice is its own part of the full buffer. The numbers
+    # are bitwise the same either way, and the layer is one tape node
+    d, h_t, w_t, b = 8, 4, 4, 7
+    monkeypatch.setattr(blocks, "_SLICE_BYTES", 3 * 9 * (h_t * w_t) ** 2 * 4)  # slices of 3, 3, 1
+    buffers = []
+    probs_inplace = blocks.attn_probs_inplace
+
+    def keep_buffer(p, grid, pad):
+        buffers.append(p)
+        return probs_inplace(p, grid, pad)
+
+    monkeypatch.setattr(blocks, "attn_probs_inplace", keep_buffer)
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng, pad_token_enabled=True)
+    a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
+    x = Tensor(rng.normal(size=(b, h_t, w_t, d)))
+    free = attention_mix(x, a)
+    free_buffers, buffers[:] = list(buffers), []
+    g = tt.Graph()
+    with g:
+        taped = attention_mix(x, a)
+    assert not free.requires_grad and taped.requires_grad and len(g) == 1
+    np.testing.assert_array_equal(free.data, taped.data)
+    assert [p.shape[0] for p in free_buffers] == [p.shape[0] for p in buffers] == [3, 3, 1]
+    assert all(np.shares_memory(p, free_buffers[0]) for p in free_buffers)
+    assert not any(np.shares_memory(p, q) for i, p in enumerate(buffers) for q in buffers[:i])
+
+
 def capture_attention(monkeypatch):
-    """Record each probability buffer (p, p_pad) and each raw gradient tuple
-    the fused attention op returns, before the tape casts it."""
+    """Record each slice's probabilities (p, p_pad) and each raw gradient
+    tuple the fused attention op returns, before the tape casts it.
+
+    ``p`` is stored as a query-major copy [B, H, N_queries, N_keys]: the op
+    keeps it key-major, and a tape-free forward reuses its buffer."""
     probs, grads = [], []
     probs_inplace, record = blocks.attn_probs_inplace, blocks.record
 
     def capture_probs(p, grid, pad):
         p_pad = probs_inplace(p, grid, pad)
-        probs.append((p, p_pad))
+        probs.append((p.swapaxes(-1, -2).copy(), p_pad))
         return p_pad
 
     def capture_record(out, inputs, backward_fn):
@@ -295,10 +334,10 @@ def test_attention_runs_in_tensor_dtype(rng, monkeypatch, dtype):
             loss = sum_(out.data)
         tt.backward(loss, g)
     [(p, p_pad)] = probs
-    [(dq, dk, dv, d_rel)] = grads
+    [raw] = grads  # dx, dw_q, dw_k, dw_v, dw_o, db_rel, dout_bias
     assert out.data.data.dtype == dtype
     assert p.dtype == p_pad.dtype == dtype
-    assert [t.dtype for t in (dq, dk, dv, d_rel)] == [dtype] * 4
+    assert [t.dtype for t in raw] == [dtype] * 7
 
 
 # --------------------------------------------------------------------------

@@ -126,6 +126,19 @@ def test_augment_seeded_stream_reproducible(rng):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("flip", [True, False])
+def test_augment_batch_matches_per_image_loop(rng, flip):
+    # the batched gather draws per image in augment's order, so it is the
+    # per-image loop bitwise, and leaves the generator in the same state
+    imgs = rng.random((16, 8, 6, 3), dtype=np.float32)
+    batch_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = augment_batch(imgs, batch_rng, pad=2, flip=flip)
+    expected = np.stack([augment(img, loop_rng, pad=2, flip=flip) for img in imgs])
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    assert batch_rng.random() == loop_rng.random()
+
+
 def test_augment_preserves_shape_and_range(rng):
     img = rng.random((32, 32, 3)).astype(np.float32)
     out = augment(img, np.random.default_rng(0))

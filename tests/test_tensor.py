@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,3 +267,118 @@ def test_ops_outside_graph_do_not_record(rng):
         out2 = mul(x, x)
     assert out2.requires_grad is True
     assert len(g) == 1
+
+
+def _in_thread(target):
+    """Start ``target`` in a thread; returns (thread, errors it raised)."""
+    errors = []
+
+    def run():
+        try:
+            target()
+        except BaseException as exc:  # surfaced by the caller's assert
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, errors
+
+
+def test_graph_held_by_another_thread_records_nothing_here(rng):
+    # inference in this thread while another thread holds a Graph open must
+    # leave that graph empty and return an untracked output
+    from convattn.blocks import build_model, model_forward
+
+    model = build_model(8, 2, 3, 4, (16, 16), 3, 5, ["conv", "sa"], rng)
+    images = Tensor(rng.normal(size=(2, 16, 16, 3)))
+    opened, release, held = threading.Event(), threading.Event(), []
+
+    def hold():
+        with Graph() as g:
+            held.append(g)
+            opened.set()
+            release.wait(30)
+
+    thread, errors = _in_thread(hold)
+    try:
+        assert opened.wait(30)
+        logits = model_forward(images, model)
+    finally:
+        release.set()
+        thread.join(30)
+    assert not thread.is_alive() and not errors
+    assert len(held[0]) == 0
+    assert logits.requires_grad is False
+
+
+def test_graphs_exit_out_of_order_across_threads():
+    # thread A enters, thread B enters, A exits before B: each thread pops
+    # only its own graph
+    steps = {name: threading.Event() for name in ("a_in", "b_in", "a_out")}
+
+    def thread_a():
+        with Graph():
+            steps["a_in"].set()
+            assert steps["b_in"].wait(30)
+        steps["a_out"].set()
+
+    def thread_b():
+        assert steps["a_in"].wait(30)
+        with Graph():
+            steps["b_in"].set()
+            assert steps["a_out"].wait(30)
+
+    started = [_in_thread(thread_a), _in_thread(thread_b)]
+    for thread, _ in started:
+        thread.join(30)
+    assert not any(thread.is_alive() for thread, _ in started)
+    assert [errors for _, errors in started] == [[], []]
+    assert tt._active_graph() is None
+
+
+def test_default_dtype_is_per_thread():
+    inside, release, seen = threading.Event(), threading.Event(), []
+
+    def widen():
+        with tt.using_dtype(np.float64):
+            seen.append(Tensor([1.0]).data.dtype)
+            inside.set()
+            release.wait(30)
+
+    thread, errors = _in_thread(widen)
+    try:
+        assert inside.wait(30)
+        here = Tensor([1.0]).data.dtype
+    finally:
+        release.set()
+        thread.join(30)
+    assert not thread.is_alive() and not errors
+    assert seen == [np.float64] and here == np.float32
+
+
+def test_threads_keep_their_own_tape_and_dtype_under_switching():
+    # more threads than cores, switching every microsecond: each graph holds
+    # exactly its own thread's op, in that thread's dtype
+    dtypes = [np.float32, np.float64] * 3
+    interval = sys.getswitchinterval()
+
+    def worker(dtype):
+        def run():
+            x = Tensor(np.ones(3, dtype=dtype), requires_grad=True, dtype=dtype)
+            for _ in range(200):
+                with tt.using_dtype(dtype), Graph() as g:
+                    out = mul(x, x)
+                    assert len(g) == 1 and g._nodes[0][0] is out
+                    assert Tensor([1.0]).data.dtype == dtype
+
+        return run
+
+    sys.setswitchinterval(1e-6)
+    try:
+        started = [_in_thread(worker(dtype)) for dtype in dtypes]
+        for thread, _ in started:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread, _ in started)
+    assert [errors for _, errors in started] == [[]] * len(dtypes)

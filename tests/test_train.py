@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import os
 
@@ -231,6 +232,43 @@ def test_divergence_aborts_with_epoch():
     with pytest.raises(DivergenceError) as err:
         train(cfg)
     assert err.value.epoch >= 1
+
+
+def _metrics_lines(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def test_metrics_stream_keeps_finished_epochs(tmp_path, monkeypatch):
+    # a run that dies in epoch 3 has already written epochs 1 and 2
+    train_module = importlib.import_module("convattn.train")
+    eval_model, calls = train_module._eval_model, []
+
+    def failing_eval(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("killed in epoch 3")
+        return eval_model(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "_eval_model", failing_eval)
+    with pytest.raises(RuntimeError, match="epoch 3"):
+        train(tiny_config(schedule_kind="linear", total_epochs=4), out_dir=str(tmp_path))
+    assert [m["epoch"] for m in _metrics_lines(tmp_path / "metrics.jsonl")] == [1, 2]
+
+
+def test_metrics_stream_matches_result_and_resume(tmp_path):
+    # a completed run's file holds the returned records; a resumed run's
+    # file starts with the checkpoint's history
+    cfg = tiny_config(schedule_kind="linear", total_epochs=4, checkpoint_every=2)
+    full = train(cfg, out_dir=str(tmp_path / "full"))
+    assert full.metrics_path == str(tmp_path / "full" / "metrics.jsonl")
+    assert _metrics_lines(full.metrics_path) == full.metrics
+    resumed = train(cfg, out_dir=str(tmp_path / "resumed"),
+                    resume_from=str(tmp_path / "full" / "checkpoint_epoch_2.bin"))
+    lines = _metrics_lines(resumed.metrics_path)
+    assert lines == resumed.metrics
+    assert lines[:2] == full.metrics[:2]
+    assert [m["epoch"] for m in lines] == [1, 2, 3, 4]
 
 
 # --------------------------------------------------------------------------
