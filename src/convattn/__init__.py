@@ -4,27 +4,7 @@ Fourier analysis of feature-map frequency content."""
 
 __version__ = "0.1.0"
 
-_BLAS_LIMITER = None
-
-
-def limit_blas_threads(n: int = 1) -> bool:
-    """Cap BLAS threadpools; the small batched gemms here run faster without
-    worker threads spinning against numpy's elementwise loops. Honors the
-    CONVATTN_BLAS_THREADS environment variable. No-op if threadpoolctl is
-    unavailable."""
-    global _BLAS_LIMITER
-    import os
-
-    n = int(os.environ.get("CONVATTN_BLAS_THREADS", n))
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return False
-    _BLAS_LIMITER = threadpool_limits(limits=n, user_api="blas")
-    return True
-
-
-from .blocks import (  # noqa: E402
+from .blocks import (
     AttnMixer,
     ConvMixer,
     HybridBlock,
@@ -39,9 +19,9 @@ from .blocks import (  # noqa: E402
     model_forward,
     patch_embed_forward,
 )
-from .reparam import ReparamReport, reparameterize, switch_block, verify_equivalence  # noqa: E402
-from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at, switch_epochs  # noqa: E402
-from .spectral import (  # noqa: E402
+from .reparam import ReparamReport, reparameterize, switch_block, verify_equivalence
+from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at, switch_epochs
+from .spectral import (
     DepthProfile,
     SpectrumProfile,
     delta_log_amplitude,
@@ -49,5 +29,5 @@ from .spectral import (  # noqa: E402
     feature_spectrum,
     spectrum_of_maps,
 )
-from .tensor import Graph, Tensor, backward, finite_diff_check, using_dtype  # noqa: E402
-from .train import TrainConfig, TrainResult, evaluate, run_interpolation_suite, train  # noqa: E402
+from .tensor import Graph, Tensor, backward, finite_diff_check, using_dtype
+from .train import TrainConfig, TrainResult, evaluate, run_interpolation_suite

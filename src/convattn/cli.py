@@ -20,16 +20,17 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, limit_blas_threads
+from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, read_container
 from .config import ConfigError, PRESETS, apply_overrides, build_train_config, load_config_file, load_preset
 from .data import DataError
 from .reparam import reparameterize, verify_equivalence
 from .schedule import SwitchSchedule, switch_epochs
-from .spectral import (TARGET_FREQS, auto_bin_width, channel_maps, delta_log_amplitude, depth_profile,
-                       depth_profile_rows, populated_targets, spectrum_of_maps, write_depth_profile_csv)
+from .spectral import (TARGET_FREQS, auto_bin_width, channel_maps, delta_log_amplitude, depth_profile_rows,
+                       spectrum_of_maps)
 from .tensor import ShapeError, Tensor
-from .train import DivergenceError, TrainConfig, load_dataset, run_interpolation_suite, train
+from .train import (DivergenceError, TrainConfig, load_dataset, probe_batch, run_interpolation_suite, train,
+                    write_profile)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -140,21 +141,10 @@ def cmd_train(args) -> int:
         result = train(config, out_dir=manifest.out_dir, resume_from=args.resume_from)
         manifest.artifacts["metrics"] = result.metrics_path
         manifest.artifacts["checkpoint"] = result.checkpoint_path
-
-        targets, width = populated_targets(*config.grid_hw())
-        if targets:
-            eval_ds = load_dataset(config, "test")
-            probe = eval_ds.images[: min(256, len(eval_ds))]
-            profile = depth_profile(result.model, probe, epoch=config.total_epochs,
-                                    sched=config.schedule(), targets=targets, bin_width=width)
-            profile_path = os.path.join(manifest.out_dir, "depth_profile.csv")
-            write_depth_profile_csv(profile_path, profile)
-            manifest.artifacts["depth_profile"] = profile_path
-            if len(targets) < len(TARGET_FREQS):
-                manifest.artifacts["depth_profile_note"] = (
-                    f"grid {config.grid_hw()} populates only {len(targets)} of "
-                    f"{len(TARGET_FREQS)} standard frequencies"
-                )
+        if result.profile_path is not None:
+            manifest.artifacts["depth_profile"] = result.profile_path
+        if result.profile_note is not None:
+            manifest.artifacts["depth_profile_note"] = result.profile_note
         last = result.metrics[-1]
         print(f"done: {len(result.metrics)} epochs, top1 {last['top1']:.2f}, top5 {last['top5']:.2f}")
 
@@ -197,7 +187,6 @@ def cmd_fourier(args) -> int:
     header, tensors = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(header, tensors)
     config = TrainConfig.from_dict(header["config"])
-    h_t, w_t = config.grid_hw()
     manifest = _new_manifest("fourier", args.argv, config, args.out or os.path.dirname(args.checkpoint) or ".")
     manifest.artifacts["tap"] = args.tap
 
@@ -222,24 +211,19 @@ def cmd_fourier(args) -> int:
                     fh.write(f"{name},{f:.6f},{v:.6f}\n")
             manifest.artifacts["profile"] = path
             return
-        targets, width = populated_targets(h_t, w_t, args.bin_width)
-        if not targets:
-            raise ValueError(f"no standard target frequency is populated on a {h_t}x{w_t} grid; "
-                             "grids of at least 2x2 tokens and a compatible bin width are needed")
-        if len(targets) < len(TARGET_FREQS):
-            manifest.artifacts["note"] = (
-                f"grid {h_t}x{w_t} populates only {len(targets)} of {len(TARGET_FREQS)} "
-                "standard frequencies"
-            )
         if args.random_batch:
             rng = np.random.default_rng(config.seed)
             images = rng.random((args.random_batch, *config.image_hw, config.in_channels)).astype(np.float32)
         else:
             data_config = replace(config, data_dir=args.data) if args.data else config
-            images = load_dataset(data_config, "test").images[: args.batch]
-        profile = depth_profile(model, images, targets=targets, tap=args.tap, bin_width=width)
+            images = load_dataset(data_config, "test").images
+        # rebinding drops the raw batch before the forward
+        images = probe_batch(config, images, args.random_batch or args.batch)
         csv_path = os.path.join(manifest.out_dir, "depth_profile.csv")
-        write_depth_profile_csv(csv_path, profile)
+        profile, note = write_profile(csv_path, model, images, config, tap=args.tap, bin_width=args.bin_width,
+                                      required=True)
+        if note is not None:
+            manifest.artifacts["note"] = note
         json_path = os.path.join(manifest.out_dir, "depth_profile.json")
         with open(json_path, "w") as fh:
             json.dump(profile.to_dict(), fh, indent=2)
@@ -368,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    limit_blas_threads()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv  # recorded in the run manifest

@@ -27,7 +27,6 @@ __all__ = [
     "Graph",
     "GraphReuseError",
     "ShapeError",
-    "tensor",
     "using_dtype",
     "default_dtype",
     "backward",
@@ -42,7 +41,6 @@ __all__ = [
     "sum_",
     "mean_",
     "softmax",
-    "log_softmax",
     "layer_norm",
     "conv2d_same",
     "gelu",
@@ -138,10 +136,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 # --------------------------------------------------------------------------
@@ -410,19 +404,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         dx = g - (g * p).sum(axis=axis, keepdims=True)
         dx *= p
         return (dx,)
-
-    return record(out, (a,), bwd)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    ls = z - lse
-    out = Tensor(ls)
-
-    def bwd(g):
-        p = np.exp(ls)
-        return (g - p * g.sum(axis=axis, keepdims=True),)
 
     return record(out, (a,), bwd)
 

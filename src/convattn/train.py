@@ -27,7 +27,7 @@ from .data import NORM_STATS, Dataset, augment_batch, load_cifar, make_synthetic
 from .optim import AdamW, lr_at
 from .reparam import DEFAULT_BETA, switch_block
 from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at
-from .spectral import auto_bin_width, depth_profile, write_depth_profile_csv
+from .spectral import TARGET_FREQS, DepthProfile, depth_profile, populated_targets, write_depth_profile_csv
 from .tensor import Graph, Tensor, backward, record
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
     "topk_hits",
     "run_interpolation_suite",
     "load_dataset",
+    "probe_batch",
+    "write_profile",
 ]
 
 
@@ -118,6 +120,8 @@ class TrainResult:
     switch_events: list[dict] = field(default_factory=list)
     checkpoint_path: str | None = None
     metrics_path: str | None = None
+    profile_path: str | None = None
+    profile_note: str | None = None
 
 
 class DivergenceError(RuntimeError):
@@ -236,19 +240,43 @@ def _probe_loss(model: Model, images: np.ndarray, labels: np.ndarray, config: Tr
 
 
 # --------------------------------------------------------------------------
+# Probes: the switch-loss batch and the Fourier lens see what training sees
+
+
+def probe_batch(config: TrainConfig, images: np.ndarray, count: int = 256) -> np.ndarray:
+    """The first ``count`` images, prepared as training prepares a batch."""
+    return _prepare(images[:count], config)
+
+
+def write_profile(path: str, model: Model, probe: np.ndarray, config: TrainConfig, *,
+                  epoch: int | None = None, sched=None, tap: str = "post-residual",
+                  bin_width: float = 0.0, required: bool = False) -> tuple[DepthProfile, str | None] | None:
+    """Depth profile of ``probe`` (a ``probe_batch``) written as a CSV at ``path``.
+
+    Targets are the standard frequencies the config's token grid populates
+    at ``bin_width`` (0 picks one for the grid). Returns the profile and a
+    note when only some targets are populated. With none populated, returns
+    None, or raises ValueError if ``required``. ``epoch``/``sched`` check the
+    block modes against the schedule.
+    """
+    h_t, w_t = config.grid_hw()
+    targets, width = populated_targets(h_t, w_t, bin_width)
+    if not targets:
+        if required:
+            raise ValueError(f"no standard target frequency is populated on a {h_t}x{w_t} grid; "
+                             "grids of at least 2x2 tokens and a compatible bin width are needed")
+        return None
+    profile = depth_profile(model, probe, epoch=epoch, sched=sched, targets=targets, tap=tap,
+                            bin_width=width)
+    write_depth_profile_csv(path, profile)
+    note = None
+    if len(targets) < len(TARGET_FREQS):
+        note = f"grid {h_t}x{w_t} populates only {len(targets)} of {len(TARGET_FREQS)} standard frequencies"
+    return profile, note
+
+
+# --------------------------------------------------------------------------
 # Training
-
-
-_threads_configured = False
-
-
-def _configure_threads() -> None:
-    global _threads_configured
-    if not _threads_configured:
-        from . import limit_blas_threads
-
-        limit_blas_threads()
-        _threads_configured = True
 
 
 # Fields a resumed run must share with the run that wrote the checkpoint: the
@@ -278,9 +306,10 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
 
     With ``out_dir``, ``metrics.jsonl`` there gets each epoch's record as
     soon as the epoch ends (a resumed run first writes the checkpoint's
-    history), so a run that dies keeps every finished epoch.
+    history), so a run that dies keeps every finished epoch. The final
+    checkpoint and, if the grid populates a target frequency,
+    ``depth_profile.csv`` of the first 256 test images follow the last epoch.
     """
-    _configure_threads()
     sched = config.schedule()
     train_ds = load_dataset(config, "train")
     eval_ds = load_dataset(config, "test")
@@ -306,13 +335,12 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
         optimizer = AdamW(model.named_parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
                           weight_decay=config.weight_decay)
 
-    n_probe = min(256, len(train_ds))
-    probe_images = _prepare(train_ds.images[:n_probe], config)
-    probe_labels = train_ds.labels[:n_probe]
+    probe_images = probe_batch(config, train_ds.images)
+    probe_labels = train_ds.labels[: len(probe_images)]
 
     params = list(model.named_parameters())
     all_switch_events: list[dict] = [ev for m in metrics for ev in m.get("switches", [])]
-    ckpt_path = metrics_path = None
+    ckpt_path = metrics_path = profile_path = profile_note = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -386,10 +414,15 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     if out_dir is not None:
         ckpt_path = os.path.join(out_dir, "checkpoint_final.bin")
         save_checkpoint(ckpt_path, model, config.to_dict(), config.total_epochs, metrics, optimizer)
+        path = os.path.join(out_dir, "depth_profile.csv")
+        written = write_profile(path, model, probe_batch(config, eval_ds.images), config,
+                                epoch=config.total_epochs, sched=sched)
+        if written is not None:
+            profile_path, profile_note = path, written[1]
 
     return TrainResult(metrics=metrics, model=model, optimizer=optimizer,
                        switch_events=all_switch_events, checkpoint_path=ckpt_path,
-                       metrics_path=metrics_path)
+                       metrics_path=metrics_path, profile_path=profile_path, profile_note=profile_note)
 
 
 # --------------------------------------------------------------------------
@@ -405,8 +438,7 @@ def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool
     """
     os.makedirs(out_dir, exist_ok=True)
     settings = interpolation_settings(base_config.total_epochs, base_config.num_layers)
-    eval_ds = load_dataset(base_config, "test")
-    probe = _prepare(eval_ds.images[: min(256, len(eval_ds))], base_config)
+    probe = probe_batch(base_config, load_dataset(base_config, "test").images)
     results = []
     for setting in settings:
         sa_epochs = base_config.total_epochs - setting.e_switch
@@ -423,10 +455,8 @@ def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool
             model = result.model
             metrics = result.metrics
             save_checkpoint(ckpt_path, model, cfg.to_dict(), cfg.total_epochs, metrics)
-        grid = cfg.grid_hw()
-        profile = depth_profile(model, probe, epoch=cfg.total_epochs, sched=cfg.schedule(),
-                                bin_width=auto_bin_width(*grid))
-        write_depth_profile_csv(csv_path, profile)
+        profile, _ = write_profile(csv_path, model, probe, cfg, epoch=cfg.total_epochs,
+                                   sched=cfg.schedule(), required=True)
         results.append({
             "e_switch": setting.e_switch,
             "sa_epochs": sa_epochs,

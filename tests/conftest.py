@@ -3,12 +3,6 @@ import os
 import numpy as np
 import pytest
 
-os.environ.setdefault("CONVATTN_BLAS_THREADS", "1")
-
-import convattn  # noqa: E402
-
-convattn.limit_blas_threads()
-
 
 @pytest.fixture
 def rng():

@@ -1,11 +1,13 @@
+import importlib
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from convattn.blocks import build_model
-from convattn.checkpoint import save_checkpoint
+from convattn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from convattn.cli import main
 from convattn.config import (
     ConfigError,
@@ -14,6 +16,8 @@ from convattn.config import (
     load_preset,
     parse_config_text,
 )
+from convattn.spectral import auto_bin_width, depth_profile, write_depth_profile_csv
+from convattn.train import TrainConfig, _prepare, load_dataset, run_interpolation_suite
 
 TINY_CFG = """
 # tiny synthetic run
@@ -160,6 +164,24 @@ def test_cmd_train_set_overrides_file(tiny_cfg_path, tmp_path):
     assert all(m == "conv" for m in metrics[-1]["modes"])
 
 
+def test_cmd_train_builds_the_test_set_once(tiny_cfg_path, tmp_path, monkeypatch):
+    # the end-of-run depth profile reuses the test set that per-epoch eval loaded
+    train_module = importlib.import_module("convattn.train")
+    splits, make_synthetic = [], train_module.make_synthetic
+
+    def counting(*args, **kwargs):
+        splits.append(kwargs["split"])
+        return make_synthetic(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "make_synthetic", counting)
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg_path, "--out", out, "--set", "schedule.total_epochs=1"]) == 0
+    assert sorted(splits) == ["test", "train"]
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["artifacts"]["depth_profile"] == os.path.join(out, "depth_profile.csv")
+    assert manifest["artifacts"]["depth_profile_note"] == "grid 4x4 populates only 2 of 3 standard frequencies"
+
+
 def test_cmd_train_missing_dataset_exits_3(tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["train", "--preset", "desk", "--data-dir", "/nonexistent/cifar", "--out", out])
@@ -262,6 +284,55 @@ def test_cmd_fourier_from_checkpoint(tiny_cfg_path, tmp_path, capsys):
     assert len(profile["depths"]) == 2
 
 
+def _profile_csv(path, model, images, config) -> str:
+    write_depth_profile_csv(str(path), depth_profile(model, images, bin_width=auto_bin_width(*config.grid_hw())))
+    return path.read_text()
+
+
+def test_train_fourier_and_interp_write_one_profile(tiny_cfg_path, tmp_path):
+    # one switched interp checkpoint: train, fourier and the suite profile the
+    # same prepared test images, byte for byte
+    grid8 = ["model.patch_size=4", "schedule.total_epochs=2"]
+    base = build_train_config(apply_overrides(parse_config_text(TINY_CFG), grid8))
+    suite = {r["e_switch"]: r for r in run_interpolation_suite(base, str(tmp_path / "suite"))}
+    ckpt = suite[1]["checkpoint"]
+    header, tensors = load_checkpoint(ckpt)
+    config = TrainConfig.from_dict(header["config"])
+    model = model_from_checkpoint(header, tensors)
+    assert model.modes() == ["sa", "sa"]
+
+    sets = [arg for kv in grid8 + ["schedule.kind=uniform", "schedule.e_switch=1"] for arg in ("--set", kv)]
+    assert main(["train", "--config", tiny_cfg_path, "--out", str(tmp_path / "train"), *sets]) == 0
+    _, trained = load_checkpoint(str(tmp_path / "train" / "checkpoint_final.bin"))
+    for name in tensors:
+        np.testing.assert_array_equal(trained[name], tensors[name], err_msg=name)
+    assert main(["fourier", "--checkpoint", ckpt, "--batch", "256", "--out", str(tmp_path / "fourier")]) == 0
+
+    written = [(tmp_path / d / "depth_profile.csv").read_text() for d in ("train", "fourier")]
+    written.append(open(suite[1]["csv"]).read())
+    images = load_dataset(config, "test").images[:256]
+    expected = _profile_csv(tmp_path / "expected.csv", model, _prepare(images, config), config)
+    assert written == [expected] * 3
+    assert _profile_csv(tmp_path / "raw.csv", model, images, config) != expected
+
+
+def test_cmd_fourier_random_batch_profiles_prepared_images(tiny_cfg_path, tmp_path):
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg_path, "--out", run_dir,
+                 "--set", "model.patch_size=4", "--set", "schedule.total_epochs=1"]) == 0
+    ckpt = os.path.join(run_dir, "checkpoint_final.bin")
+    out = tmp_path / "fourier"
+    assert main(["fourier", "--checkpoint", ckpt, "--random-batch", "16", "--out", str(out)]) == 0
+    header, tensors = load_checkpoint(ckpt)
+    config = TrainConfig.from_dict(header["config"])
+    model = model_from_checkpoint(header, tensors)
+    images = np.random.default_rng(config.seed).random((16, *config.image_hw, config.in_channels))
+    images = images.astype(np.float32)
+    written = (out / "depth_profile.csv").read_text()
+    assert written == _profile_csv(tmp_path / "expected.csv", model, _prepare(images, config), config)
+    assert written != _profile_csv(tmp_path / "raw.csv", model, images, config)
+
+
 def test_cmd_fourier_tap_recorded_in_manifest(tiny_cfg_path, tmp_path):
     run_dir = str(tmp_path / "run")
     main(["train", "--config", tiny_cfg_path, "--out", run_dir,
@@ -296,6 +367,9 @@ def test_cmd_fourier_tiny_grid_exits_2(tmp_path, capsys):
     run_dir = str(tmp_path / "run")
     assert main(["train", "--config", str(cfg), "--out", run_dir,
                  "--set", "schedule.total_epochs=1"]) == 0
+    # a 1x1 grid populates no target, so train writes no profile
+    assert "depth_profile" not in json.load(open(os.path.join(run_dir, "manifest.json")))["artifacts"]
+    assert not os.path.exists(os.path.join(run_dir, "depth_profile.csv"))
     code = main(["fourier", "--checkpoint", os.path.join(run_dir, "checkpoint_final.bin"),
                  "--random-batch", "4", "--out", str(tmp_path / "f")])
     assert code == 2
@@ -324,3 +398,17 @@ def test_cmd_interp_artifacts_and_determinism(tiny_cfg_path, tmp_path):
     assert main(args + ["--out", out2]) == 0
     combined2 = open(os.path.join(out2, "interpolation_combined.csv")).read()
     assert combined1 == combined2
+
+
+def test_cmd_interp_on_a_4x4_grid_writes_two_target_profiles(tiny_cfg_path, tmp_path):
+    # a 4x4 grid populates the 2pi/3 and pi bins but not pi/3
+    out = str(tmp_path / "i")
+    assert main(["interp", "--config", tiny_cfg_path, "--set", "schedule.total_epochs=4", "--out", out]) == 0
+    csvs = sorted(p for p in os.listdir(out) if p.endswith("_depth_profile.csv"))
+    assert len(csvs) == 4
+    for name in csvs:
+        lines = open(os.path.join(out, name)).read().strip().splitlines()
+        assert lines[0] == "depth,f,delta_log_amp"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 2 * 2  # L=2 layers x 2 populated frequencies
+        assert {f for _, f, _ in rows} == {f"{2 * math.pi / 3:.6f}", f"{math.pi:.6f}"}

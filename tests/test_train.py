@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +166,13 @@ def test_lr_zero_keeps_parameters_and_chance_loss():
         np.testing.assert_array_equal(p.data, after[name])
 
 
+def test_train_module_is_not_shadowed_by_the_function():
+    import convattn.train as train_module
+
+    assert train_module is sys.modules["convattn.train"]
+    assert train_module.train is train
+
+
 def test_switch_events_and_loss_continuity():
     cfg = tiny_config(schedule_kind="linear", total_epochs=6)
     res = train(cfg)
@@ -180,7 +188,7 @@ def test_switch_events_and_loss_continuity():
 def test_switch_probe_forwards_are_shared(monkeypatch):
     # two layers switching in one epoch: the rear switch's loss_after is the
     # front switch's loss_before, so 3 probe forwards instead of 4
-    train_module = importlib.import_module("convattn.train")  # the package re-exports train() as .train
+    train_module = importlib.import_module("convattn.train")
     calls = []
     probe_loss = train_module._probe_loss
 
