@@ -10,7 +10,6 @@ from .blocks import (
     HybridBlock,
     Model,
     PatchEmbed,
-    TokenGrid,
     attention_scores,
     block_forward,
     build_model,

@@ -3,12 +3,13 @@
 Both mixers share the residual block skeleton
     z' = Mixer(LN(z)) + z
     z  = MLP(LN(z')) + z'
-and operate on a TokenGrid, a batch of token maps with explicit 2-D lattice
-geometry. The attention mixer carries a relative positional bias table plus
-an optional pad slot: one extra key whose value vector is all zeros, standing
-in for every position outside the grid. The pad logit is the exact collapse
-(logsumexp) of the bias entries at the query's off-grid offsets, which is
-what makes a reparameterized convolution match zero padding on border tokens.
+and take and return token maps: [batch, h_t, w_t, d] tensors whose middle
+axes are the 2-D token lattice. The attention mixer carries a relative
+positional bias table plus an optional pad slot: one extra key whose value
+vector is all zeros, standing in for every position outside the grid. The pad
+logit is the exact collapse (logsumexp) of the bias entries at the query's
+off-grid offsets, which is what makes a reparameterized convolution match
+zero padding on border tokens.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .schedule import CONV, SA
 from .tensor import ShapeError, Tensor, record
 
 __all__ = [
-    "TokenGrid",
     "PatchEmbed",
     "ConvMixer",
     "AttnMixer",
@@ -37,51 +37,8 @@ __all__ = [
     "block_forward",
     "model_forward",
     "model_forward_features",
-    "expand_rel_bias",
     "build_model",
 ]
-
-
-class TokenGrid:
-    """Batch of token maps: a [batch, h_t, w_t, d] tensor plus its geometry.
-
-    Flattening to [batch, N, d] tokens and back is lossless; N = h_t * w_t.
-    """
-
-    __slots__ = ("data", "h_t", "w_t")
-
-    def __init__(self, data: Tensor, h_t: int, w_t: int):
-        if data.ndim != 4 or data.shape[1] != h_t or data.shape[2] != w_t:
-            raise ShapeError(f"token grid data {data.shape} does not match lattice {h_t}x{w_t}")
-        self.data = data
-        self.h_t = h_t
-        self.w_t = w_t
-
-    @property
-    def batch(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[3]
-
-    @property
-    def n_tokens(self) -> int:
-        return self.h_t * self.w_t
-
-    def tokens(self) -> Tensor:
-        """Row-major flattening to [batch, N, d]."""
-        return tt.reshape(self.data, (self.batch, self.n_tokens, self.d))
-
-    @staticmethod
-    def from_tokens(tokens: Tensor, h_t: int, w_t: int) -> "TokenGrid":
-        b, n, d = tokens.shape
-        if n != h_t * w_t:
-            raise ShapeError(f"{n} tokens cannot fill a {h_t}x{w_t} lattice")
-        return TokenGrid(tt.reshape(tokens, (b, h_t, w_t, d)), h_t, w_t)
-
-    def like(self, data: Tensor) -> "TokenGrid":
-        return TokenGrid(data, self.h_t, self.w_t)
 
 
 # --------------------------------------------------------------------------
@@ -115,8 +72,8 @@ class PatchEmbed:
             yield "pos_table", self.pos_table
 
 
-def patch_embed_forward(image: Tensor, pe: PatchEmbed) -> TokenGrid:
-    """Embed a [batch, H, W, C] image batch into a token grid."""
+def patch_embed_forward(image: Tensor, pe: PatchEmbed) -> Tensor:
+    """Embed a [batch, H, W, C] image batch into [batch, h_t, w_t, d] token maps."""
     b, h, w, c = image.shape
     p = pe.patch_size
     if h % p or w % p:
@@ -129,11 +86,10 @@ def patch_embed_forward(image: Tensor, pe: PatchEmbed) -> TokenGrid:
     x = tt.reshape(image, (b, ht, p, wt, p, c))
     x = tt.transpose(x, (0, 1, 3, 2, 4, 5))
     x = tt.reshape(x, (b * ht * wt, p * p * c))
-    tokens = tt.matmul(x, pe.projection)
-    tokens = tt.reshape(tokens, (b, ht * wt, pe.dim))
+    tokens = tt.reshape(tt.matmul(x, pe.projection), (b, ht, wt, pe.dim))
     if pe.use_abs_pos:
-        tokens = tt.add(tokens, pe.pos_table)
-    return TokenGrid.from_tokens(tokens, ht, wt)
+        tokens = tt.add(tokens, tt.reshape(pe.pos_table, (ht, wt, pe.dim)))
+    return tokens
 
 
 # --------------------------------------------------------------------------
@@ -174,27 +130,28 @@ class ConvMixer:
         self.bias.requires_grad = False
 
 
-def conv_mixer_forward(x: TokenGrid, m: ConvMixer) -> TokenGrid:
-    if x.d != m.dim:
-        raise ShapeError(f"grid channels {x.d} != mixer dim {m.dim}")
-    return x.like(tt.conv2d_same(x.data, m.kernel, m.bias))
+def conv_mixer_forward(x: Tensor, m: ConvMixer) -> Tensor:
+    if x.ndim != 4 or x.shape[3] != m.dim:
+        raise ShapeError(f"token maps {x.shape} are not [batch, h_t, w_t, {m.dim}]")
+    return tt.conv2d_same(x, m.kernel, m.bias)
 
 
 # --------------------------------------------------------------------------
 # Relative-bias geometry
 
-# Cached per lattice: flat relative-offset index for every (query, key) pair,
-# and the per-query mask of table offsets that step outside the grid. Every
-# caller shares the cached arrays, so they are read-only.
+# Cached per lattice: flat relative-offset index for every (key, query) pair,
+# key-major like the probabilities, and the per-query mask of table offsets
+# that step outside the grid. Every caller shares the cached arrays, so they
+# are read-only.
 
 
 @lru_cache(maxsize=32)
 def _rel_geometry(h_t: int, w_t: int):
     n = h_t * w_t
     rows, cols = np.divmod(np.arange(n), w_t)
-    drow = rows[None, :] - rows[:, None]  # key minus query
-    dcol = cols[None, :] - cols[:, None]
-    idx = (drow + h_t - 1) * (2 * w_t - 1) + (dcol + w_t - 1)  # [N, N]
+    drow = rows[:, None] - rows[None, :]  # key minus query
+    dcol = cols[:, None] - cols[None, :]
+    idx = (drow + h_t - 1) * (2 * w_t - 1) + (dcol + w_t - 1)  # [N_keys, N_queries]
 
     all_dr = np.arange(-(h_t - 1), h_t)
     all_dc = np.arange(-(w_t - 1), w_t)
@@ -210,9 +167,10 @@ _PAD_NEG = -1e30  # logit for an empty pad slot; never survives the softmax
 
 
 def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
-    """Expand a [H, 2h-1, 2w-1] table into (grid [H, N, N], pad [H, N], pad weights [H, N, R]).
+    """Expand a [H, 2h-1, 2w-1] table into (grid [H, N_keys, N_queries],
+    pad [H, N_queries], pad weights [H, N_queries, R]).
 
-    Grid part: B[h, q, k] = table entry at the key-minus-query offset, so
+    Grid part: B[h, k, q] = table entry at the key-minus-query offset, so
     equal relative offsets always read the same entry. Pad logit: stable
     masked logsumexp of the table over the query's off-grid offsets. The
     weights are the softmax over that masked subset, i.e. the pad logit's
@@ -225,7 +183,7 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
         raise ShapeError(f"bias table {b_rel.shape} does not match lattice {h_t}x{w_t}")
     idx, offgrid = _rel_geometry(h_t, w_t)
     flat = b_rel.reshape(heads, -1)
-    grid = flat[:, idx]  # [H, N, N]
+    grid = flat[:, idx]
     if not pad_token:
         return (grid, np.full((heads, idx.shape[0]), _PAD_NEG, dtype=flat.dtype),
                 np.zeros((heads, *offgrid.shape), dtype=flat.dtype))
@@ -239,12 +197,6 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     pad = np.where(have_any, m_safe + np.log(s), _PAD_NEG)
     weights = e / s[:, :, None]
     return grid, pad.astype(flat.dtype), weights.astype(flat.dtype)
-
-
-def expand_rel_bias(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool) -> np.ndarray:
-    """Per-pair logits [H, N, N(+1)]: the grid logits, then the pad column when enabled."""
-    grid, pad, _ = _bias_logits(b_rel, h_t, w_t, pad_token)
-    return np.concatenate([grid, pad[:, :, None]], axis=-1) if pad_token else grid
 
 
 # Probabilities are stored key-major, [.., N_keys, N_queries], so the
@@ -361,11 +313,13 @@ def _attn_scale(d: int) -> float:
     return 1.0 / math.sqrt(d)
 
 
-def _check_attn_input(x: TokenGrid, a: AttnMixer) -> None:
-    if (x.h_t, x.w_t) != a.grid_hw:
-        raise ShapeError(f"grid {x.h_t}x{x.w_t} does not match mixer geometry {a.grid_hw}")
-    if x.d != a.dim:
-        raise ShapeError(f"grid channels {x.d} != mixer dim {a.dim}")
+def _check_attn_input(x: Tensor, a: AttnMixer) -> None:
+    if x.ndim != 4:
+        raise ShapeError(f"token maps must be [batch, h_t, w_t, d], got {x.shape}")
+    if x.shape[1:3] != a.grid_hw:
+        raise ShapeError(f"lattice {x.shape[1]}x{x.shape[2]} does not match mixer geometry {a.grid_hw}")
+    if x.shape[3] != a.dim:
+        raise ShapeError(f"token channels {x.shape[3]} != mixer dim {a.dim}")
 
 
 # Bytes of probabilities per batch slice: each pass over a slice's buffer
@@ -400,19 +354,13 @@ def _qkv_gemm(x_flat: np.ndarray, a: AttnMixer, batch: int, n: int):
     return w, qkv, (q_s, k, v)
 
 
-def _key_major_bias(a: AttnMixer, h_t: int, w_t: int):
-    """(grid logits [H, N_keys, N_queries], pad logits [H, N], pad weights)."""
-    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
-    return np.ascontiguousarray(grid.transpose(0, 2, 1)), pad, pad_weights
-
-
-def _slice_probs(k: np.ndarray, q_s: np.ndarray, grid_t: np.ndarray, pad: np.ndarray,
+def _slice_probs(k: np.ndarray, q_s: np.ndarray, grid: np.ndarray, pad: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
     """Key-major probabilities of one batch slice into ``out``; returns the
     pad probabilities. Shared by the fused op and the inspection helper so
     both always compute the same thing."""
     np.matmul(k, q_s.swapaxes(-1, -2), out=out)
-    return attn_probs_inplace(out, grid_t, pad)
+    return attn_probs_inplace(out, grid, pad)
 
 
 def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
@@ -434,7 +382,7 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     taped = tt.recording(inputs)
     x_flat = x.data.reshape(batch * n, d)
     w, qkv, (q_s, k, v) = _qkv_gemm(x_flat, a, batch, n)
-    grid_t, pad, pad_weights = _key_major_bias(a, h_t, w_t)
+    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
     slices = _batch_slices(batch, heads, n, qkv.dtype)
     p = np.empty((batch if taped else slices[0].stop, heads, n, n), dtype=qkv.dtype)
     p_pad = np.empty((batch, heads, n), dtype=qkv.dtype)
@@ -442,7 +390,7 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     o = merged.reshape(batch, n, heads, d_h).transpose(0, 2, 1, 3)
     for s in slices:
         ps = p[s] if taped else p[: s.stop - s.start]
-        p_pad[s] = _slice_probs(k[s], q_s[s], grid_t, pad, ps)
+        p_pad[s] = _slice_probs(k[s], q_s[s], grid, pad, ps)
         np.matmul(ps.swapaxes(-1, -2), v[s], out=o[s])
     w_o = a.w_o.data.reshape(heads * d_h, d)
     y = merged @ w_o
@@ -476,10 +424,10 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
         d_wq, d_wk, d_wv = (np.ascontiguousarray(d_w[:, i].transpose(1, 0, 2)) for i in range(3))
         dx = (d_qkv @ w.T).reshape(x.shape)
         # key-major grid-logit gradient scattered into the table, all heads
-        # in one pass over the transposed index
-        idx_t = _rel_geometry(h_t, w_t)[0].T
+        # in one pass over the key-major index
+        idx = _rel_geometry(h_t, w_t)[0]
         r = a.b_rel.data[0].size
-        bins = (np.arange(heads)[:, None] * r + idx_t.reshape(1, -1)).reshape(-1)
+        bins = (np.arange(heads)[:, None] * r + idx.reshape(1, -1)).reshape(-1)
         d_flat = np.bincount(bins, weights=grid_sum.reshape(-1).astype(np.float64),
                              minlength=heads * r).reshape(heads, r)
         # pad-logit gradient routed into the table through the off-grid
@@ -491,36 +439,37 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     return record(out, inputs, bwd)
 
 
-def attention_scores(x: TokenGrid, head: int, a: AttnMixer) -> Tensor:
+def attention_scores(x: Tensor, head: int, a: AttnMixer) -> Tensor:
     """Attention rows for one head on a single sample: [N, N_keys].
 
     Inspection helper over the same probability computation mhsa_forward
     uses, returned query-major; the result is detached from any active tape.
     """
-    if x.batch != 1:
+    _check_attn_input(x, a)
+    if x.shape[0] != 1:
         raise ShapeError("attention_scores inspects a single sample; pass batch 1")
     if not 0 <= head < a.n_heads:
         raise ShapeError(f"head {head} out of range 0..{a.n_heads - 1}")
-    _check_attn_input(x, a)
-    n = x.n_tokens
-    _, qkv, (q_s, k, _) = _qkv_gemm(x.data.data.reshape(n, x.d), a, 1, n)
-    grid_t, pad, _ = _key_major_bias(a, x.h_t, x.w_t)
+    h_t, w_t = a.grid_hw
+    n = h_t * w_t
+    _, qkv, (q_s, k, _) = _qkv_gemm(x.data.reshape(n, a.dim), a, 1, n)
+    grid, pad, _ = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
     p = np.empty((1, a.n_heads, n, n), dtype=qkv.dtype)
-    p_pad = _slice_probs(k, q_s, grid_t, pad, p)
+    p_pad = _slice_probs(k, q_s, grid, pad, p)
     rows = p[0, head].T
     if a.pad_token_enabled:
         rows = np.concatenate([rows, p_pad[0, head][:, None]], axis=-1)
     return Tensor(rows)
 
 
-def mhsa_forward(x: TokenGrid, a: AttnMixer) -> TokenGrid:
+def mhsa_forward(x: Tensor, a: AttnMixer) -> Tensor:
     """Sum over heads of softmax(QK^T/sqrt(d) + B) V W_o, plus output bias.
 
     The scale divisor is sqrt(d) as the block's token width, and the pad key
     (when enabled) contributes a zero value vector.
     """
     _check_attn_input(x, a)
-    return x.like(attention_mix(x.data, a))
+    return attention_mix(x, a)
 
 
 # --------------------------------------------------------------------------
@@ -604,19 +553,19 @@ class HybridBlock:
                 yield f"{prefix}.{name}", p
 
 
-def block_forward(z: TokenGrid, b: HybridBlock) -> TokenGrid:
+def block_forward(z: Tensor, b: HybridBlock) -> Tensor:
     return _block_outputs(z, b)[0]
 
 
-def _block_outputs(z: TokenGrid, b: HybridBlock) -> tuple[TokenGrid, TokenGrid]:
+def _block_outputs(z: Tensor, b: HybridBlock) -> tuple[Tensor, Tensor]:
     """(z_l, pre-residual MLP branch); the branch feeds the spectral tap option."""
     mixer = b.active_mixer()
-    normed = z.like(b.ln1.forward(z.data))
+    normed = b.ln1.forward(z)
     mixed = conv_mixer_forward(normed, mixer) if b.mode == CONV else mhsa_forward(normed, mixer)
-    z1 = z.like(tt.add(mixed.data, z.data))
-    flat = tt.reshape(b.ln2.forward(z1.data), (z1.batch * z1.n_tokens, z1.d))
-    branch = tt.reshape(b.mlp.forward(flat), z1.data.shape)
-    return z1.like(tt.add(branch, z1.data)), z1.like(branch)
+    z1 = tt.add(mixed, z)
+    flat = tt.reshape(b.ln2.forward(z1), (-1, z1.shape[3]))
+    branch = tt.reshape(b.mlp.forward(flat), z1.shape)
+    return tt.add(branch, z1), branch
 
 
 # --------------------------------------------------------------------------
@@ -680,8 +629,8 @@ def model_forward(images: Tensor, model: Model, epoch: int | None = None, sched=
 
 
 def model_forward_features(images: Tensor, model: Model, epoch: int | None = None, sched=None,
-                           tap: str = "post-residual") -> tuple[Tensor, list[TokenGrid]]:
-    """Forward pass that also captures each block's output TokenGrid.
+                           tap: str = "post-residual") -> tuple[Tensor, list[Tensor]]:
+    """Forward pass that also captures each block's output token maps.
 
     ``tap`` selects what is captured: "post-residual" is z_l itself,
     "pre-residual" is the final sublayer branch before its residual add.
@@ -692,19 +641,19 @@ def model_forward_features(images: Tensor, model: Model, epoch: int | None = Non
 
 
 def _forward(images: Tensor, model: Model, epoch: int | None, sched,
-             tap: str | None) -> tuple[Tensor, list[TokenGrid]]:
-    """Logits plus the grids ``tap`` selects (none when ``tap`` is None)."""
+             tap: str | None) -> tuple[Tensor, list[Tensor]]:
+    """Logits plus the token maps ``tap`` selects (none when ``tap`` is None)."""
     _check_modes(model, epoch, sched)
     z = patch_embed_forward(images, model.patch_embed)
-    captured: list[TokenGrid] = []
+    captured: list[Tensor] = []
     for blk in model.blocks:
         z, branch = _block_outputs(z, blk)
         if tap is not None:
             captured.append(z if tap == "post-residual" else branch)
-    feats = z.data
+    batch, h_t, w_t, d = z.shape
     if model.final_ln is not None:
-        feats = model.final_ln.forward(feats)
-    pooled = tt.mean_(tt.reshape(feats, (z.batch, z.n_tokens, z.d)), axis=1)
+        z = model.final_ln.forward(z)
+    pooled = tt.mean_(tt.reshape(z, (batch, h_t * w_t, d)), axis=1)
     return tt.add(tt.matmul(pooled, model.head_w), model.head_b), captured
 
 

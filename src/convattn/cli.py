@@ -284,7 +284,7 @@ def cmd_interp(args) -> int:
              "checkpoint": r["checkpoint"], "csv": r["csv"]}
             for r in results
         ]
-        print(f"4 settings trained; combined profile at {combined}")
+        print(f"{len(results)} settings trained; combined profile at {combined}")
 
     return _run(manifest, work)
 

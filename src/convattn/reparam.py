@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import AttnMixer, ConvMixer, HybridBlock, TokenGrid, conv_mixer_forward, mhsa_forward
+from .blocks import AttnMixer, ConvMixer, HybridBlock, conv_mixer_forward, mhsa_forward
 from .schedule import SA
 from .tensor import ShapeError, Tensor
 
@@ -100,10 +100,10 @@ def reparameterize(conv: ConvMixer, grid_hw: tuple[int, int], beta: float = DEFA
 def verify_equivalence(conv: ConvMixer, attn: AttnMixer, num_samples: int = 100,
                        tolerance: float = 1e-5, seed: int = 0,
                        batch: int = 25) -> ReparamReport:
-    """Compare both mixers on random unit-normal token grids.
+    """Compare both mixers on random unit-normal token maps.
 
     Reports the global and per-position max absolute output difference over
-    ``num_samples`` grids of the attention mixer's geometry.
+    ``num_samples`` [h_t, w_t, d] maps of the attention mixer's geometry.
     """
     h_t, w_t = attn.grid_hw
     d = attn.dim
@@ -112,8 +112,8 @@ def verify_equivalence(conv: ConvMixer, attn: AttnMixer, num_samples: int = 100,
     done = 0
     while done < num_samples:
         n = min(batch, num_samples - done)
-        x = TokenGrid(Tensor(rng.standard_normal((n, h_t, w_t, d))), h_t, w_t)
-        diff = np.abs(conv_mixer_forward(x, conv).data.data - mhsa_forward(x, attn).data.data)
+        x = Tensor(rng.standard_normal((n, h_t, w_t, d)))
+        diff = np.abs(conv_mixer_forward(x, conv).data - mhsa_forward(x, attn).data)
         per_pos = np.maximum(per_pos, diff.max(axis=(0, 3)))
         done += n
     return ReparamReport(

@@ -94,15 +94,15 @@ def switch_epochs(schedule: SwitchSchedule) -> list[tuple[int, int]]:
 
 
 def interpolation_settings(total_epochs: int = 300, num_layers: int = 6) -> list[SwitchSchedule]:
-    """The four conv/SA epoch splits of the interpolation experiment.
+    """The conv/SA epoch splits of the interpolation experiment.
 
     At T=300 these are conv 300/SA 0, 250/50, 150/150 and 50/250; other T
-    values preserve the split ratios (used for desk-scale runs).
+    values preserve the split ratios (used for desk-scale runs). A split whose
+    rounded switch epoch an earlier split already has is skipped, so a short
+    run trains fewer than four settings (T=2 gives conv 2, 1 and 0), each once.
     """
     if total_epochs < 1:
         raise ValueError("total_epochs must be >= 1")
-    settings = []
-    for num, den in ((1, 1), (5, 6), (1, 2), (1, 6)):
-        e_switch = round(total_epochs * num / den)
-        settings.append(SwitchSchedule(total_epochs, num_layers, "uniform", e_switch))
-    return settings
+    splits = ((1, 1), (5, 6), (1, 2), (1, 6))
+    e_switches = dict.fromkeys(round(total_epochs * num / den) for num, den in splits)
+    return [SwitchSchedule(total_epochs, num_layers, "uniform", e) for e in e_switches]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Model, TokenGrid, model_forward_features
+from .blocks import Model, model_forward_features
 from .tensor import Tensor
 
 __all__ = [
@@ -137,11 +137,9 @@ def channel_maps(features: np.ndarray) -> np.ndarray:
     return np.moveaxis(features, -1, 1).reshape(-1, features.shape[1], features.shape[2])
 
 
-def feature_spectrum(x: TokenGrid, bin_width: float = DEFAULT_BIN_WIDTH,
-                     floor: float = AMPLITUDE_FLOOR, average_before_log: bool = False) -> SpectrumProfile:
-    """Profile every channel of every sample in a token-grid batch."""
-    return spectrum_of_maps(channel_maps(x.data.data), bin_width=bin_width, floor=floor,
-                            average_before_log=average_before_log)
+def feature_spectrum(x: Tensor, bin_width: float = DEFAULT_BIN_WIDTH) -> SpectrumProfile:
+    """Profile every channel of every sample in [batch, h_t, w_t, d] token maps."""
+    return spectrum_of_maps(channel_maps(x.data), bin_width=bin_width)
 
 
 def delta_log_amplitude(profile: SpectrumProfile, f_target: float) -> float:
@@ -163,13 +161,12 @@ def delta_log_amplitude(profile: SpectrumProfile, f_target: float) -> float:
 
 def depth_profile(model, images, epoch: int | None = None, sched=None,
                   targets=TARGET_FREQS, tap: str = "post-residual",
-                  bin_width: float = DEFAULT_BIN_WIDTH, floor: float = AMPLITUDE_FLOOR,
-                  average_before_log: bool = False) -> DepthProfile:
+                  bin_width: float = DEFAULT_BIN_WIDTH) -> DepthProfile:
     """Delta log amplitude of every block's output at the target frequencies.
 
     ``model`` is either a Model (blocks captured post-residual by default,
     pre-residual branch with tap="pre-residual") or any object exposing
-    ``feature_grids(images) -> list[TokenGrid]``.
+    ``feature_grids(images) -> list[Tensor]`` of [batch, h_t, w_t, d] maps.
     """
     if isinstance(model, Model):
         if not isinstance(images, Tensor):
@@ -184,8 +181,7 @@ def depth_profile(model, images, epoch: int | None = None, sched=None,
     n_layers = len(grids)
     depths, deltas = [], []
     for i, grid in enumerate(grids):
-        profile = feature_spectrum(grid, bin_width=bin_width, floor=floor,
-                                   average_before_log=average_before_log)
+        profile = feature_spectrum(grid, bin_width=bin_width)
         depths.append((i + 1) / n_layers)
         deltas.append([delta_log_amplitude(profile, f) for f in targets])
     return DepthProfile(depths=depths, targets=list(targets), deltas=deltas, modes=list(modes))

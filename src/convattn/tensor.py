@@ -1,7 +1,7 @@
 """Dense float tensors with a reverse-mode tape.
 
-The autodiff granularity is coarse: each primitive (matmul, softmax,
-layer_norm, conv2d_same, ...) records one tape entry holding a closure that
+The autodiff granularity is coarse: each primitive (matmul, layer_norm,
+conv2d_same, gelu, ...) records one tape entry holding a closure that
 maps the output gradient to input gradients. Recording happens only while a
 :class:`Graph` is active (``with Graph() as g: ...``), so plain calls outside
 a graph are tape-free inference. The open graphs and the default dtype are
@@ -32,20 +32,14 @@ __all__ = [
     "backward",
     "matmul",
     "add",
-    "sub",
     "mul",
-    "scale",
-    "neg",
     "reshape",
     "transpose",
     "sum_",
     "mean_",
-    "softmax",
     "layer_norm",
     "conv2d_same",
     "gelu",
-    "relu",
-    "sin",
     "finite_diff_check",
     "GradCheckReport",
 ]
@@ -111,31 +105,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Small amount of operator sugar; everything routes through the module ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 # --------------------------------------------------------------------------
@@ -263,20 +234,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return record(out, (a,), lambda g: (-g,))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return record(out, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
@@ -284,11 +241,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return record(out, (a, b), bwd)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-    return record(out, (a,), lambda g: (g * c,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -324,16 +276,6 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.shape) / n,)
 
     return record(out, (a,), bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0))
-    return record(out, (a,), lambda g: (g * (a.data > 0),))
-
-
-def sin(a: Tensor) -> Tensor:
-    out = Tensor(np.sin(a.data))
-    return record(out, (a,), lambda g: (g * np.cos(a.data),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -385,27 +327,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return da, db
 
     return record(out, (a, b), bwd)
-
-
-# --------------------------------------------------------------------------
-# softmax / log-softmax
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max-subtraction) along ``axis``."""
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    p = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
-    out = Tensor(p)
-
-    def bwd(g):
-        dx = g - (g * p).sum(axis=axis, keepdims=True)
-        dx *= p
-        return (dx,)
-
-    return record(out, (a,), bwd)
 
 
 # --------------------------------------------------------------------------

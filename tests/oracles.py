@@ -7,6 +7,8 @@ implementations.
 
 import numpy as np
 
+from convattn.tensor import Tensor, record
+
 
 def conv2d_loops(x, kernel, bias):
     """Six-nested-loop zero-padded same convolution; [b, h, w, cin] input."""
@@ -150,3 +152,17 @@ def adamw_closed_form(x0, grad, lr, beta1, beta2, eps, wd):
     m_hat = m / (1 - beta1)
     v_hat = v / (1 - beta2)
     return x0 - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * x0)
+
+
+# Two tape ops the library never records, kept for the tape's own tests: sin
+# has a closed-form derivative, relu a kink at zero.
+
+
+def relu(a):
+    out = Tensor(np.maximum(a.data, 0))
+    return record(out, (a,), lambda g: (g * (a.data > 0),))
+
+
+def sin(a):
+    out = Tensor(np.sin(a.data))
+    return record(out, (a,), lambda g: (g * np.cos(a.data),))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from convattn import tensor as tt
-from convattn.blocks import ConvMixer, TokenGrid, model_forward
+from convattn.blocks import ConvMixer, model_forward
 from convattn.checkpoint import load_checkpoint, model_from_checkpoint
 from convattn.config import build_train_config, load_preset
 from convattn.data import load_cifar, stratified_indices
@@ -115,7 +115,7 @@ def test_criterion_4_gradient_integrity_desk_block():
                 def f(_):
                     from convattn.blocks import block_forward
 
-                    return sum_(mul(block_forward(TokenGrid(x, h_t, w_t), blk).data, r))
+                    return sum_(mul(block_forward(x, blk), r))
 
                 take = min(12, probe.size)
                 idx = rng.choice(probe.size, size=take, replace=False)

@@ -79,12 +79,12 @@ def test_tracer_sees_the_attention_layer():
     d, h_t, w_t = 4, 3, 3
     blk = blocks.HybridBlock("sa", None, blocks.AttnMixer.init(d, 9, d, (h_t, w_t), rng),
                              blocks.LayerNormParams(d), blocks.LayerNormParams(d), blocks.Mlp.init(d, 2, rng))
-    x = blocks.TokenGrid(tensor.Tensor(rng.normal(size=(2, h_t, w_t, d))), h_t, w_t)
+    x = tensor.Tensor(rng.normal(size=(2, h_t, w_t, d)))
 
     with _load_tracer().Tracer() as tracer:
         g = tensor.Graph()
         with g:
-            loss = tensor.sum_(blocks.block_forward(x, blk).data)
+            loss = tensor.sum_(blocks.block_forward(x, blk))
         tensor.backward(loss, g)
 
     for key in (("blocks.attention_mix", "fwd"), ("blocks.attention_mix", "bwd"),

@@ -10,14 +10,13 @@ from convattn.blocks import (
     LayerNormParams,
     Mlp,
     PatchEmbed,
-    TokenGrid,
+    _bias_logits,
     _rel_geometry,
     attention_mix,
     attention_scores,
     block_forward,
     build_model,
     conv_mixer_forward,
-    expand_rel_bias,
     mhsa_forward,
     model_forward,
     model_forward_features,
@@ -29,23 +28,7 @@ from oracles import mhsa_loops, model_forward_straightline, patch_embed_loops
 
 
 def grid_of(rng, b, h, w, d):
-    return TokenGrid(Tensor(rng.normal(size=(b, h, w, d))), h, w)
-
-
-# --------------------------------------------------------------------------
-# TokenGrid
-
-
-def test_token_grid_flatten_roundtrip(rng):
-    g = grid_of(rng, 2, 3, 4, 5)
-    back = TokenGrid.from_tokens(g.tokens(), 3, 4)
-    np.testing.assert_array_equal(back.data.data, g.data.data)
-    assert g.n_tokens == 12
-
-
-def test_token_grid_geometry_checked(rng):
-    with pytest.raises(ShapeError):
-        TokenGrid(Tensor(rng.normal(size=(1, 3, 4, 2))), 4, 3)
+    return Tensor(rng.normal(size=(b, h, w, d)))
 
 
 # --------------------------------------------------------------------------
@@ -56,13 +39,13 @@ def test_patch_embed_grid_arithmetic(rng):
     pe = PatchEmbed(4, 3, 16, (8, 8), rng)
     image = Tensor(rng.normal(size=(2, 32, 32, 3)))
     out = patch_embed_forward(image, pe)
-    assert (out.h_t, out.w_t, out.n_tokens, out.d) == (8, 8, 64, 16)
+    assert out.shape == (2, 8, 8, 16)
 
 
 def test_patch_embed_constant_image_gives_equal_tokens(rng):
     pe = PatchEmbed(2, 1, 6, (3, 3), rng)
     image = Tensor(np.full((1, 6, 6, 1), 0.5))
-    out = patch_embed_forward(image, pe).data.data.reshape(9, 6)
+    out = patch_embed_forward(image, pe).data.reshape(9, 6)
     np.testing.assert_allclose(out, np.broadcast_to(out[0], out.shape), rtol=1e-5, atol=1e-7)
 
 
@@ -71,7 +54,7 @@ def test_patch_embed_matches_loop_oracle(rng):
     image = rng.normal(size=(2, 8, 8, 3)).astype(np.float32)
     out = patch_embed_forward(Tensor(image), pe)
     expected = patch_embed_loops(image, pe.projection.data, 4)
-    np.testing.assert_allclose(out.data.data, expected, atol=1e-5)
+    np.testing.assert_allclose(out.data, expected, atol=1e-5)
 
 
 def test_patch_embed_rejects_indivisible(rng):
@@ -84,7 +67,7 @@ def test_patch_embed_abs_pos_added(rng):
     pe = PatchEmbed(4, 1, 4, (2, 2), rng, use_abs_pos=True)
     image = Tensor(np.zeros((1, 8, 8, 1)))
     out = patch_embed_forward(image, pe)
-    np.testing.assert_allclose(out.data.data.reshape(4, 4), pe.pos_table.data, atol=1e-6)
+    np.testing.assert_allclose(out.data.reshape(4, 4), pe.pos_table.data, atol=1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -94,8 +77,31 @@ def test_patch_embed_abs_pos_added(rng):
 def test_conv_mixer_zero_input_gives_bias(rng):
     m = ConvMixer.init(3, 4, rng)
     m.bias.data[:] = rng.normal(size=4)
-    out = conv_mixer_forward(grid_of(rng, 1, 3, 3, 4).like(Tensor(np.zeros((1, 3, 3, 4)))), m)
-    np.testing.assert_allclose(out.data.data, np.broadcast_to(m.bias.data, (1, 3, 3, 4)), atol=1e-7)
+    out = conv_mixer_forward(Tensor(np.zeros((1, 3, 3, 4))), m)
+    np.testing.assert_allclose(out.data, np.broadcast_to(m.bias.data, (1, 3, 3, 4)), atol=1e-7)
+
+
+# --------------------------------------------------------------------------
+# Input checks
+
+
+@pytest.mark.parametrize("call, shape, message", [
+    ("mhsa", (2, 9, 4), r"must be \[batch, h_t, w_t, d\]"),  # flat tokens, not token maps
+    ("mhsa", (2, 3, 4, 4), "does not match mixer geometry"),
+    ("mhsa", (2, 3, 3, 5), "!= mixer dim"),
+    ("conv", (2, 3, 3, 5), r"are not \[batch, h_t, w_t, 4\]"),
+    ("scores", (2, 3, 3, 4), "single sample"),
+])
+def test_mixers_check_token_maps(rng, call, shape, message):
+    # the lattice is read from the input's shape, so each mixer checks it
+    # against its own geometry before computing anything
+    d = 4
+    a = AttnMixer.init(d, 9, d, (3, 3), rng)
+    m = ConvMixer.init(3, d, rng)
+    run = {"mhsa": lambda x: mhsa_forward(x, a), "conv": lambda x: conv_mixer_forward(x, m),
+           "scores": lambda x: attention_scores(x, 0, a)}[call]
+    with pytest.raises(ShapeError, match=message):
+        run(Tensor(rng.normal(size=shape)))
 
 
 # --------------------------------------------------------------------------
@@ -105,22 +111,24 @@ def test_conv_mixer_zero_input_gives_bias(rng):
 def test_rel_bias_translation_consistency(rng):
     h_t = w_t = 4
     b_rel = rng.normal(size=(2, 2 * h_t - 1, 2 * w_t - 1))
-    full = expand_rel_bias(b_rel, h_t, w_t, pad_token=False)
+    grid, _, _ = _bias_logits(b_rel, h_t, w_t, pad_token=False)
     n = h_t * w_t
     rows, cols = np.divmod(np.arange(n), w_t)
     for _ in range(50):
         q1, k1, q2, k2 = rng.integers(0, n, size=4)
         off1 = (rows[k1] - rows[q1], cols[k1] - cols[q1])
         off2 = (rows[k2] - rows[q2], cols[k2] - cols[q2])
+        # key-major: grid[:, k, q] reads the table at the key-minus-query offset
+        np.testing.assert_array_equal(grid[:, k1, q1], b_rel[:, off1[0] + h_t - 1, off1[1] + w_t - 1])
         if off1 == off2:
-            np.testing.assert_array_equal(full[:, q1, k1], full[:, q2, k2])
+            np.testing.assert_array_equal(grid[:, k1, q1], grid[:, k2, q2])
 
 
 def test_rel_bias_pad_collapses_offgrid_mass(rng):
     # pad logit equals logsumexp of the table over the query's off-grid offsets
     h_t = w_t = 3
     b_rel = rng.normal(size=(1, 5, 5))
-    full = expand_rel_bias(b_rel, h_t, w_t, pad_token=True)
+    _, pad, _ = _bias_logits(b_rel, h_t, w_t, pad_token=True)
     rows, cols = np.divmod(np.arange(9), 3)
     for q in range(9):
         offgrid = []
@@ -129,7 +137,7 @@ def test_rel_bias_pad_collapses_offgrid_mass(rng):
                 if not (0 <= rows[q] + dr < 3 and 0 <= cols[q] + dc < 3):
                     offgrid.append(b_rel[0, dr + 2, dc + 2])
         expected = np.log(np.exp(np.asarray(offgrid)).sum())
-        np.testing.assert_allclose(full[0, q, -1], expected, rtol=1e-5)
+        np.testing.assert_allclose(pad[0, q], expected, rtol=1e-5)
 
 
 def test_rel_geometry_cache_is_read_only():
@@ -184,12 +192,13 @@ def test_attention_scores_match_bruteforce(rng):
         a = AttnMixer.init(d, 2, d, (h_t, w_t), rng)
         a.b_rel.data = rng.normal(size=a.b_rel.shape)
         x = rng.normal(size=(1, h_t, w_t, d))
-        got = attention_scores(TokenGrid(Tensor(x), h_t, w_t), 1, a).data
+        got = attention_scores(Tensor(x), 1, a).data
         # brute force: softmax over expanded logits
         flat = x.reshape(9, d)
         q = flat @ a.w_q.data[1]
         k = flat @ a.w_k.data[1]
-        logits = q @ k.T / np.sqrt(d) + expand_rel_bias(a.b_rel.data, h_t, w_t, False)[1]
+        grid = _bias_logits(a.b_rel.data, h_t, w_t, False)[0][1]  # [k, q]
+        logits = q @ k.T / np.sqrt(d) + grid.T
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(got, expected, atol=1e-6)
@@ -201,7 +210,7 @@ def test_mhsa_zero_output_projection_gives_bias(rng):
     a.w_o.data[:] = 0
     a.out_bias.data[:] = rng.normal(size=d)
     out = mhsa_forward(grid_of(rng, 2, 2, 3, d), a)
-    np.testing.assert_allclose(out.data.data, np.broadcast_to(a.out_bias.data, (2, 2, 3, d)), atol=1e-6)
+    np.testing.assert_allclose(out.data, np.broadcast_to(a.out_bias.data, (2, 2, 3, d)), atol=1e-6)
 
 
 def test_mhsa_one_hot_offset_selection(rng):
@@ -215,7 +224,7 @@ def test_mhsa_one_hot_offset_selection(rng):
     a.b_rel.data[0, h_t - 1, w_t - 1 + 1] = 100.0
     a.out_bias.data[:] = 0
     x = rng.normal(size=(1, h_t, w_t, d)).astype(np.float32)
-    out = mhsa_forward(TokenGrid(Tensor(x), h_t, w_t), a).data.data
+    out = mhsa_forward(Tensor(x), a).data
     shifted = np.zeros_like(x)
     shifted[:, :, :-1, :] = x[:, :, 1:, :]  # token at p+(0,1), zero where off-grid
     np.testing.assert_allclose(out, shifted @ a.w_o.data[0], atol=1e-5)
@@ -229,7 +238,7 @@ def test_mhsa_matches_bruteforce(rng, pad):
         a.b_rel.data = rng.normal(size=a.b_rel.shape)
         a.out_bias.data = rng.normal(size=d)
         x = rng.normal(size=(2, h_t, w_t, d))
-        got = mhsa_forward(TokenGrid(Tensor(x), h_t, w_t), a).data.data
+        got = mhsa_forward(Tensor(x), a).data
         expected = mhsa_loops(x.reshape(2, 4, d), a.w_q.data, a.w_k.data, a.w_v.data,
                               a.w_o.data, a.b_rel.data, a.out_bias.data, h_t, w_t, pad)
         np.testing.assert_allclose(got, expected.reshape(2, h_t, w_t, d), atol=1e-6)
@@ -331,11 +340,11 @@ def test_attention_runs_in_tensor_dtype(rng, monkeypatch, dtype):
         g = tt.Graph()
         with g:
             out = mhsa_forward(grid_of(rng, 2, 4, 4, d), a)
-            loss = sum_(out.data)
+            loss = sum_(out)
         tt.backward(loss, g)
     [(p, p_pad)] = probs
     [raw] = grads  # dx, dw_q, dw_k, dw_v, dw_o, db_rel, dout_bias
-    assert out.data.data.dtype == dtype
+    assert out.data.dtype == dtype
     assert p.dtype == p_pad.dtype == dtype
     assert [t.dtype for t in raw] == [dtype] * 7
 
@@ -367,7 +376,7 @@ def test_block_zero_sublayers_is_identity(rng, mode):
     blk.mlp.b2.data[:] = 0
     x = grid_of(rng, 2, h_t, w_t, d)
     out = block_forward(x, blk)
-    np.testing.assert_array_equal(out.data.data, x.data.data)
+    np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_block_missing_mixer_raises(rng):
@@ -386,7 +395,7 @@ def test_block_gradient(rng, mode):
         x = Tensor(rng.uniform(-1, 1, size=(1, h_t, w_t, d)), requires_grad=True)
 
         def f(t):
-            return sum_(mul(block_forward(TokenGrid(t, h_t, w_t), blk).data, r))
+            return sum_(mul(block_forward(t, blk), r))
 
         report = finite_diff_check(f, x, step=1e-3, tol=1e-3)
         assert report.passed, report
@@ -442,7 +451,7 @@ def test_model_forward_features_taps(rng):
     _, pre = model_forward_features(images, model, tap="pre-residual")
     assert len(post) == len(pre) == 2
     # post-residual captures include the residual stream, pre-residual only the branch
-    assert not np.allclose(post[0].data.data, pre[0].data.data)
+    assert not np.allclose(post[0].data, pre[0].data)
     np.testing.assert_allclose(logits.data, model_forward(images, model).data, atol=1e-6)
 
 

@@ -400,6 +400,20 @@ def test_cmd_interp_artifacts_and_determinism(tiny_cfg_path, tmp_path):
     assert combined1 == combined2
 
 
+def test_cmd_interp_short_run_trains_each_setting_once(tiny_cfg_path, tmp_path, capsys):
+    # at T=2 two splits round to conv 2/SA 0; the suite trains it once and
+    # writes its rows into the combined CSV once
+    out = str(tmp_path / "i")
+    assert main(["interp", "--config", tiny_cfg_path, "--set", "model.patch_size=4",
+                 "--set", "schedule.total_epochs=2", "--out", out]) == 0
+    assert "3 settings trained" in capsys.readouterr().out
+    ckpts = [p for p in os.listdir(out) if p.endswith(".ckpt")]
+    csvs = [p for p in os.listdir(out) if p.endswith("_depth_profile.csv")]
+    assert len(ckpts) == 3 and len(csvs) == 3
+    lines = open(os.path.join(out, "interpolation_combined.csv")).read().strip().splitlines()
+    assert len(lines) == 1 + 3 * 2 * 3  # 3 settings x L=2 x 3 freqs
+
+
 def test_cmd_interp_on_a_4x4_grid_writes_two_target_profiles(tiny_cfg_path, tmp_path):
     # a 4x4 grid populates the 2pi/3 and pi bins but not pi/3
     out = str(tmp_path / "i")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from convattn.blocks import ConvMixer, TokenGrid, conv_mixer_forward, mhsa_forward, model_forward
+from convattn.blocks import ConvMixer, conv_mixer_forward, mhsa_forward, model_forward
 from convattn.reparam import reparameterize, switch_block, verify_equivalence
 from convattn.schedule import CONV, SA
 from convattn.tensor import Graph, ShapeError, Tensor, backward
@@ -27,9 +27,9 @@ def test_k1_single_head_exact(rng):
     conv = random_conv(rng, k=1, d=8)
     attn = reparameterize(conv, (5, 4))
     assert attn.n_heads == 1
-    x = TokenGrid(Tensor(rng.normal(size=(3, 5, 4, 8))), 5, 4)
-    conv_out = conv_mixer_forward(x, conv).data.data
-    attn_out = mhsa_forward(x, attn).data.data
+    x = Tensor(rng.normal(size=(3, 5, 4, 8)))
+    conv_out = conv_mixer_forward(x, conv).data
+    attn_out = mhsa_forward(x, attn).data
     np.testing.assert_allclose(attn_out, conv_out, atol=1e-6)
 
 
@@ -80,8 +80,8 @@ def test_equivalence_detects_perturbation(rng):
 def test_equivalence_zero_input_is_exact(rng):
     conv = random_conv(rng, d=4)
     attn = reparameterize(conv, (3, 3))
-    x = TokenGrid(Tensor(np.zeros((1, 3, 3, 4))), 3, 3)
-    diff = np.abs(conv_mixer_forward(x, conv).data.data - mhsa_forward(x, attn).data.data)
+    x = Tensor(np.zeros((1, 3, 3, 4)))
+    diff = np.abs(conv_mixer_forward(x, conv).data - mhsa_forward(x, attn).data)
     assert diff.max() == 0.0
 
 
@@ -89,8 +89,8 @@ def test_equivalence_holds_on_large_inputs(rng):
     # function preservation for inputs with entries in [-3, 3]
     conv = random_conv(rng, d=8)
     attn = reparameterize(conv, (6, 6))
-    x = TokenGrid(Tensor(rng.uniform(-3, 3, size=(20, 6, 6, 8))), 6, 6)
-    diff = np.abs(conv_mixer_forward(x, conv).data.data - mhsa_forward(x, attn).data.data)
+    x = Tensor(rng.uniform(-3, 3, size=(20, 6, 6, 8)))
+    diff = np.abs(conv_mixer_forward(x, conv).data - mhsa_forward(x, attn).data)
     assert diff.max() < 1e-5
 
 
@@ -107,7 +107,7 @@ def test_softmax_tail_bound(rng):
     attn = reparameterize(conv, (4, 4))
     from convattn.blocks import attention_scores
 
-    x = TokenGrid(Tensor(rng.normal(size=(1, 4, 4, 4))), 4, 4)
+    x = Tensor(rng.normal(size=(1, 4, 4, 4)))
     n = 16
     for head in (0, 4, 8):
         rows = attention_scores(x, head, attn).data
@@ -122,7 +122,7 @@ def test_switched_softmax_tail_is_exact_zero(rng, monkeypatch):
     probs, _ = capture_attention(monkeypatch)
     blk = make_block(rng, d, CONV, h_t, w_t)
     switch_block(blk, (h_t, w_t))
-    mhsa_forward(TokenGrid(Tensor(rng.normal(size=(2, h_t, w_t, d))), h_t, w_t), blk.attn)
+    mhsa_forward(Tensor(rng.normal(size=(2, h_t, w_t, d))), blk.attn)
     [(p, p_pad)] = probs
     assert p.dtype == p_pad.dtype == np.float32
     tiny = np.finfo(np.float32).tiny
@@ -145,13 +145,13 @@ def test_switched_softmax_tail_is_exact_zero(rng, monkeypatch):
 def test_switch_block_preserves_function(rng):
     d, h_t, w_t = 8, 4, 4
     blk = make_block(rng, d, CONV, h_t, w_t)
-    x = TokenGrid(Tensor(rng.normal(size=(4, h_t, w_t, d))), h_t, w_t)
+    x = Tensor(rng.normal(size=(4, h_t, w_t, d)))
     from convattn.blocks import block_forward
 
-    before = block_forward(x, blk).data.data.copy()
+    before = block_forward(x, blk).data.copy()
     switch_block(blk, (h_t, w_t))
     assert blk.mode == SA
-    after = block_forward(x, blk).data.data
+    after = block_forward(x, blk).data
     assert np.abs(after - before).max() < 1e-5
 
 

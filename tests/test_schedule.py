@@ -127,3 +127,9 @@ def test_interpolation_settings_reference():
 def test_interpolation_settings_desk_scaling():
     settings_list = interpolation_settings(30, 4)
     assert [s.e_switch for s in settings_list] == [30, 25, 15, 5]
+
+
+def test_interpolation_settings_short_run_has_no_duplicates():
+    # at T=2 the 5/6 split rounds to the 1/1 split's switch epoch; that
+    # setting is trained once, not twice
+    assert [s.e_switch for s in interpolation_settings(2, 2)] == [2, 1, 0]

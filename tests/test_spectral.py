@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convattn.blocks import TokenGrid, build_model
+from convattn.blocks import build_model
 from convattn.schedule import CONV, SA
 from convattn.spectral import (
     TARGET_FREQS,
@@ -99,7 +99,7 @@ def test_degenerate_grid_rejected(rng):
 
 
 def test_feature_spectrum_counts_maps(rng):
-    grid = TokenGrid(Tensor(rng.standard_normal((4, 8, 8, 3))), 8, 8)
+    grid = Tensor(rng.standard_normal((4, 8, 8, 3)))
     profile = feature_spectrum(grid, bin_width=math.pi / 8)
     assert profile.n_maps == 12
 
@@ -135,7 +135,7 @@ class BlurStack:
         for _ in range(self.layers):
             maps = box_blur_circular(maps)
             data = maps[..., None].astype(np.float32)
-            grids.append(TokenGrid(Tensor(data), maps.shape[1], maps.shape[2]))
+            grids.append(Tensor(data))
         return grids
 
 
