@@ -25,6 +25,7 @@ from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint,
 from .config import ConfigError, PRESETS, apply_overrides, build_train_config, load_config_file, load_preset
 from .data import DataError
 from .reparam import reparameterize, verify_equivalence
+from .runtime import describe as describe_runtime
 from .schedule import SwitchSchedule, switch_epochs
 from .spectral import (TARGET_FREQS, auto_bin_width, channel_maps, delta_log_amplitude, depth_profile_rows,
                        spectrum_of_maps)
@@ -52,6 +53,7 @@ class RunManifest:
     finished_at: str | None = None
     artifacts: dict = field(default_factory=dict)
     error: str | None = None
+    runtime: dict = field(default_factory=dict)
 
     def write(self) -> None:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -66,7 +68,8 @@ def _timestamp() -> str:
 
 def _new_manifest(command: str, argv: list[str], config: TrainConfig, out_dir: str | None) -> RunManifest:
     out_dir = out_dir or os.path.join("runs", f"{command}-{_timestamp()}-seed{config.seed}")
-    return RunManifest(command, argv, config.to_dict(), config.seed, out_dir, _timestamp())
+    return RunManifest(command, argv, config.to_dict(), config.seed, out_dir, _timestamp(),
+                       runtime=describe_runtime())
 
 
 def _resolve_config(args) -> TrainConfig:

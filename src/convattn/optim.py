@@ -46,9 +46,14 @@ class AdamW:
         for p in self.params.values():
             p.grad = None
 
-    def step(self) -> None:
+    def step(self, grads: dict | None = None) -> None:
+        """One update from ``grads``, a map from parameter tensor to gradient
+        (as :func:`convattn.tensor.backward` returns), or from each
+        parameter's ``grad`` without it. A missing gradient reads as zero."""
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            g = p.grad if grads is None else grads.get(p)
+            if g is None:
+                g = np.zeros_like(p.data)
             t = self.steps[name] + 1
             self.steps[name] = t
             m = self.m[name]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import Model, model_forward_features
+from .runtime import run_shards, shard_slices
 from .tensor import Tensor
 
 __all__ = [
@@ -167,11 +168,19 @@ def depth_profile(model, images, epoch: int | None = None, sched=None,
     ``model`` is either a Model (blocks captured post-residual by default,
     pre-residual branch with tap="pre-residual") or any object exposing
     ``feature_grids(images) -> list[Tensor]`` of [batch, h_t, w_t, d] maps.
+    A Model's forward runs in concurrent batch shards whose captured maps
+    are concatenated, as training's tape-free forwards do.
     """
     if isinstance(model, Model):
         if not isinstance(images, Tensor):
             images = Tensor(images)
-        _, grids = model_forward_features(images, model, epoch, sched, tap=tap)
+
+        def features(s):
+            _, maps = model_forward_features(Tensor(images.data[s]), model, epoch, sched, tap=tap)
+            return [z.data for z in maps]
+
+        parts = run_shards(features, shard_slices(len(images.data)))
+        grids = [Tensor(np.concatenate(maps)) for maps in zip(*parts)]
         modes = model.modes()
     elif hasattr(model, "feature_grids"):
         grids = model.feature_grids(images)

@@ -5,7 +5,9 @@ conv2d_same, gelu, ...) records one tape entry holding a closure that
 maps the output gradient to input gradients. Recording happens only while a
 :class:`Graph` is active (``with Graph() as g: ...``), so plain calls outside
 a graph are tape-free inference. The open graphs and the default dtype are
-held per context, so each thread sees only its own.
+held per context, so each thread sees only its own, and :func:`backward`
+accumulates into a gradient map it owns and returns, so threads may run
+backward over shared parameters at once.
 
 Storage is float32 by default. ``using_dtype(np.float64)`` switches new
 tensors to float64; it exists for numerical verification (finite-difference
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import Context, ContextVar, copy_context
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "using_dtype",
     "default_dtype",
     "backward",
+    "tape_free_context",
     "matmul",
     "add",
     "mul",
@@ -166,14 +169,22 @@ def record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, graph: Graph, params=None, free_intermediates: bool = False) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+def backward(loss: Tensor, graph: Graph, params=None,
+             free_intermediates: bool = False) -> dict[Tensor, np.ndarray]:
+    """Gradients of scalar ``loss`` with respect to the graph's leaves.
 
-    Accumulation over fan-out is additive. ``params``, when given, is an
-    iterable of tensors whose grads are zero-filled if they were untouched
-    (disconnected parameters read as zero gradient rather than None).
-    ``free_intermediates`` drops intermediate gradients as soon as they have
-    been consumed, which bounds peak memory during training.
+    The accumulators live in a map owned by this call, keyed by tensor;
+    accumulation over fan-out is additive. Each node's output gradient is
+    dropped once the node has consumed it, so the returned map holds the
+    leaves only: the parameters and any input that requires grad. Nothing
+    shared is written, so two graphs over the same parameters can run
+    backward at once on two threads.
+
+    ``params`` is the single-graph convenience: each of these tensors gets
+    its gradient added to ``grad`` (zero-filled when untouched, so a
+    disconnected parameter reads as zero rather than None).
+    ``free_intermediates`` releases each node's closure and captured
+    buffers as soon as it has run, which bounds peak memory in training.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -181,27 +192,42 @@ def backward(loss: Tensor, graph: Graph, params=None, free_intermediates: bool =
         raise GraphReuseError("graph already consumed by a previous backward; re-record the forward pass")
     graph._consumed = True
 
-    loss.grad = np.ones_like(loss.data)
+    grads = {loss: np.ones_like(loss.data)}
     nodes = graph._nodes
     for i in range(len(nodes) - 1, -1, -1):
         out, inputs, backward_fn = nodes[i]
-        if out.grad is not None:  # otherwise a side branch that never reached the loss
-            grads = backward_fn(out.grad)
-            for t, g in zip(inputs, grads):
+        out_grad = grads.pop(out, None)
+        if out_grad is not None:  # otherwise a side branch that never reached the loss
+            for t, g in zip(inputs, backward_fn(out_grad)):
                 if g is None or not t.requires_grad:
                     continue
                 if g.dtype != t.data.dtype:
                     g = g.astype(t.data.dtype)
-                t.grad = g if t.grad is None else t.grad + g
-            if free_intermediates and out is not loss:
-                out.grad = None
+                acc = grads.get(t)
+                grads[t] = g if acc is None else acc + g
         if free_intermediates:
             nodes[i] = None  # release the closure and its captured buffers
 
     if params is not None:
         for p in params:
-            if p.requires_grad and p.grad is None:
-                p.grad = np.zeros_like(p.data)
+            if p.requires_grad:
+                g = grads.get(p)
+                if g is None:
+                    g = np.zeros_like(p.data)
+                p.grad = g if p.grad is None else p.grad + g
+    return grads
+
+
+def tape_free_context() -> Context:
+    """A copy of the current context with no graph open.
+
+    Work run in it (``ctx.run(fn)``, on any thread) sees the caller's
+    ``using_dtype`` setting but records onto no graph the caller holds
+    open. One copy serves one run at a time.
+    """
+    ctx = copy_context()
+    ctx.run(_GRAPH_STACK.set, ())
+    return ctx
 
 
 # --------------------------------------------------------------------------

@@ -7,9 +7,17 @@ function preservation is auditable from the metric stream. Parameters
 created by a switch get fresh optimizer moments; everything else keeps its
 state.
 
+Data parallelism: each batch is split into ``runtime.SHARDS`` contiguous
+shards that run forward and backward concurrently over the same model
+(:mod:`convattn.runtime`). Their gradients are summed in shard order, each
+weighted by its share of the batch, which is the gradient of the batch-mean
+loss; AdamW then takes one step. Evaluation and switch probes split their
+tape-free forwards the same way.
+
 Determinism: per-epoch shuffle and augmentation generators are derived
 statelessly from (seed, epoch), so a resumed run consumes exactly the same
-random streams as an uninterrupted one.
+random streams as an uninterrupted one. The bits depend on the shard count,
+not on how many threads the shards get; one shard is the unsharded step.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from .data import NORM_STATS, Dataset, augment_batch, load_cifar, make_synthetic, stratified_indices
 from .optim import AdamW, lr_at
 from .reparam import DEFAULT_BETA, switch_block
+from .runtime import run_shards, shard_slices
 from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at
 from .spectral import TARGET_FREQS, DepthProfile, depth_profile, populated_targets, write_depth_profile_csv
 from .tensor import Graph, Tensor, backward, record
@@ -204,12 +213,20 @@ def topk_hits(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> tuple[int, 
     return top1, topk
 
 
+def _sharded_logits(model: Model, images: np.ndarray, config: TrainConfig, prepare: bool) -> np.ndarray:
+    """Tape-free logits of ``images``, the batch split into shards."""
+    def forward(s):
+        chunk = _prepare(images[s], config) if prepare else images[s]
+        return model_forward(Tensor(chunk), model).data
+
+    return np.concatenate(run_shards(forward, shard_slices(len(images))))
+
+
 def _eval_model(model: Model, images: np.ndarray, labels: np.ndarray, config: TrainConfig,
                 batch_size: int = 256) -> tuple[float, float]:
     hits1 = hits5 = 0
     for start in range(0, len(labels), batch_size):
-        chunk = _prepare(images[start : start + batch_size], config)
-        logits = model_forward(Tensor(chunk), model).data
+        logits = _sharded_logits(model, images[start : start + batch_size], config, prepare=True)
         h1, h5 = topk_hits(logits, labels[start : start + batch_size])
         hits1 += h1
         hits5 += h5
@@ -235,7 +252,7 @@ def evaluate(model_or_path, dataset: Dataset, config: TrainConfig | None = None,
 
 
 def _probe_loss(model: Model, images: np.ndarray, labels: np.ndarray, config: TrainConfig) -> float:
-    logits = model_forward(Tensor(images), model)
+    logits = Tensor(_sharded_logits(model, images, config, prepare=False))
     return cross_entropy_label_smooth(logits, labels, config.label_smoothing).item()
 
 
@@ -294,6 +311,38 @@ def _check_resume_config(saved: dict, config: TrainConfig) -> None:
                               f"but the config has {name}={current[name]!r}")
 
 
+def _train_step(model: Model, optimizer: AdamW, images: np.ndarray, labels: np.ndarray,
+                config: TrainConfig, epoch: int, sched) -> float:
+    """One AdamW step on the mean loss of a raw (augmented) batch, computed
+    in concurrent shards; returns the loss.
+
+    Shard i of n_i images contributes n_i/n of its gradient, summed in
+    shard order. A non-finite loss skips the step and is returned as is.
+    """
+    def shard_step(s):
+        g = Graph()
+        with g:
+            logits = model_forward(Tensor(_prepare(images[s], config)), model, epoch, sched)
+            loss = cross_entropy_label_smooth(logits, labels[s], config.label_smoothing)
+        loss_val = loss.item()
+        if not np.isfinite(loss_val):
+            return loss_val, None
+        return loss_val, backward(loss, g, free_intermediates=True)
+
+    slices = shard_slices(len(labels))
+    weights = [(s.stop - s.start) / len(labels) for s in slices]  # one shard: 1.0, an exact product
+    results = run_shards(shard_step, slices)
+    loss_val = sum(w * loss for w, (loss, _) in zip(weights, results))
+    if np.isfinite(loss_val):
+        grads = {}
+        for w, (_, shard_grads) in zip(weights, results):
+            for p, g in shard_grads.items():
+                acc = grads.get(p)
+                grads[p] = w * g if acc is None else acc + w * g
+        optimizer.step(grads)
+    return loss_val
+
+
 def _write_metrics(path: str, records: list[dict], mode: str) -> None:
     """One JSON object a line; the file is closed, so flushed, on return."""
     with open(path, mode) as fh:
@@ -338,7 +387,6 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     probe_images = probe_batch(config, train_ds.images)
     probe_labels = train_ds.labels[: len(probe_images)]
 
-    params = list(model.named_parameters())
     all_switch_events: list[dict] = [ev for m in metrics for ev in m.get("switches", [])]
     ckpt_path = metrics_path = profile_path = profile_note = None
     if out_dir is not None:
@@ -365,8 +413,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
                 switches.append({"epoch": epoch, "layer": layer,
                                  "loss_before": loss_before, "loss_after": probe_loss})
         if switches:
-            params = list(model.named_parameters())
-            optimizer.set_params(params)  # fresh moments for the new attention tensors
+            optimizer.set_params(model.named_parameters())  # fresh moments for the new attention tensors
             all_switch_events.extend(switches)
 
         shuffle_rng = _rng(config.seed, _TAG_SHUFFLE, epoch)
@@ -379,17 +426,9 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
             images = train_ds.images[idx]
             if config.augment:
                 images = augment_batch(images, aug_rng)
-            images = _prepare(images, config)
-            g = Graph()
-            with g:
-                logits = model_forward(Tensor(images), model, epoch, sched)
-                loss = cross_entropy_label_smooth(logits, train_ds.labels[idx], config.label_smoothing)
-            loss_val = loss.item()
+            loss_val = _train_step(model, optimizer, images, train_ds.labels[idx], config, epoch, sched)
             if not np.isfinite(loss_val):
                 raise DivergenceError(epoch, n_batches)
-            backward(loss, g, params=[p for _, p in params], free_intermediates=True)
-            optimizer.step()
-            optimizer.zero_grad()
             total_loss += loss_val
             n_batches += 1
 

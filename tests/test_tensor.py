@@ -129,8 +129,10 @@ def test_backward_square_sum():
     g = Graph()
     with g:
         loss = sum_(mul(x, x))
-    backward(loss, g)
-    np.testing.assert_allclose(x.grad, [6.0], rtol=1e-6)
+    grads = backward(loss, g)
+    np.testing.assert_allclose(grads[x], [6.0], rtol=1e-6)
+    assert x.grad is None  # the map is the call's own; nothing shared is written
+    assert set(grads) == {x}  # intermediate gradients are dropped once consumed
 
 
 def test_backward_unused_param_gets_zeros(rng):
@@ -149,8 +151,8 @@ def test_backward_fanout_accumulates(rng):
     g = Graph()
     with g:
         loss = sum_(tt.add(mul(x, Tensor(np.full(5, 2.0))), sin(x)))
-    backward(loss, g)
-    np.testing.assert_allclose(x.grad, 2.0 + np.cos(x.data), rtol=1e-5)
+    grads = backward(loss, g)
+    np.testing.assert_allclose(grads[x], 2.0 + np.cos(x.data), rtol=1e-5)
 
 
 def test_backward_requires_scalar(rng):

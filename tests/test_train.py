@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from convattn import runtime
 from convattn import tensor as tt
 from convattn.blocks import model_forward
 from convattn.checkpoint import (
@@ -364,6 +365,7 @@ def test_extent_mismatch_named(tmp_path):
 
 def test_resume_reproduces_switches_and_state(tmp_path):
     cfg = tiny_config(schedule_kind="linear", total_epochs=6, checkpoint_every=3)
+    assert runtime.SHARDS == 2  # resume is bitwise with sharded steps
     full = train(cfg, out_dir=str(tmp_path / "full"))
     part = train(cfg, out_dir=str(tmp_path / "part"))
     resume_ckpt = str(tmp_path / "part" / "checkpoint_epoch_3.bin")
