@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as tt
-from .schedule import CONV, SA
+from .runtime import run_shards, shard_slices
+from .schedule import CONV, SA, mode_at
 from .tensor import ShapeError, Tensor, record
 
 __all__ = [
@@ -613,8 +614,6 @@ class Model:
 def _check_modes(model: Model, epoch: int | None, sched) -> None:
     if sched is None:
         return
-    from .schedule import mode_at  # local import keeps module deps one-way
-
     for i, blk in enumerate(model.blocks):
         expected = mode_at(sched, epoch, i + 1)
         if blk.mode != expected:
@@ -642,8 +641,27 @@ def model_forward_features(images: Tensor, model: Model, epoch: int | None = Non
 
 def _forward(images: Tensor, model: Model, epoch: int | None, sched,
              tap: str | None) -> tuple[Tensor, list[Tensor]]:
-    """Logits plus the token maps ``tap`` selects (none when ``tap`` is None)."""
+    """Logits plus the token maps ``tap`` selects (none when ``tap`` is None).
+
+    A forward that records onto no tape splits its batch into shards
+    (:func:`convattn.runtime.run_shards`) and concatenates the logits and
+    each map in shard order. A taped forward runs whole on the caller's
+    graph.
+    """
     _check_modes(model, epoch, sched)
+    slices = shard_slices(images.shape[0])
+    if len(slices) < 2 or tt.recording((images, *(p for _, p in model.named_parameters()))):
+        return _forward_whole(images, model, tap)
+    parts = run_shards(lambda s: _forward_whole(Tensor(images.data[s]), model, tap), slices)
+    logits, maps = zip(*parts)
+    return _concat(logits), [_concat(layer) for layer in zip(*maps)]
+
+
+def _concat(tensors) -> Tensor:
+    return Tensor(np.concatenate([t.data for t in tensors]))
+
+
+def _forward_whole(images: Tensor, model: Model, tap: str | None) -> tuple[Tensor, list[Tensor]]:
     z = patch_embed_forward(images, model.patch_embed)
     captured: list[Tensor] = []
     for blk in model.blocks:

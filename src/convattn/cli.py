@@ -241,9 +241,6 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.layers < 1 or args.epochs < 1:
-        print("need --layers >= 1 and --epochs >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         sched = SwitchSchedule(args.epochs, args.layers, args.kind, args.e_switch)
     except ValueError as exc:

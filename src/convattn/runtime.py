@@ -5,8 +5,10 @@ shard 0 on the calling thread while the others run, in order, on one
 lazily created pool thread. Every shard runs in a copy of the caller's
 context with no graph open (:func:`convattn.tensor.tape_free_context`), so
 ``using_dtype`` reaches it and nothing records onto a graph the caller
-holds. Results come back in shard order, so what a caller computes from
-them depends on ``SHARDS`` only, never on the machine.
+holds. That copy is marked as a shard: a region opened inside a shard runs
+its shards in order on the current thread, since the one pool thread may be
+the thread waiting for them. Results come back in shard order, so what a
+caller computes from them depends on ``SHARDS`` only, never on the machine.
 
 numpy's elementwise passes use one core each, while OpenBLAS would put its
 own threads on every core for each small gemm. Inside a sharded region
@@ -23,6 +25,7 @@ import glob
 import os
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -56,6 +59,9 @@ _lock = threading.Lock()
 _regions = 0
 _saved_threads = 0
 _pool = None
+
+# True in every shard's context, so a nested run_shards can see it.
+_IN_SHARD: ContextVar[bool] = ContextVar("convattn_in_shard", default=False)
 
 
 def blas_threads() -> int | None:
@@ -104,10 +110,13 @@ def run_shards(fn, shards: list) -> list:
     """``[fn(s) for s in shards]``: shard 0 on the caller, the rest on the
     pool thread at the same time, each in its own tape-free copy of the
     caller's context. Returns once every shard is done; if a shard failed,
-    its error is raised.
+    its error is raised. Called from inside a shard, it runs the shards in
+    order on the current thread.
     """
     runs = [(tape_free_context(), shard) for shard in shards]
-    if len(runs) == 1 or _OPENBLAS is None:
+    for ctx, _ in runs:
+        ctx.run(_IN_SHARD.set, True)
+    if len(runs) < 2 or _OPENBLAS is None or _IN_SHARD.get():
         return [ctx.run(fn, shard) for ctx, shard in runs]
     with _one_blas_thread():
         rest = _get_pool().submit(lambda: [ctx.run(fn, shard) for ctx, shard in runs[1:]])

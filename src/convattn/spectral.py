@@ -10,7 +10,7 @@ high-frequency energy (high-pass character), strongly negative means
 low-pass.
 
 Analysis runs in float64 regardless of the model's storage dtype; log
-amplitude is averaged log-then-mean by default with a mean-then-log option.
+amplitudes are taken per map and frequency, then averaged (log, then mean).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import Model, model_forward_features
-from .runtime import run_shards, shard_slices
 from .tensor import Tensor
 
 __all__ = [
@@ -94,8 +93,7 @@ def _radial_bins(h: int, w: int, bin_width: float) -> tuple[np.ndarray, int]:
     return idx, n_bins
 
 
-def spectrum_of_maps(maps: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH,
-                     floor: float = AMPLITUDE_FLOOR, average_before_log: bool = False) -> SpectrumProfile:
+def spectrum_of_maps(maps: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> SpectrumProfile:
     """Profile a stack of spatial maps [n, h, w] (or one [h, w] map)."""
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim == 2:
@@ -110,19 +108,12 @@ def spectrum_of_maps(maps: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH,
     idx, n_bins = _radial_bins(h, w, bin_width)
     flat_idx = idx.reshape(-1)
     counts = np.bincount(flat_idx, minlength=n_bins)
-
-    if average_before_log:
-        per_freq = np.log(amp.mean(axis=0) + floor)
-        sums = np.bincount(flat_idx, weights=per_freq.reshape(-1), minlength=n_bins)
-        denom = counts
-    else:
-        la = np.log(amp + floor)
-        sums = np.bincount(flat_idx, weights=la.sum(axis=0).reshape(-1), minlength=n_bins)
-        denom = counts * n
+    la = np.log(amp + AMPLITUDE_FLOOR)
+    sums = np.bincount(flat_idx, weights=la.sum(axis=0).reshape(-1), minlength=n_bins)
 
     log_amp = np.full(n_bins, np.nan)
     nonzero = counts > 0
-    log_amp[nonzero] = sums[nonzero] / denom[nonzero]
+    log_amp[nonzero] = sums[nonzero] / (counts[nonzero] * n)
     centers = (np.arange(n_bins) + 0.5) * bin_width
     return SpectrumProfile(
         bins=[float(c) for c in centers],
@@ -168,19 +159,10 @@ def depth_profile(model, images, epoch: int | None = None, sched=None,
     ``model`` is either a Model (blocks captured post-residual by default,
     pre-residual branch with tap="pre-residual") or any object exposing
     ``feature_grids(images) -> list[Tensor]`` of [batch, h_t, w_t, d] maps.
-    A Model's forward runs in concurrent batch shards whose captured maps
-    are concatenated, as training's tape-free forwards do.
     """
     if isinstance(model, Model):
-        if not isinstance(images, Tensor):
-            images = Tensor(images)
-
-        def features(s):
-            _, maps = model_forward_features(Tensor(images.data[s]), model, epoch, sched, tap=tap)
-            return [z.data for z in maps]
-
-        parts = run_shards(features, shard_slices(len(images.data)))
-        grids = [Tensor(np.concatenate(maps)) for maps in zip(*parts)]
+        images = images if isinstance(images, Tensor) else Tensor(images)
+        grids = model_forward_features(images, model, epoch, sched, tap=tap)[1]
         modes = model.modes()
     elif hasattr(model, "feature_grids"):
         grids = model.feature_grids(images)

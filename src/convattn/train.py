@@ -11,8 +11,8 @@ Data parallelism: each batch is split into ``runtime.SHARDS`` contiguous
 shards that run forward and backward concurrently over the same model
 (:mod:`convattn.runtime`). Their gradients are summed in shard order, each
 weighted by its share of the batch, which is the gradient of the batch-mean
-loss; AdamW then takes one step. Evaluation and switch probes split their
-tape-free forwards the same way.
+loss; AdamW then takes one step. Evaluation and switch probes are tape-free
+forwards, which ``model_forward`` splits into shards itself.
 
 Determinism: per-epoch shuffle and augmentation generators are derived
 statelessly from (seed, epoch), so a resumed run consumes exactly the same
@@ -213,21 +213,12 @@ def topk_hits(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> tuple[int, 
     return top1, topk
 
 
-def _sharded_logits(model: Model, images: np.ndarray, config: TrainConfig, prepare: bool) -> np.ndarray:
-    """Tape-free logits of ``images``, the batch split into shards."""
-    def forward(s):
-        chunk = _prepare(images[s], config) if prepare else images[s]
-        return model_forward(Tensor(chunk), model).data
-
-    return np.concatenate(run_shards(forward, shard_slices(len(images))))
-
-
 def _eval_model(model: Model, images: np.ndarray, labels: np.ndarray, config: TrainConfig,
                 batch_size: int = 256) -> tuple[float, float]:
     hits1 = hits5 = 0
     for start in range(0, len(labels), batch_size):
-        logits = _sharded_logits(model, images[start : start + batch_size], config, prepare=True)
-        h1, h5 = topk_hits(logits, labels[start : start + batch_size])
+        logits = model_forward(Tensor(_prepare(images[start : start + batch_size], config)), model)
+        h1, h5 = topk_hits(logits.data, labels[start : start + batch_size])
         hits1 += h1
         hits5 += h5
     n = len(labels)
@@ -236,11 +227,12 @@ def _eval_model(model: Model, images: np.ndarray, labels: np.ndarray, config: Tr
 
 def evaluate(model_or_path, dataset: Dataset, config: TrainConfig | None = None,
              batch_size: int = 256) -> dict:
-    """Top-1/top-5 accuracy of a model or checkpoint on a dataset."""
+    """Top-1/top-5 accuracy of a model or checkpoint on a dataset. A checkpoint
+    carries its config; a Model needs the ``config`` that prepares its images."""
     if isinstance(model_or_path, Model):
         model = model_or_path
         if config is None:
-            config = TrainConfig()
+            raise ValueError("evaluate needs the model's TrainConfig as config to prepare the images")
     else:
         header, tensors = load_checkpoint(model_or_path)
         model = model_from_checkpoint(header, tensors)
@@ -252,7 +244,7 @@ def evaluate(model_or_path, dataset: Dataset, config: TrainConfig | None = None,
 
 
 def _probe_loss(model: Model, images: np.ndarray, labels: np.ndarray, config: TrainConfig) -> float:
-    logits = Tensor(_sharded_logits(model, images, config, prepare=False))
+    logits = model_forward(Tensor(images), model)
     return cross_entropy_label_smooth(logits, labels, config.label_smoothing).item()
 
 

@@ -1,15 +1,17 @@
 import importlib
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from convattn import runtime
+from convattn import blocks, runtime
 from convattn import tensor as tt
-from convattn.blocks import build_model, model_forward
+from convattn.blocks import build_model, model_forward, model_forward_features
 from convattn.checkpoint import load_checkpoint
 from convattn.cli import main
 from convattn.optim import AdamW
@@ -78,11 +80,17 @@ def test_sharded_forward_keeps_dtype_and_leaves_caller_graph_empty(two_workers):
         images = batch(1)[0].astype(np.float64)
         held = Graph()
         with held:
-            logits = train_module._sharded_logits(model, images, tiny_config(), prepare=False)
+            parts = runtime.run_shards(lambda s: model_forward(Tensor(images[s]), model).data,
+                                       runtime.shard_slices(len(images)))
         assert len(held) == 0
         unsharded = model_forward(Tensor(images), model).data
+    logits = np.concatenate(parts)
     assert logits.dtype == np.float64
     np.testing.assert_allclose(logits, unsharded, rtol=1e-12, atol=1e-15)
+
+
+def test_run_shards_of_nothing_is_empty(two_workers):
+    assert runtime.run_shards(lambda s: 1 / 0, []) == []
 
 
 def test_blas_held_at_one_thread_inside_shards_and_restored(two_workers):
@@ -104,6 +112,132 @@ def test_shard_error_reaches_the_caller_after_every_shard_ends(two_workers):
     with pytest.raises(RuntimeError, match="shard 1"):
         runtime.run_shards(step, [0, 1])
     assert done == [0]
+
+
+# --------------------------------------------------------------------------
+# The model forward owns tape-free sharding
+
+
+@pytest.fixture
+def shard_calls(monkeypatch):
+    """The shard lists ``blocks._forward`` hands to ``run_shards``."""
+    calls = []
+
+    def spy(fn, shards):
+        calls.append(list(shards))
+        return runtime.run_shards(fn, shards)
+
+    monkeypatch.setattr(blocks, "run_shards", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_tape_free_forward_splits_batches_of_two_or_more(two_workers, shard_calls, n):
+    model = tiny_model()
+    images = batch(1, n=n)[0]
+    logits = model_forward(Tensor(images), model)
+    assert logits.shape == (n, model.num_classes)
+    assert shard_calls == ([runtime.shard_slices(n)] if n >= 2 else [])
+    with Graph():
+        whole = model_forward(Tensor(images), model)
+    np.testing.assert_allclose(logits.data, whole.data, rtol=1e-5, atol=1e-6)
+
+
+def test_sharded_forward_features_concatenate_in_shard_order(two_workers, shard_calls):
+    model = tiny_model()
+    images = batch(2, n=7)[0]
+    logits, maps = model_forward_features(Tensor(images), model, tap="pre-residual")
+    assert len(shard_calls) == 1 and len(maps) == model.num_layers
+    for s in runtime.shard_slices(len(images)):
+        part_logits, part_maps = blocks._forward_whole(Tensor(images[s]), model, "pre-residual")
+        np.testing.assert_allclose(logits.data[s], part_logits.data, rtol=1e-5, atol=1e-6)
+        for full, part in zip(maps, part_maps):
+            np.testing.assert_allclose(full.data[s], part.data, rtol=1e-5, atol=1e-6)
+
+
+def test_float64_forward_reaches_the_shards(two_workers, monkeypatch):
+    seen = []
+    whole = blocks._forward_whole
+
+    def spy(images, model, tap):
+        seen.append((tt.default_dtype(), images.data.dtype))
+        return whole(images, model, tap)
+
+    monkeypatch.setattr(blocks, "_forward_whole", spy)
+    with tt.using_dtype(np.float64):
+        model = tiny_model()
+        images = batch(1)[0].astype(np.float64)
+        logits = model_forward(Tensor(images), model)
+        with Graph():
+            taped = model_forward(Tensor(images), model)
+    assert seen == [(np.float64, np.dtype(np.float64))] * 3  # two shards, then the taped forward
+    assert logits.data.dtype == np.float64
+    np.testing.assert_allclose(logits.data, taped.data, rtol=1e-12, atol=1e-15)
+
+
+def test_taped_forward_records_onto_the_caller_graph_unsharded(two_workers, monkeypatch):
+    def no_shards(fn, shards):
+        raise AssertionError("a taped forward must not shard")
+
+    monkeypatch.setattr(blocks, "run_shards", no_shards)
+    model = tiny_model()
+    images, labels = batch(1)
+    g = Graph()
+    with g:
+        loss = cross_entropy_label_smooth(model_forward(Tensor(images), model), labels, 0.1)
+    assert len(g) > 0
+    grads = backward(loss, g)
+    assert set(grads) == {p for _, p in model.named_parameters()}
+
+
+# A region opened inside a shard must not wait on the pool thread it may be
+# running on. Checked in a child process: a deadlock there is killed at the
+# timeout, where in this process it would hold the pool thread for every
+# later test.
+_NESTED = """
+import threading
+import numpy as np
+from convattn import runtime
+from convattn.blocks import build_model
+from convattn.spectral import depth_profile, populated_targets
+from convattn.tensor import Tensor
+from convattn.train import TrainConfig, evaluate, load_dataset
+
+if runtime._OPENBLAS is None:  # the two_workers stand-in
+    count = [2]
+    runtime._OPENBLAS = (lambda: count[0], lambda n: count.__setitem__(0, n))
+
+def outer(_):
+    return threading.get_ident(), runtime.run_shards(lambda j: (j, threading.get_ident()), [0, 1, 2])
+
+for thread, inner in runtime.run_shards(outer, [0, 1]):
+    assert inner == [(j, thread) for j in range(3)], inner
+
+cfg = TrainConfig(dim=8, num_layers=2, patch_size=8, num_classes=4, dataset="synthetic", seed=0)
+model = build_model(8, 2, 3, 8, (32, 32), 3, 4, ["conv", "sa"], np.random.default_rng(0), mlp_ratio=2)
+ds = load_dataset(cfg, "test")
+images = Tensor(ds.images[:16])
+targets, width = populated_targets(*cfg.grid_hw())
+
+def both():
+    return depth_profile(model, images, targets=targets, bin_width=width).deltas, evaluate(model, ds, cfg)
+
+top = both()
+assert runtime.run_shards(lambda _: both(), [0, 1]) == [top, top]
+print("nested ok")
+"""
+
+
+def test_regions_nested_in_shards_run_inline_and_match_the_top_level():
+    src = os.path.dirname(os.path.dirname(runtime.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        done = subprocess.run([sys.executable, "-c", _NESTED], env=env, capture_output=True, text=True,
+                              timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail("no result after 120 s: a shard region nested in a shard deadlocked")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "nested ok"
 
 
 # --------------------------------------------------------------------------

@@ -104,15 +104,6 @@ def test_feature_spectrum_counts_maps(rng):
     assert profile.n_maps == 12
 
 
-def test_average_before_log_flag(rng):
-    maps = rng.standard_normal((16, 16, 16))
-    log_first = spectrum_of_maps(maps)
-    mean_first = spectrum_of_maps(maps, average_before_log=True)
-    populated = next(i for i, c in enumerate(log_first.counts) if c > 0 and i > 0)
-    # Jensen: log of the mean amplitude exceeds the mean log amplitude
-    assert mean_first.log_amp[populated] > log_first.log_amp[populated]
-
-
 def test_auto_bin_width():
     assert auto_bin_width(32, 32) == math.pi / 16
     assert auto_bin_width(8, 8) == math.pi / 8

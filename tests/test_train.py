@@ -131,12 +131,19 @@ def test_topk_random_logits_rate(rng):
 
 
 def test_evaluate_class_count_mismatch(rng):
-    cfg = tiny_config()
+    cfg = tiny_config(total_epochs=1)
     res = train(cfg)
     ds = load_dataset(tiny_config(num_classes=4, seed=5), "test")
     ds.num_classes = 11
     with pytest.raises(ValueError, match="classes"):
         evaluate(res.model, ds, cfg)
+
+
+def test_evaluate_needs_the_config_of_a_model():
+    cfg = tiny_config(total_epochs=1, schedule_kind="all-conv")
+    res = train(cfg)
+    with pytest.raises(ValueError, match="config"):
+        evaluate(res.model, load_dataset(cfg, "test"))
 
 
 def test_evaluate_from_checkpoint_path(tmp_path):
