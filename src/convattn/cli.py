@@ -28,10 +28,10 @@ from .reparam import reparameterize, verify_equivalence
 from .runtime import describe as describe_runtime
 from .schedule import SwitchSchedule, switch_epochs
 from .spectral import (TARGET_FREQS, auto_bin_width, channel_maps, delta_log_amplitude, depth_profile_rows,
-                       spectrum_of_maps)
+                       spectrum_of_maps, write_csv)
 from .tensor import ShapeError, Tensor
-from .train import (DivergenceError, TrainConfig, load_dataset, probe_batch, run_interpolation_suite, train,
-                    write_profile)
+from .train import (DivergenceError, TrainConfig, load_dataset, probe_batch, profile_targets,
+                    run_interpolation_suite, train, write_profile)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -205,15 +205,12 @@ def cmd_fourier(args) -> int:
                 if maps.ndim == 4:
                     maps = channel_maps(maps)
                 profile = spectrum_of_maps(maps, bin_width=args.bin_width or auto_bin_width(*maps.shape[-2:]))
-                for f in TARGET_FREQS:
-                    rows.append((name, f, delta_log_amplitude(profile, f)))
+                rows += [(name, f, delta_log_amplitude(profile, f)) for f in TARGET_FREQS]
             path = os.path.join(manifest.out_dir, "feature_dump_profile.csv")
-            with open(path, "w") as fh:
-                fh.write("map,f,delta_log_amp\n")
-                for name, f, v in rows:
-                    fh.write(f"{name},{f:.6f},{v:.6f}\n")
+            write_csv(path, "map,f,delta_log_amp", rows)
             manifest.artifacts["profile"] = path
             return
+        profile_targets(config, args.bin_width)  # a grid with no target exits before any image loads
         if args.random_batch:
             rng = np.random.default_rng(config.seed)
             images = rng.random((args.random_batch, *config.image_hw, config.in_channels)).astype(np.float32)
@@ -223,8 +220,7 @@ def cmd_fourier(args) -> int:
         # rebinding drops the raw batch before the forward
         images = probe_batch(config, images, args.random_batch or args.batch)
         csv_path = os.path.join(manifest.out_dir, "depth_profile.csv")
-        profile, note = write_profile(csv_path, model, images, config, tap=args.tap, bin_width=args.bin_width,
-                                      required=True)
+        profile, note = write_profile(csv_path, model, images, config, tap=args.tap, bin_width=args.bin_width)
         if note is not None:
             manifest.artifacts["note"] = note
         json_path = os.path.join(manifest.out_dir, "depth_profile.json")
@@ -273,11 +269,8 @@ def cmd_interp(args) -> int:
     def work() -> None:
         results = run_interpolation_suite(config, manifest.out_dir, resume=args.resume)
         combined = os.path.join(manifest.out_dir, "interpolation_combined.csv")
-        with open(combined, "w") as fh:
-            fh.write("conv_epochs,sa_epochs,depth,f,delta_log_amp\n")
-            for rec in results:
-                for depth, f, v in depth_profile_rows(rec["profile"]):
-                    fh.write(f"{rec['e_switch']},{rec['sa_epochs']},{depth:.6f},{f:.6f},{v:.6f}\n")
+        rows = [(r["e_switch"], r["sa_epochs"], *row) for r in results for row in depth_profile_rows(r["profile"])]
+        write_csv(combined, "conv_epochs,sa_epochs,depth,f,delta_log_amp", rows)
         manifest.artifacts["combined"] = combined
         manifest.artifacts["settings"] = [
             {"conv_epochs": r["e_switch"], "sa_epochs": r["sa_epochs"], "top1": r["top1"],
@@ -345,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp", help="run the four-setting interpolation suite")
     _add_config_args(p)
-    p.add_argument("--resume", action="store_true", help="reuse checkpoints already in the output directory")
+    p.add_argument("--resume", action="store_true", help="resume each setting from its checkpoint_final.bin in the output directory")
     p.set_defaults(func=cmd_interp)
 
     return parser

@@ -105,6 +105,8 @@ def verify_equivalence(conv: ConvMixer, attn: AttnMixer, num_samples: int = 100,
     Reports the global and per-position max absolute output difference over
     ``num_samples`` [h_t, w_t, d] maps of the attention mixer's geometry.
     """
+    if num_samples < 1:
+        raise ValueError(f"verify_equivalence needs at least 1 sample, got {num_samples}")
     h_t, w_t = attn.grid_hw
     d = attn.dim
     rng = np.random.default_rng(seed)

@@ -36,6 +36,7 @@ __all__ = [
     "depth_profile",
     "depth_profile_rows",
     "write_depth_profile_csv",
+    "write_csv",
     "depth_slope",
     "auto_bin_width",
     "populated_targets",
@@ -180,19 +181,22 @@ def depth_profile(model, images, epoch: int | None = None, sched=None,
 
 def depth_profile_rows(profile: DepthProfile) -> list[tuple[float, float, float]]:
     """Flatten to (depth, f, delta_log_amp) rows, the CSV layout."""
-    rows = []
-    for depth, values in zip(profile.depths, profile.deltas):
-        for f, v in zip(profile.targets, values):
-            rows.append((depth, f, v))
-    return rows
+    return [(depth, f, v) for depth, values in zip(profile.depths, profile.deltas)
+            for f, v in zip(profile.targets, values)]
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """Write ``rows`` under a ``header`` line; floats get six decimals, every
+    other value its ``str``. Every profile CSV goes through here."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def write_depth_profile_csv(path: str, profile: DepthProfile) -> None:
     """Write ``profile`` as a ``depth,f,delta_log_amp`` CSV."""
-    with open(path, "w") as fh:
-        fh.write("depth,f,delta_log_amp\n")
-        for depth, f, v in depth_profile_rows(profile):
-            fh.write(f"{depth:.6f},{f:.6f},{v:.6f}\n")
+    write_csv(path, "depth,f,delta_log_amp", depth_profile_rows(profile))
 
 
 def depth_slope(profile: DepthProfile, target: float = math.pi) -> float:

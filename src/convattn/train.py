@@ -51,6 +51,7 @@ __all__ = [
     "load_dataset",
     "probe_batch",
     "write_profile",
+    "profile_targets",
 ]
 
 
@@ -131,6 +132,7 @@ class TrainResult:
     metrics_path: str | None = None
     profile_path: str | None = None
     profile_note: str | None = None
+    profile: DepthProfile | None = None
 
 
 class DivergenceError(RuntimeError):
@@ -254,32 +256,39 @@ def _probe_loss(model: Model, images: np.ndarray, labels: np.ndarray, config: Tr
 
 def probe_batch(config: TrainConfig, images: np.ndarray, count: int = 256) -> np.ndarray:
     """The first ``count`` images, prepared as training prepares a batch."""
+    if count < 1:
+        raise ValueError(f"a probe batch needs at least 1 image, got {count}")
     return _prepare(images[:count], config)
+
+
+def profile_targets(config: TrainConfig, bin_width: float = 0.0) -> tuple[list[float], float]:
+    """The standard target frequencies the config's token grid populates at
+    ``bin_width`` (0 picks one) and the width used. Raises ValueError when
+    there are none; commands that must write a profile call it before any work."""
+    h_t, w_t = config.grid_hw()
+    targets, width = populated_targets(h_t, w_t, bin_width)
+    if not targets:
+        raise ValueError(f"no standard target frequency is populated on a {h_t}x{w_t} grid; "
+                         "grids of at least 2x2 tokens and a compatible bin width are needed")
+    return targets, width
 
 
 def write_profile(path: str, model: Model, probe: np.ndarray, config: TrainConfig, *,
                   epoch: int | None = None, sched=None, tap: str = "post-residual",
-                  bin_width: float = 0.0, required: bool = False) -> tuple[DepthProfile, str | None] | None:
+                  bin_width: float = 0.0) -> tuple[DepthProfile, str | None]:
     """Depth profile of ``probe`` (a ``probe_batch``) written as a CSV at ``path``.
 
-    Targets are the standard frequencies the config's token grid populates
-    at ``bin_width`` (0 picks one for the grid). Returns the profile and a
-    note when only some targets are populated. With none populated, returns
-    None, or raises ValueError if ``required``. ``epoch``/``sched`` check the
+    Targets are those of ``profile_targets``. Returns the profile and a note
+    when only some targets are populated. ``epoch``/``sched`` check the
     block modes against the schedule.
     """
-    h_t, w_t = config.grid_hw()
-    targets, width = populated_targets(h_t, w_t, bin_width)
-    if not targets:
-        if required:
-            raise ValueError(f"no standard target frequency is populated on a {h_t}x{w_t} grid; "
-                             "grids of at least 2x2 tokens and a compatible bin width are needed")
-        return None
+    targets, width = profile_targets(config, bin_width)
     profile = depth_profile(model, probe, epoch=epoch, sched=sched, targets=targets, tap=tap,
                             bin_width=width)
     write_depth_profile_csv(path, profile)
     note = None
     if len(targets) < len(TARGET_FREQS):
+        h_t, w_t = config.grid_hw()
         note = f"grid {h_t}x{w_t} populates only {len(targets)} of {len(TARGET_FREQS)} standard frequencies"
     return profile, note
 
@@ -339,7 +348,7 @@ def _write_metrics(path: str, records: list[dict], mode: str) -> None:
     """One JSON object a line; the file is closed, so flushed, on return."""
     with open(path, mode) as fh:
         for m in records:
-            fh.write(json.dumps(m) + "\n")
+            fh.write(json.dumps(m, sort_keys=True) + "\n")
 
 
 def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | None = None) -> TrainResult:
@@ -380,7 +389,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     probe_labels = train_ds.labels[: len(probe_images)]
 
     all_switch_events: list[dict] = [ev for m in metrics for ev in m.get("switches", [])]
-    ckpt_path = metrics_path = profile_path = profile_note = None
+    ckpt_path = metrics_path = profile_path = profile_note = profile = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -445,15 +454,15 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     if out_dir is not None:
         ckpt_path = os.path.join(out_dir, "checkpoint_final.bin")
         save_checkpoint(ckpt_path, model, config.to_dict(), config.total_epochs, metrics, optimizer)
-        path = os.path.join(out_dir, "depth_profile.csv")
-        written = write_profile(path, model, probe_batch(config, eval_ds.images), config,
-                                epoch=config.total_epochs, sched=sched)
-        if written is not None:
-            profile_path, profile_note = path, written[1]
+        if populated_targets(*grid_hw)[0]:  # a grid below 2x2 gets no profile
+            profile_path = os.path.join(out_dir, "depth_profile.csv")
+            profile, profile_note = write_profile(profile_path, model, probe_batch(config, eval_ds.images),
+                                                  config, epoch=config.total_epochs, sched=sched)
 
     return TrainResult(metrics=metrics, model=model, optimizer=optimizer,
                        switch_events=all_switch_events, checkpoint_path=ckpt_path,
-                       metrics_path=metrics_path, profile_path=profile_path, profile_note=profile_note)
+                       metrics_path=metrics_path, profile_path=profile_path, profile_note=profile_note,
+                       profile=profile)
 
 
 # --------------------------------------------------------------------------
@@ -461,40 +470,30 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
 
 
 def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool = False) -> list[dict]:
-    """Train one model per interpolation setting and profile its spectra.
+    """Train one model per interpolation setting, each a ``train`` run in its
+    own directory ``out_dir/conv{E}_sa{S}``.
 
-    Writes a checkpoint and a depth-profile CSV per setting into ``out_dir``
-    and returns one record per setting with the profile, final accuracy and
-    artifact paths.
+    Returns one record per setting with the depth profile, final accuracy
+    and artifact paths. A grid that populates no target frequency raises
+    before any setting trains. With ``resume``, a setting whose
+    ``checkpoint_final.bin`` exists resumes from it, config check included.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    settings = interpolation_settings(base_config.total_epochs, base_config.num_layers)
-    probe = probe_batch(base_config, load_dataset(base_config, "test").images)
+    profile_targets(base_config)
     results = []
-    for setting in settings:
+    for setting in interpolation_settings(base_config.total_epochs, base_config.num_layers):
         sa_epochs = base_config.total_epochs - setting.e_switch
-        tag = f"conv{setting.e_switch}_sa{sa_epochs}"
-        ckpt_path = os.path.join(out_dir, f"{tag}.ckpt")
-        csv_path = os.path.join(out_dir, f"{tag}_depth_profile.csv")
+        run_dir = os.path.join(out_dir, f"conv{setting.e_switch}_sa{sa_epochs}")
+        ckpt_path = os.path.join(run_dir, "checkpoint_final.bin")
         cfg = replace(base_config, schedule_kind="uniform", e_switch=setting.e_switch)
-        if resume and os.path.exists(ckpt_path):
-            header, tensors = load_checkpoint(ckpt_path)
-            model = model_from_checkpoint(header, tensors)
-            metrics = header.get("metric_history", [])
-        else:
-            result = train(cfg)
-            model = result.model
-            metrics = result.metrics
-            save_checkpoint(ckpt_path, model, cfg.to_dict(), cfg.total_epochs, metrics)
-        profile, _ = write_profile(csv_path, model, probe, cfg, epoch=cfg.total_epochs,
-                                   sched=cfg.schedule(), required=True)
+        result = train(cfg, out_dir=run_dir,
+                       resume_from=ckpt_path if resume and os.path.exists(ckpt_path) else None)
         results.append({
             "e_switch": setting.e_switch,
             "sa_epochs": sa_epochs,
-            "top1": metrics[-1]["top1"] if metrics else float("nan"),
-            "top5": metrics[-1]["top5"] if metrics else float("nan"),
-            "profile": profile,
-            "checkpoint": ckpt_path,
-            "csv": csv_path,
+            "top1": result.metrics[-1]["top1"],
+            "top5": result.metrics[-1]["top5"],
+            "profile": result.profile,
+            "checkpoint": result.checkpoint_path,
+            "csv": result.profile_path,
         })
     return results

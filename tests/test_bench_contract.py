@@ -1,9 +1,12 @@
-"""The benchmark's tracer wraps convattn functions by module attribute name.
+"""The benchmark's tracer wraps convattn functions by module attribute name,
+and its child operations call convattn's public entry points.
 
 Entering and leaving ``perfbench/tracer.py``'s Tracer with every convattn
 module loaded must not raise, must replace each traced name, and must put
 every original back. A rename that would silently stop the benchmark from
-measuring a layer fails here first. No training runs.
+measuring a layer fails here first. The analyze and sweep operations of
+``perfbench/child.py`` run once each (the sweep for one round), so an API
+change they depend on fails here rather than as a failed benchmark operation.
 """
 
 import importlib
@@ -13,10 +16,12 @@ import pkgutil
 import sys
 
 import numpy as np
+import pytest
 
 import convattn
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TRACER = os.path.join(PERFBENCH, "tracer.py")
 
 # Module-level names the benchmark wraps or swaps; each must be called
 # through its module global.
@@ -32,11 +37,15 @@ TRACED = {
 }
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("perfbench_tracer", TRACER)
 
 
 def test_tracer_patches_every_traced_name_and_restores_it():
@@ -90,3 +99,33 @@ def test_tracer_sees_the_attention_layer():
     for key in (("blocks.attention_mix", "fwd"), ("blocks.attention_mix", "bwd"),
                 ("kernels.attn_probs", "s"), ("kernels.attn_softmax_backward", "s")):
         assert tracer.calls[key] >= 1, f"{key} recorded no call"
+
+
+@pytest.fixture
+def child(monkeypatch):
+    # child.py imports its tracer as a top-level module from perfbench/
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    yield _load("perfbench_child", os.path.join(PERFBENCH, "child.py"))
+    sys.modules.pop("tracer", None)
+
+
+def test_bench_analyze_operation_runs(child, tmp_path):
+    # build_model(..., mlp_ratio=, final_ln=), evaluate(path, dataset),
+    # fourier --random-batch and reparam-check
+    result = child.analyze_op(7, str(tmp_path))
+    assert result["fourier_exit_code"] == 0
+    assert result["reparam_exit_code"] == 0
+    assert result["reparam_report"]["pass"] is True
+    assert result["evaluate"]["n"] > 0
+    assert os.path.exists(tmp_path / "depth_profile.csv")
+
+
+def test_bench_sweep_operation_runs(child):
+    # backward(..., params=, free_intermediates=), AdamW.step()/zero_grad()
+    # and blk.attn.pad_token_enabled
+    result = child.sweep(7, rounds=1)
+    names = {f"{g}.{k}" for g in child.SWEEP_GEOMETRY for k in child.SWEEP_MODELS}
+    assert set(result["losses"]) == names
+    assert all(np.isfinite(loss) for loss in result["losses"].values())
+    assert all(len(result["step_ms"][name]) == 1 for name in names)

@@ -136,6 +136,16 @@ def test_cmd_reparam_check_even_kernel_exits_2(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cmd_reparam_check_without_samples_exits_2(samples, capsys):
+    # checking nothing must not report a pass, even with a forced failure
+    code = main(["reparam-check", "--dim", "8", "--grid", "4x4", "--samples", samples, "--perturb", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "at least 1 sample" in captured.err
+
+
 # --------------------------------------------------------------------------
 # train command
 
@@ -316,6 +326,20 @@ def test_train_fourier_and_interp_write_one_profile(tiny_cfg_path, tmp_path):
     assert _profile_csv(tmp_path / "raw.csv", model, images, config) != expected
 
 
+@pytest.mark.parametrize("batch", ["0", "-3"])
+def test_cmd_fourier_batch_below_one_exits_2(batch, tiny_cfg_path, tmp_path, capsys):
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg_path, "--out", run_dir, "--set", "schedule.total_epochs=1"]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "fourier")
+    code = main(["fourier", "--checkpoint", os.path.join(run_dir, "checkpoint_final.bin"), "--batch", batch,
+                 "--out", out])
+    assert code == 2
+    assert "at least 1 image" in capsys.readouterr().err
+    assert json.load(open(os.path.join(out, "manifest.json")))["status"] == "failed"
+    assert not os.path.exists(os.path.join(out, "depth_profile.csv"))
+
+
 def test_cmd_fourier_random_batch_profiles_prepared_images(tiny_cfg_path, tmp_path):
     run_dir = str(tmp_path / "run")
     assert main(["train", "--config", tiny_cfg_path, "--out", run_dir,
@@ -361,7 +385,7 @@ def test_cmd_fourier_feature_dump(tmp_path, tiny_cfg_path, rng):
     assert len(lines) == 4
 
 
-def test_cmd_fourier_tiny_grid_exits_2(tmp_path, capsys):
+def test_cmd_fourier_tiny_grid_exits_2(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(TINY_CFG.replace("model.patch_size = 8", "model.patch_size = 32"))
     run_dir = str(tmp_path / "run")
@@ -374,10 +398,29 @@ def test_cmd_fourier_tiny_grid_exits_2(tmp_path, capsys):
                  "--random-batch", "4", "--out", str(tmp_path / "f")])
     assert code == 2
     assert "at least 2x2" in capsys.readouterr().err
+    # the dataset path exits before it loads a test image
+    loads = []
+    monkeypatch.setattr(importlib.import_module("convattn.cli"), "load_dataset", lambda *a: loads.append(a))
+    assert main(["fourier", "--checkpoint", os.path.join(run_dir, "checkpoint_final.bin"),
+                 "--out", str(tmp_path / "g")]) == 2
+    assert "at least 2x2" in capsys.readouterr().err
+    assert loads == []
 
 
 # --------------------------------------------------------------------------
 # interp command
+
+
+SETTING_FILES = ["checkpoint_final.bin", "depth_profile.csv", "metrics.jsonl"]
+
+
+def _setting_dirs(out):
+    """The setting run directories under an interp output directory; each
+    holds exactly one train run's artifacts."""
+    dirs = sorted(p for p in os.listdir(out) if os.path.isdir(os.path.join(out, p)))
+    for d in dirs:
+        assert sorted(os.listdir(os.path.join(out, d))) == SETTING_FILES, d
+    return dirs
 
 
 def test_cmd_interp_artifacts_and_determinism(tiny_cfg_path, tmp_path):
@@ -390,9 +433,12 @@ def test_cmd_interp_artifacts_and_determinism(tiny_cfg_path, tmp_path):
     lines = combined1.strip().splitlines()
     assert lines[0] == "conv_epochs,sa_epochs,depth,f,delta_log_amp"
     assert len(lines) == 1 + 4 * 2 * 3  # 4 settings x L=2 x 3 freqs
-    ckpts = [p for p in os.listdir(out1) if p.endswith(".ckpt")]
-    csvs = [p for p in os.listdir(out1) if p.endswith("_depth_profile.csv")]
-    assert len(ckpts) == 4 and len(csvs) == 4
+    assert _setting_dirs(out1) == ["conv1_sa3", "conv2_sa2", "conv3_sa1", "conv4_sa0"]
+    manifest = json.load(open(os.path.join(out1, "manifest.json")))
+    for entry in manifest["artifacts"]["settings"]:
+        run_dir = os.path.join(out1, f"conv{entry['conv_epochs']}_sa{entry['sa_epochs']}")
+        assert entry["checkpoint"] == os.path.join(run_dir, "checkpoint_final.bin")
+        assert entry["csv"] == os.path.join(run_dir, "depth_profile.csv")
 
     out2 = str(tmp_path / "i2")
     assert main(args + ["--out", out2]) == 0
@@ -407,9 +453,7 @@ def test_cmd_interp_short_run_trains_each_setting_once(tiny_cfg_path, tmp_path, 
     assert main(["interp", "--config", tiny_cfg_path, "--set", "model.patch_size=4",
                  "--set", "schedule.total_epochs=2", "--out", out]) == 0
     assert "3 settings trained" in capsys.readouterr().out
-    ckpts = [p for p in os.listdir(out) if p.endswith(".ckpt")]
-    csvs = [p for p in os.listdir(out) if p.endswith("_depth_profile.csv")]
-    assert len(ckpts) == 3 and len(csvs) == 3
+    assert _setting_dirs(out) == ["conv0_sa2", "conv1_sa1", "conv2_sa0"]
     lines = open(os.path.join(out, "interpolation_combined.csv")).read().strip().splitlines()
     assert len(lines) == 1 + 3 * 2 * 3  # 3 settings x L=2 x 3 freqs
 
@@ -418,11 +462,36 @@ def test_cmd_interp_on_a_4x4_grid_writes_two_target_profiles(tiny_cfg_path, tmp_
     # a 4x4 grid populates the 2pi/3 and pi bins but not pi/3
     out = str(tmp_path / "i")
     assert main(["interp", "--config", tiny_cfg_path, "--set", "schedule.total_epochs=4", "--out", out]) == 0
-    csvs = sorted(p for p in os.listdir(out) if p.endswith("_depth_profile.csv"))
-    assert len(csvs) == 4
-    for name in csvs:
-        lines = open(os.path.join(out, name)).read().strip().splitlines()
+    dirs = _setting_dirs(out)
+    assert len(dirs) == 4
+    for name in dirs:
+        lines = open(os.path.join(out, name, "depth_profile.csv")).read().strip().splitlines()
         assert lines[0] == "depth,f,delta_log_amp"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 2 * 2  # L=2 layers x 2 populated frequencies
         assert {f for _, f, _ in rows} == {f"{2 * math.pi / 3:.6f}", f"{math.pi:.6f}"}
+
+
+def test_cmd_interp_resume_checks_the_config(tiny_cfg_path, tmp_path, capsys):
+    # a resumed setting goes through train's resume check, so a suite resumed
+    # with another architecture exits 2 and rewrites no combined profile
+    out = str(tmp_path / "i")
+    args = ["interp", "--config", tiny_cfg_path, "--set", "schedule.total_epochs=2", "--out", out]
+    assert main(args) == 0
+    combined = open(os.path.join(out, "interpolation_combined.csv")).read()
+    capsys.readouterr()
+    assert main(args + ["--resume", "--set", "model.num_layers=3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: resume checkpoint has num_layers=2")
+    assert json.load(open(os.path.join(out, "manifest.json")))["status"] == "failed"
+    assert open(os.path.join(out, "interpolation_combined.csv")).read() == combined
+
+
+def test_cmd_interp_tiny_grid_exits_2_before_training(tiny_cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "i")
+    code = main(["interp", "--config", tiny_cfg_path, "--set", "model.patch_size=32",
+                 "--set", "schedule.total_epochs=2", "--out", out])
+    assert code == 2
+    assert "at least 2x2" in capsys.readouterr().err
+    assert os.listdir(out) == ["manifest.json"]
+    assert json.load(open(os.path.join(out, "manifest.json")))["status"] == "failed"

@@ -285,6 +285,10 @@ def test_metrics_stream_matches_result_and_resume(tmp_path):
     assert lines == resumed.metrics
     assert lines[:2] == full.metrics[:2]
     assert [m["epoch"] for m in lines] == [1, 2, 3, 4]
+    # the history a resumed run copies from the checkpoint is written in the
+    # same bytes as the live lines it replaces
+    with open(full.metrics_path, "rb") as a, open(resumed.metrics_path, "rb") as b:
+        assert b.readlines()[:2] == a.readlines()[:2]
 
 
 # --------------------------------------------------------------------------
@@ -407,10 +411,40 @@ def test_interpolation_suite_artifacts(tmp_path):
         assert len(lines) == 1 + 2 * 3  # L=2 layers x 3 frequencies
 
 
-def test_interpolation_suite_resume_reuses_checkpoints(tmp_path):
+def _dir_bytes(root):
+    return {os.path.relpath(os.path.join(d, name), root): open(os.path.join(d, name), "rb").read()
+            for d, _, names in os.walk(root) for name in names}
+
+
+def test_interpolation_suite_settings_are_train_runs(tmp_path):
+    # each setting is one train() run in its own directory: it streams its
+    # metrics and its checkpoint carries the optimizer state a resume needs
+    cfg = tiny_config(dim=8, num_layers=2, patch_size=4, total_epochs=2, batch_size=128)
+    results = run_interpolation_suite(cfg, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["conv0_sa2", "conv1_sa1", "conv2_sa0"]
+    for rec in results:
+        run_dir = tmp_path / f"conv{rec['e_switch']}_sa{rec['sa_epochs']}"
+        assert rec["checkpoint"] == str(run_dir / "checkpoint_final.bin")
+        assert rec["csv"] == str(run_dir / "depth_profile.csv")
+        metrics = _metrics_lines(run_dir / "metrics.jsonl")
+        assert [m["epoch"] for m in metrics] == [1, 2]
+        assert (rec["top1"], rec["top5"]) == (metrics[-1]["top1"], metrics[-1]["top5"])
+        header, tensors = load_checkpoint(rec["checkpoint"])
+        assert header["config"]["e_switch"] == rec["e_switch"]
+        assert any(name.startswith("opt.") for name in tensors)
+
+
+def test_interpolation_suite_resume_reuses_checkpoints(tmp_path, monkeypatch):
+    # resuming a finished suite trains no step and rewrites every setting's
+    # files with the same bytes
     cfg = tiny_config(dim=8, num_layers=2, patch_size=4, total_epochs=2, batch_size=128)
     first = run_interpolation_suite(cfg, str(tmp_path))
-    stamps = {r["checkpoint"]: os.path.getmtime(r["checkpoint"]) for r in first}
+    before = _dir_bytes(tmp_path)
+    train_module = importlib.import_module("convattn.train")
+    steps = []
+    monkeypatch.setattr(train_module, "_train_step", lambda *args: steps.append(1))
     second = run_interpolation_suite(cfg, str(tmp_path), resume=True)
-    for rec in second:
-        assert os.path.getmtime(rec["checkpoint"]) == stamps[rec["checkpoint"]]
+    assert steps == []
+    assert _dir_bytes(tmp_path) == before
+    assert len(before) == 3 * len(first)
+    assert second == first
