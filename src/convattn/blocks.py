@@ -126,10 +126,6 @@ class ConvMixer:
         yield "kernel", self.kernel
         yield "bias", self.bias
 
-    def freeze(self) -> None:
-        self.kernel.requires_grad = False
-        self.bias.requires_grad = False
-
 
 def conv_mixer_forward(x: Tensor, m: ConvMixer) -> Tensor:
     if x.ndim != 4 or x.shape[3] != m.dim:
@@ -518,38 +514,28 @@ class LayerNormParams:
 
 
 class HybridBlock:
-    """One transformer block whose token mixer is conv or self-attention.
+    """One transformer block whose token mixer is a conv or self-attention.
 
-    Both mixers may be stored during a transition (the conv is kept frozen
-    for audit after a switch) but only the one matching ``mode`` runs.
+    The block holds exactly one mixer: in ``conv`` or in ``attn``, with the
+    other attribute None. ``mode`` is read from the mixer. A switch
+    (:func:`convattn.reparam.switch_block`) replaces the conv with its
+    attention rewrite and keeps no conv.
     """
 
-    def __init__(self, mode: str, conv: ConvMixer | None, attn: AttnMixer | None,
-                 ln1: LayerNormParams, ln2: LayerNormParams, mlp: Mlp):
-        if mode not in (CONV, SA):
-            raise ValueError(f"mode must be {CONV!r} or {SA!r}, got {mode!r}")
-        self.mode = mode
-        self.conv = conv
-        self.attn = attn
+    def __init__(self, mixer: ConvMixer | AttnMixer, ln1: LayerNormParams, ln2: LayerNormParams,
+                 mlp: Mlp):
+        self.conv, self.attn = (mixer, None) if isinstance(mixer, ConvMixer) else (None, mixer)
         self.ln1 = ln1
         self.ln2 = ln2
         self.mlp = mlp
 
-    def active_mixer(self):
-        mixer = self.conv if self.mode == CONV else self.attn
-        if mixer is None:
-            raise RuntimeError(f"block is in {self.mode!r} mode but has no such mixer")
-        return mixer
+    @property
+    def mode(self) -> str:
+        return CONV if self.conv is not None else SA
 
     def named_parameters(self):
-        # The off-mode conv kept after a switch is frozen and not enumerated.
-        if self.mode == CONV and self.conv is not None:
-            for name, p in self.conv.named_parameters():
-                yield f"conv.{name}", p
-        if self.mode == SA and self.attn is not None:
-            for name, p in self.attn.named_parameters():
-                yield f"attn.{name}", p
-        for prefix, comp in (("ln1", self.ln1), ("ln2", self.ln2), ("mlp", self.mlp)):
+        mixer = ("conv", self.conv) if self.conv is not None else ("attn", self.attn)
+        for prefix, comp in (mixer, ("ln1", self.ln1), ("ln2", self.ln2), ("mlp", self.mlp)):
             for name, p in comp.named_parameters():
                 yield f"{prefix}.{name}", p
 
@@ -560,9 +546,8 @@ def block_forward(z: Tensor, b: HybridBlock) -> Tensor:
 
 def _block_outputs(z: Tensor, b: HybridBlock) -> tuple[Tensor, Tensor]:
     """(z_l, pre-residual MLP branch); the branch feeds the spectral tap option."""
-    mixer = b.active_mixer()
     normed = b.ln1.forward(z)
-    mixed = conv_mixer_forward(normed, mixer) if b.mode == CONV else mhsa_forward(normed, mixer)
+    mixed = conv_mixer_forward(normed, b.conv) if b.conv is not None else mhsa_forward(normed, b.attn)
     z1 = tt.add(mixed, z)
     flat = tt.reshape(b.ln2.forward(z1), (-1, z1.shape[3]))
     branch = tt.reshape(b.mlp.forward(flat), z1.shape)
@@ -693,12 +678,13 @@ def build_model(dim: int, num_layers: int, kernel_size: int, patch_size: int,
     pe = PatchEmbed(patch_size, in_channels, dim, grid_hw, rng, use_abs_pos=use_abs_pos)
     blocks = []
     for mode in modes:
-        conv = attn = None
         if mode == CONV:
-            conv = ConvMixer.init(kernel_size, dim, rng)
+            mixer = ConvMixer.init(kernel_size, dim, rng)
+        elif mode == SA:
+            mixer = AttnMixer.init(dim, kernel_size * kernel_size, dim, grid_hw, rng)
         else:
-            attn = AttnMixer.init(dim, kernel_size * kernel_size, dim, grid_hw, rng)
-        blocks.append(HybridBlock(mode, conv, attn, LayerNormParams(dim), LayerNormParams(dim),
+            raise ValueError(f"mode must be {CONV!r} or {SA!r}, got {mode!r}")
+        blocks.append(HybridBlock(mixer, LayerNormParams(dim), LayerNormParams(dim),
                                   Mlp.init(dim, mlp_ratio, rng)))
     head_w = Tensor(rng.normal(0.0, 0.02, size=(dim, num_classes)), requires_grad=True)
     head_b = Tensor(np.zeros(num_classes), requires_grad=True)

@@ -114,7 +114,7 @@ def save_checkpoint(path: str, model: Model, config: dict, epoch: int,
         "config": config,
         "epoch": epoch,
         "modes": model.modes(),
-        "pad_tokens": [bool(b.attn.pad_token_enabled) if b.attn is not None else False for b in model.blocks],
+        "pad_tokens": [b.attn is not None and b.attn.pad_token_enabled for b in model.blocks],
         "metric_history": metric_history,
     }
     tensors = {name: p.data for name, p in model.named_parameters()}

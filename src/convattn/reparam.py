@@ -1,16 +1,21 @@
 """Exact weight transfer from a conv mixer to an attention mixer.
 
 A KxK convolution becomes K^2 attention heads, one per receptive-field
-offset. Each head gets zero query/key projections, an identity value
-projection, the conv tap as its output projection, and a bias spike that
-makes its attention row one-hot on the key at that offset (or on the
-all-zero pad slot when the offset leaves the grid, reproducing zero
-padding). The result is an ordinary trainable attention layer. Off the
-spike every logit gap is about -beta; at the default beta=100 that is below
-log(tiny) of float32, so the softmax flushes the tail to exact zero, each
-head is exactly one-hot, and the output matches the convolution up to
-float32 rounding. A tail that stays above tiny (a small beta, or the float64
-verification dtype) bounds the difference by ~N*exp(-beta).
+offset (the construction of Cordonnier et al. 2020). Each head gets zero
+query/key projections, an identity value projection, the conv tap as its
+output projection, and a bias spike that makes its attention row one-hot on
+the key at that offset (or on the all-zero pad slot when the offset leaves
+the grid, reproducing zero padding). Off the spike every logit gap is about
+-beta; at the default beta=100 that is below log(tiny) of float32, so the
+softmax flushes the tail to exact zero, each head is exactly one-hot, and
+the output matches the convolution up to float32 rounding. A tail that stays
+above tiny (a small beta, or the float64 verification dtype) bounds the
+difference by ~N*exp(-beta).
+
+The attention layer replaces the conv; a switched block keeps no conv.
+Every produced weight is trainable, but at the default beta the one-hot
+softmax passes no gradient to the bias table, w_q or w_k (which also sit at
+the q = k = 0 saddle), so only w_v, w_o and the output bias learn.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ def reparameterize(conv: ConvMixer, grid_hw: tuple[int, int], beta: float = DEFA
     """Build the attention mixer that computes exactly what ``conv`` computes.
 
     Heads are indexed row-major over the receptive field: head k = i*K + j
-    handles offset (i - K//2, j - K//2). All produced weights are trainable;
-    the bias spikes stay finite so the table keeps learning after the switch.
+    handles offset (i - K//2, j - K//2). All produced weights are trainable
+    and the bias spikes are finite; the module docstring says what learns.
     """
     k_size = conv.kernel_size
     if k_size % 2 == 0:
@@ -127,18 +132,16 @@ def verify_equivalence(conv: ConvMixer, attn: AttnMixer, num_samples: int = 100,
 
 
 def switch_block(block: HybridBlock, grid_hw: tuple[int, int], beta: float = DEFAULT_BETA) -> HybridBlock:
-    """Swap a conv-mode block to attention mode with function preserved.
+    """Replace a conv-mode block's conv with the attention layer that
+    computes the same function.
 
-    The conv mixer is kept on the block, frozen, for audit; LayerNorm and
-    MLP parameters are untouched. Switching an attention-mode block is a
-    warned no-op, so the operation is idempotent.
+    The block keeps no conv afterwards; LayerNorm and MLP parameters are
+    untouched. Switching an attention-mode block is a warned no-op, so the
+    operation is idempotent.
     """
     if block.mode == SA:
         warnings.warn("switch_block called on a block already in attention mode; no-op", stacklevel=2)
         return block
-    if block.conv is None:
-        raise RuntimeError("conv-mode block has no conv mixer to transfer")
     block.attn = reparameterize(block.conv, grid_hw, beta=beta)
-    block.conv.freeze()
-    block.mode = SA
+    block.conv = None
     return block

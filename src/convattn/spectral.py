@@ -37,7 +37,6 @@ __all__ = [
     "depth_profile_rows",
     "write_depth_profile_csv",
     "write_csv",
-    "depth_slope",
     "auto_bin_width",
     "populated_targets",
 ]
@@ -152,31 +151,23 @@ def delta_log_amplitude(profile: SpectrumProfile, f_target: float) -> float:
     return float(profile.log_amp[idx] - profile.log_amp[0])
 
 
-def depth_profile(model, images, epoch: int | None = None, sched=None,
+def depth_profile(model: Model, images, epoch: int | None = None, sched=None,
                   targets=TARGET_FREQS, tap: str = "post-residual",
                   bin_width: float = DEFAULT_BIN_WIDTH) -> DepthProfile:
     """Delta log amplitude of every block's output at the target frequencies.
 
-    ``model`` is either a Model (blocks captured post-residual by default,
-    pre-residual branch with tap="pre-residual") or any object exposing
-    ``feature_grids(images) -> list[Tensor]`` of [batch, h_t, w_t, d] maps.
+    Blocks are captured post-residual by default, or the pre-residual branch
+    with tap="pre-residual".
     """
-    if isinstance(model, Model):
-        images = images if isinstance(images, Tensor) else Tensor(images)
-        grids = model_forward_features(images, model, epoch, sched, tap=tap)[1]
-        modes = model.modes()
-    elif hasattr(model, "feature_grids"):
-        grids = model.feature_grids(images)
-        modes = getattr(model, "modes", lambda: [])()
-    else:
-        raise TypeError("model must be a Model or expose feature_grids(images)")
+    images = images if isinstance(images, Tensor) else Tensor(images)
+    grids = model_forward_features(images, model, epoch, sched, tap=tap)[1]
     n_layers = len(grids)
     depths, deltas = [], []
     for i, grid in enumerate(grids):
         profile = feature_spectrum(grid, bin_width=bin_width)
         depths.append((i + 1) / n_layers)
         deltas.append([delta_log_amplitude(profile, f) for f in targets])
-    return DepthProfile(depths=depths, targets=list(targets), deltas=deltas, modes=list(modes))
+    return DepthProfile(depths=depths, targets=list(targets), deltas=deltas, modes=model.modes())
 
 
 def depth_profile_rows(profile: DepthProfile) -> list[tuple[float, float, float]]:
@@ -197,20 +188,6 @@ def write_csv(path: str, header: str, rows) -> None:
 def write_depth_profile_csv(path: str, profile: DepthProfile) -> None:
     """Write ``profile`` as a ``depth,f,delta_log_amp`` CSV."""
     write_csv(path, "depth,f,delta_log_amp", depth_profile_rows(profile))
-
-
-def depth_slope(profile: DepthProfile, target: float = math.pi) -> float:
-    """Least-squares slope of delta log amplitude vs normalized depth."""
-    try:
-        col = profile.targets.index(target)
-    except ValueError:
-        raise ValueError(f"profile has no target frequency {target}") from None
-    y = np.array([row[col] for row in profile.deltas])
-    x = np.array(profile.depths)
-    if len(x) < 2:
-        return 0.0
-    xc = x - x.mean()
-    return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
 
 
 def auto_bin_width(h_t: int, w_t: int) -> float:

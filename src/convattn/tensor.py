@@ -35,10 +35,8 @@ __all__ = [
     "tape_free_context",
     "matmul",
     "add",
-    "mul",
     "reshape",
     "transpose",
-    "sum_",
     "mean_",
     "layer_norm",
     "conv2d_same",
@@ -260,15 +258,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return record(out, (a, b), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     return record(out, (a,), lambda g: (g.reshape(a.shape),))
@@ -279,17 +268,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
     out = Tensor(a.data.transpose(axes))
     return record(out, (a,), lambda g: (g.transpose(inv),))
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return record(out, (a,), bwd)
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

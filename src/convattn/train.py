@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -127,12 +127,16 @@ class TrainResult:
     metrics: list[dict]
     model: Model
     optimizer: AdamW
-    switch_events: list[dict] = field(default_factory=list)
     checkpoint_path: str | None = None
     metrics_path: str | None = None
     profile_path: str | None = None
     profile_note: str | None = None
     profile: DepthProfile | None = None
+
+    @property
+    def switch_events(self) -> list[dict]:
+        """Every switch of the run in order, read from the epoch records."""
+        return [ev for m in self.metrics for ev in m.get("switches", [])]
 
 
 class DivergenceError(RuntimeError):
@@ -361,8 +365,6 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     ``depth_profile.csv`` of the first 256 test images follow the last epoch.
     """
     sched = config.schedule()
-    train_ds = load_dataset(config, "train")
-    eval_ds = load_dataset(config, "test")
     grid_hw = config.grid_hw()
 
     metrics: list[dict] = []
@@ -385,17 +387,20 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
         optimizer = AdamW(model.named_parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
                           weight_decay=config.weight_decay)
 
-    probe_images = probe_batch(config, train_ds.images)
-    probe_labels = train_ds.labels[: len(probe_images)]
+    epochs = range(start_epoch, config.total_epochs + 1)
+    if epochs:  # a finished run resumes to its final artifacts without a training set
+        train_ds = load_dataset(config, "train")
+        probe_images = probe_batch(config, train_ds.images)
+        probe_labels = train_ds.labels[: len(probe_images)]
+    eval_ds = load_dataset(config, "test")
 
-    all_switch_events: list[dict] = [ev for m in metrics for ev in m.get("switches", [])]
     ckpt_path = metrics_path = profile_path = profile_note = profile = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         _write_metrics(metrics_path, metrics, "w")
 
-    for epoch in range(start_epoch, config.total_epochs + 1):
+    for epoch in epochs:
         t0 = time.perf_counter()
         optimizer.lr = lr_at(epoch, config.total_epochs, config.lr, config.warmup_epochs, config.cosine_decay)
 
@@ -415,7 +420,6 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
                                  "loss_before": loss_before, "loss_after": probe_loss})
         if switches:
             optimizer.set_params(model.named_parameters())  # fresh moments for the new attention tensors
-            all_switch_events.extend(switches)
 
         shuffle_rng = _rng(config.seed, _TAG_SHUFFLE, epoch)
         aug_rng = _rng(config.seed, _TAG_AUG, epoch)
@@ -459,8 +463,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
             profile, profile_note = write_profile(profile_path, model, probe_batch(config, eval_ds.images),
                                                   config, epoch=config.total_epochs, sched=sched)
 
-    return TrainResult(metrics=metrics, model=model, optimizer=optimizer,
-                       switch_events=all_switch_events, checkpoint_path=ckpt_path,
+    return TrainResult(metrics=metrics, model=model, optimizer=optimizer, checkpoint_path=ckpt_path,
                        metrics_path=metrics_path, profile_path=profile_path, profile_note=profile_note,
                        profile=profile)
 

@@ -154,8 +154,9 @@ def adamw_closed_form(x0, grad, lr, beta1, beta2, eps, wd):
     return x0 - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * x0)
 
 
-# Two tape ops the library never records, kept for the tape's own tests: sin
-# has a closed-form derivative, relu a kink at zero.
+# Tape ops the library never records, kept for the tests: sin has a
+# closed-form derivative, relu a kink at zero, and sum_/mul turn an output
+# into the scalar loss a gradient check differentiates.
 
 
 def relu(a):
@@ -166,3 +167,27 @@ def relu(a):
 def sin(a):
     out = Tensor(np.sin(a.data))
     return record(out, (a,), lambda g: (g * np.cos(a.data),))
+
+
+def sum_(a):
+    """Sum of every element, as a scalar."""
+    out = Tensor(a.data.sum())
+    return record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+
+
+def mul(a, b):
+    """Elementwise product of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ValueError(f"mul needs equal shapes, got {a.shape} and {b.shape}")
+    out = Tensor(a.data * b.data)
+    return record(out, (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def depth_slope(profile, target):
+    """Least-squares slope of a DepthProfile's delta log amplitude at
+    ``target`` against normalized depth."""
+    col = profile.targets.index(target)
+    y = np.array([row[col] for row in profile.deltas])
+    x = np.array(profile.depths)
+    xc = x - x.mean()
+    return float((xc * (y - y.mean())).sum() / (xc * xc).sum())

@@ -23,11 +23,11 @@ from convattn.config import build_train_config, load_preset
 from convattn.data import load_cifar, stratified_indices
 from convattn.reparam import reparameterize, verify_equivalence
 from convattn.schedule import CONV, SA, SwitchSchedule, mode_at, switch_epochs
-from convattn.spectral import delta_log_amplitude, depth_slope, spectrum_of_maps
-from convattn.tensor import Tensor, finite_diff_check, mul, sum_
+from convattn.spectral import delta_log_amplitude, spectrum_of_maps
+from convattn.tensor import Tensor, finite_diff_check
 from convattn.train import run_interpolation_suite, train
 from conftest import real_cifar10_dir
-from oracles import box_blur_circular, box_filter_log_response
+from oracles import box_blur_circular, box_filter_log_response, depth_slope, mul, sum_
 from test_blocks import make_block
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import convattn
+from oracles import sum_
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACER = os.path.join(PERFBENCH, "tracer.py")
@@ -86,14 +87,14 @@ def test_tracer_sees_the_attention_layer():
     blocks, tensor = sys.modules["convattn.blocks"], sys.modules["convattn.tensor"]
     rng = np.random.default_rng(0)
     d, h_t, w_t = 4, 3, 3
-    blk = blocks.HybridBlock("sa", None, blocks.AttnMixer.init(d, 9, d, (h_t, w_t), rng),
+    blk = blocks.HybridBlock(blocks.AttnMixer.init(d, 9, d, (h_t, w_t), rng),
                              blocks.LayerNormParams(d), blocks.LayerNormParams(d), blocks.Mlp.init(d, 2, rng))
     x = tensor.Tensor(rng.normal(size=(2, h_t, w_t, d)))
 
     with _load_tracer().Tracer() as tracer:
         g = tensor.Graph()
         with g:
-            loss = tensor.sum_(blocks.block_forward(x, blk))
+            loss = sum_(blocks.block_forward(x, blk))
         tensor.backward(loss, g)
 
     for key in (("blocks.attention_mix", "fwd"), ("blocks.attention_mix", "bwd"),

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from convattn.blocks import ConvMixer, conv_mixer_forward, mhsa_forward, model_forward
+from convattn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from convattn.reparam import reparameterize, switch_block, verify_equivalence
 from convattn.schedule import CONV, SA
 from convattn.tensor import Graph, ShapeError, Tensor, backward
-from convattn.train import cross_entropy_label_smooth
+from convattn.train import TrainConfig, cross_entropy_label_smooth
 from test_blocks import capture_attention, make_block, small_model
 
 
@@ -155,16 +156,34 @@ def test_switch_block_preserves_function(rng):
     assert np.abs(after - before).max() < 1e-5
 
 
-def test_switch_block_keeps_frozen_conv_and_is_idempotent(rng):
+def test_switch_block_drops_the_conv_and_is_idempotent(rng):
     blk = make_block(rng, 4, CONV, 3, 3)
     switch_block(blk, (3, 3))
-    assert blk.conv is not None and not blk.conv.kernel.requires_grad
+    assert blk.conv is None
     first_attn = blk.attn
     with pytest.warns(UserWarning, match="no-op"):
         switch_block(blk, (3, 3))
     assert blk.attn is first_attn
     names = [n for n, _ in blk.named_parameters()]
     assert not any(n.startswith("conv.") for n in names)
+
+
+def test_switched_model_matches_its_checkpoint_round_trip(rng, tmp_path):
+    # the live switched model and the one rebuilt from its checkpoint are the
+    # same object graph: attention alone in every block, pad slot included
+    model = small_model(rng, [CONV, CONV], d=8)
+    for blk in model.blocks:
+        switch_block(blk, (4, 4))
+    path = str(tmp_path / "switched.bin")
+    config = TrainConfig(dim=8, num_layers=2, patch_size=4, image_hw=(16, 16), num_classes=5)
+    save_checkpoint(path, model, config.to_dict(), epoch=1, metric_history=[])
+    rebuilt = model_from_checkpoint(*load_checkpoint(path))
+    for live, loaded in zip(model.blocks, rebuilt.blocks, strict=True):
+        assert live.conv is None and loaded.conv is None
+        assert live.attn.pad_token_enabled and loaded.attn.pad_token_enabled
+        assert [n for n, _ in live.named_parameters()] == [n for n, _ in loaded.named_parameters()]
+    for (name, p), (_, q) in zip(model.named_parameters(), rebuilt.named_parameters(), strict=True):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
 
 
 def test_switch_loss_continuity_on_model(rng):

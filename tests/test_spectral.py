@@ -11,7 +11,6 @@ from convattn.spectral import (
     delta_log_amplitude,
     depth_profile,
     depth_profile_rows,
-    depth_slope,
     feature_spectrum,
     spectrum_of_maps,
 )
@@ -114,30 +113,15 @@ def test_auto_bin_width():
 # Depth profiles
 
 
-class BlurStack:
-    """Duck-typed stand-in whose block l output is noise blurred l times."""
-
-    def __init__(self, layers):
-        self.layers = layers
-
-    def feature_grids(self, images):
-        maps = np.asarray(images, dtype=np.float64)
-        grids = []
-        for _ in range(self.layers):
-            maps = box_blur_circular(maps)
-            data = maps[..., None].astype(np.float32)
-            grids.append(Tensor(data))
-        return grids
-
-
 def test_depth_profile_composed_blur_decreases(rng):
-    stack = BlurStack(4)
-    noise = rng.standard_normal((64, 32, 32))
-    profile = depth_profile(stack, noise)
-    assert profile.depths == [0.25, 0.5, 0.75, 1.0]
-    d_pi = [row[profile.targets.index(math.pi)] for row in profile.deltas]
+    # stand-in for 4 blocks: block l outputs noise blurred l times
+    maps = rng.standard_normal((64, 32, 32))
+    d_pi = []
+    for _ in range(4):
+        maps = box_blur_circular(maps)
+        profile = feature_spectrum(Tensor(maps[..., None].astype(np.float32)))
+        d_pi.append(delta_log_amplitude(profile, math.pi))
     assert all(b < a for a, b in zip(d_pi, d_pi[1:]))
-    assert depth_slope(profile, math.pi) < 0
 
 
 def test_depth_profile_identity_model_is_flat(rng):
@@ -164,8 +148,8 @@ def test_depth_profile_single_layer(rng):
 
 
 def test_depth_profile_rows_layout(rng):
-    stack = BlurStack(2)
-    profile = depth_profile(stack, rng.standard_normal((4, 16, 16)))
+    model = build_model(4, 2, 3, 4, (32, 32), 1, 3, [CONV, SA], rng)
+    profile = depth_profile(model, rng.standard_normal((4, 32, 32, 1)), bin_width=math.pi / 8)
     rows = depth_profile_rows(profile)
     assert len(rows) == 2 * len(TARGET_FREQS)
     assert rows[0][0] == 0.5 and rows[-1][0] == 1.0

@@ -17,10 +17,8 @@ from convattn.tensor import (
     layer_norm,
     matmul,
     mean_,
-    mul,
-    sum_,
 )
-from oracles import conv2d_loops, relu, sin
+from oracles import conv2d_loops, mul, relu, sin, sum_
 
 
 def test_matmul_identity(rng):

@@ -291,6 +291,36 @@ def test_metrics_stream_matches_result_and_resume(tmp_path):
         assert b.readlines()[:2] == a.readlines()[:2]
 
 
+def test_resuming_a_finished_run_loads_no_training_set(tmp_path, monkeypatch):
+    # nothing is left to train, so only the test set (for the final profile)
+    # is loaded, and the artifacts come out as the finished run wrote them
+    cfg = tiny_config(schedule_kind="linear", total_epochs=2)
+    full = train(cfg, out_dir=str(tmp_path / "full"))
+    train_module = importlib.import_module("convattn.train")
+    load_dataset_, splits = train_module.load_dataset, []
+
+    def recording_load_dataset(config, split):
+        splits.append(split)
+        return load_dataset_(config, split)
+
+    monkeypatch.setattr(train_module, "load_dataset", recording_load_dataset)
+    resumed = train(cfg, out_dir=str(tmp_path / "resumed"), resume_from=full.checkpoint_path)
+    assert splits == ["test"]
+
+    def strip(metrics):
+        return [{k: v for k, v in m.items() if k != "epoch_seconds"} for m in metrics]
+
+    assert strip(_metrics_lines(resumed.metrics_path)) == strip(_metrics_lines(full.metrics_path))
+    assert resumed.switch_events == full.switch_events
+    _, t1 = load_checkpoint(full.checkpoint_path)
+    _, t2 = load_checkpoint(resumed.checkpoint_path)
+    assert set(t1) == set(t2)
+    for name in t1:
+        np.testing.assert_array_equal(t1[name], t2[name])
+    with open(full.profile_path, "rb") as a, open(resumed.profile_path, "rb") as b:
+        assert a.read() == b.read()
+
+
 # --------------------------------------------------------------------------
 # Checkpoints
 
