@@ -360,7 +360,7 @@ def _slice_probs(k: np.ndarray, q_s: np.ndarray, grid: np.ndarray, pad: np.ndarr
     return attn_probs_inplace(out, grid, pad)
 
 
-def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
+def attention_mix(x: Tensor, a: AttnMixer, bias=None) -> Tensor:
     """The attention mixer as one tape node: [B, h_t, w_t, d] in and out.
 
     Sum over heads of softmax(q k^T * scale + B) v W_o, plus the output
@@ -371,7 +371,8 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     _SLICE_BYTES of probabilities. The full probability buffer is kept only
     when a tape records the node; a tape-free forward reuses one slice.
     The pad key contributes only to the softmax denominator since its value
-    vector is zero.
+    vector is zero. ``bias`` is ``_bias_logits`` of the mixer's table when
+    the caller already has it; otherwise it is computed here.
     """
     batch, h_t, w_t, d = x.shape
     n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
@@ -379,7 +380,9 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     taped = tt.recording(inputs)
     x_flat = x.data.reshape(batch * n, d)
     w, qkv, (q_s, k, v) = _qkv_gemm(x_flat, a, batch, n)
-    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
+    if bias is None:
+        bias = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
+    grid, pad, pad_weights = bias
     slices = _batch_slices(batch, heads, n, qkv.dtype)
     p = np.empty((batch if taped else slices[0].stop, heads, n, n), dtype=qkv.dtype)
     p_pad = np.empty((batch, heads, n), dtype=qkv.dtype)
@@ -459,14 +462,15 @@ def attention_scores(x: Tensor, head: int, a: AttnMixer) -> Tensor:
     return Tensor(rows)
 
 
-def mhsa_forward(x: Tensor, a: AttnMixer) -> Tensor:
+def mhsa_forward(x: Tensor, a: AttnMixer, bias=None) -> Tensor:
     """Sum over heads of softmax(QK^T/sqrt(d) + B) V W_o, plus output bias.
 
     The scale divisor is sqrt(d) as the block's token width, and the pad key
-    (when enabled) contributes a zero value vector.
+    (when enabled) contributes a zero value vector. ``bias`` is passed on to
+    :func:`attention_mix`.
     """
     _check_attn_input(x, a)
-    return attention_mix(x, a)
+    return attention_mix(x, a, bias)
 
 
 # --------------------------------------------------------------------------
@@ -544,10 +548,11 @@ def block_forward(z: Tensor, b: HybridBlock) -> Tensor:
     return _block_outputs(z, b)[0]
 
 
-def _block_outputs(z: Tensor, b: HybridBlock) -> tuple[Tensor, Tensor]:
-    """(z_l, pre-residual MLP branch); the branch feeds the spectral tap option."""
+def _block_outputs(z: Tensor, b: HybridBlock, bias=None) -> tuple[Tensor, Tensor]:
+    """(z_l, pre-residual MLP branch); the branch feeds the spectral tap
+    option. ``bias`` goes to an attention mixer (see :func:`attention_mix`)."""
     normed = b.ln1.forward(z)
-    mixed = conv_mixer_forward(normed, b.conv) if b.conv is not None else mhsa_forward(normed, b.attn)
+    mixed = conv_mixer_forward(normed, b.conv) if b.conv is not None else mhsa_forward(normed, b.attn, bias)
     z1 = tt.add(mixed, z)
     flat = tt.reshape(b.ln2.forward(z1), (-1, z1.shape[3]))
     branch = tt.reshape(b.mlp.forward(flat), z1.shape)
@@ -630,14 +635,17 @@ def _forward(images: Tensor, model: Model, epoch: int | None, sched,
 
     A forward that records onto no tape splits its batch into shards
     (:func:`convattn.runtime.run_shards`) and concatenates the logits and
-    each map in shard order. A taped forward runs whole on the caller's
-    graph.
+    each map in shard order; each attention layer's bias logits are
+    computed once, before the split, and shared by the shards. A taped
+    forward runs whole on the caller's graph.
     """
     _check_modes(model, epoch, sched)
     slices = shard_slices(images.shape[0])
     if len(slices) < 2 or tt.recording((images, *(p for _, p in model.named_parameters()))):
         return _forward_whole(images, model, tap)
-    parts = run_shards(lambda s: _forward_whole(Tensor(images.data[s]), model, tap), slices)
+    biases = [None if blk.attn is None else _bias_logits(blk.attn.b_rel.data, *blk.attn.grid_hw,
+                                                         blk.attn.pad_token_enabled) for blk in model.blocks]
+    parts = run_shards(lambda s: _forward_whole(Tensor(images.data[s]), model, tap, biases), slices)
     logits, maps = zip(*parts)
     return _concat(logits), [_concat(layer) for layer in zip(*maps)]
 
@@ -646,11 +654,12 @@ def _concat(tensors) -> Tensor:
     return Tensor(np.concatenate([t.data for t in tensors]))
 
 
-def _forward_whole(images: Tensor, model: Model, tap: str | None) -> tuple[Tensor, list[Tensor]]:
+def _forward_whole(images: Tensor, model: Model, tap: str | None,
+                   biases: list | None = None) -> tuple[Tensor, list[Tensor]]:
     z = patch_embed_forward(images, model.patch_embed)
     captured: list[Tensor] = []
-    for blk in model.blocks:
-        z, branch = _block_outputs(z, blk)
+    for blk, bias in zip(model.blocks, biases or [None] * model.num_layers):
+        z, branch = _block_outputs(z, blk, bias)
         if tap is not None:
             captured.append(z if tap == "post-residual" else branch)
     batch, h_t, w_t, d = z.shape

@@ -128,6 +128,13 @@ def stratified_indices(labels: np.ndarray, fraction: float, seed: int) -> np.nda
     return np.sort(np.concatenate(picked))
 
 
+# Images built per gather in make_synthetic. Its float64 work buffers take
+# 0.4 MB each at 16 images (a whole 2,000-image split would take 49 MB); at
+# 128 images the freed buffers stayed in the heap and raised the peak RSS
+# of an evaluation after them by about 2 MB.
+_SYNTHETIC_CHUNK = 16
+
+
 def make_synthetic(num_classes: int = 10, n_per_class: int = 200, image_hw: tuple[int, int] = (32, 32),
                    channels: int = 3, seed: int = 0, split: str = "train",
                    shift: int = 6, noise: float = 0.15) -> Dataset:
@@ -153,17 +160,23 @@ def make_synthetic(num_classes: int = 10, n_per_class: int = 200, image_hw: tupl
             wave = amp * np.sin(2 * np.pi * (fy * yy / h + fx * xx / w) + phase)
             pat += wave[:, :, None] * pattern_rng.uniform(0.3, 1.0, size=channels)
         patterns.append(pat)
-    images = np.empty((num_classes * n_per_class, h, w, channels), dtype=np.float32)
-    labels = np.empty(num_classes * n_per_class, dtype=np.int64)
-    i = 0
-    for cls, pat in enumerate(patterns):
-        for _ in range(n_per_class):
-            dy, dx = sample_rng.integers(-shift, shift + 1, size=2)
-            img = np.roll(np.roll(pat, dy, axis=0), dx, axis=1)
-            img = img + sample_rng.normal(0, noise, size=img.shape)
-            images[i] = np.clip(0.5 + 0.2 * img, 0.0, 1.0)
-            labels[i] = cls
-            i += 1
+    patterns = np.stack(patterns)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
+    images = np.empty((len(labels), h, w, channels), dtype=np.float32)
+    for start in range(0, len(labels), _SYNTHETIC_CHUNK):
+        cls = labels[start : start + _SYNTHETIC_CHUNK]
+        shifts = np.empty((len(cls), 2), dtype=np.int64)
+        img = np.empty((len(cls), h, w, channels))
+        for j in range(len(cls)):  # each image draws its shift, then its noise
+            shifts[j] = sample_rng.integers(-shift, shift + 1, size=2)
+            img[j] = sample_rng.normal(0, noise, size=(h, w, channels))
+        # cyclic shift by (dy, dx): pixel (y, x) reads the pattern at (y - dy, x - dx)
+        rows = (np.arange(h) - shifts[:, :1]) % h
+        cols = (np.arange(w) - shifts[:, 1:]) % w
+        img += patterns[cls[:, None, None], rows[:, :, None], cols[:, None, :]]
+        img *= 0.2
+        img += 0.5
+        np.clip(img, 0.0, 1.0, out=images[start : start + len(cls)])
     order = sample_rng.permutation(len(labels))
     return Dataset(images[order], labels[order], num_classes)
 

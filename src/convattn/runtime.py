@@ -16,6 +16,16 @@ OpenBLAS is therefore held at one thread, through the thread-count symbols
 of the OpenBLAS build numpy bundles (``numpy.libs/libscipy_openblas64_*``),
 and the previous count is restored on exit. Where those symbols are
 missing, the shards run one after another on the caller.
+
+Importing the package also sets two process-wide glibc malloc thresholds:
+``M_TRIM_THRESHOLD`` to 256 MiB and ``M_MMAP_THRESHOLD`` to 64 MiB. A
+training step lives on multi-MiB temporaries (the taped probability buffer,
+the MLP activations); under glibc's dynamic mmap threshold each of them is
+a fresh mapping that pays its page faults again every step, while with the
+thresholds set freed pages stay in the heap for the next step to reuse. The
+settings hold for every later allocation in the process, the host
+program's included. They are made only where the C library is glibc;
+elsewhere nothing is set. :func:`describe` reports what was set.
 """
 
 from __future__ import annotations
@@ -34,6 +44,25 @@ from .tensor import tape_free_context
 __all__ = ["SHARDS", "blas_threads", "shard_slices", "run_shards", "describe"]
 
 SHARDS = 2  # shards per batch; fixes the training bits
+
+# mallopt parameter numbers from glibc's malloc.h, with the values set
+_MALLOC_THRESHOLDS = {"M_TRIM_THRESHOLD": (-1, 256 << 20), "M_MMAP_THRESHOLD": (-3, 64 << 20)}
+
+
+def _set_malloc_thresholds() -> dict:
+    """Set glibc's trim and mmap thresholds; returns the ones set, by name."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name, off glibc
+        glibc = None
+    if not glibc:
+        return {}
+    mallopt = ctypes.CDLL("libc.so.6").mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return {name: value for name, (param, value) in _MALLOC_THRESHOLDS.items() if mallopt(param, value) == 1}
+
+
+_MALLOC_SET = _set_malloc_thresholds()
 
 
 def _find_openblas():
@@ -128,7 +157,8 @@ def run_shards(fn, shards: list) -> list:
 
 
 def describe() -> dict:
-    """The runtime a sharded region gets, for run manifests."""
+    """The runtime a sharded region gets, and the malloc thresholds set at
+    import (empty off glibc), for run manifests."""
     outside = blas_threads()
     parallel = SHARDS > 1 and _OPENBLAS is not None
     return {
@@ -137,4 +167,5 @@ def describe() -> dict:
         "blas_thread_control": _OPENBLAS is not None,
         "blas_threads_outside_shards": outside,
         "blas_threads_in_shards": 1 if parallel else outside,
+        "malloc_thresholds": dict(_MALLOC_SET),
     }

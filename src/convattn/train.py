@@ -196,7 +196,9 @@ def _norm_stats(config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
 def _prepare(images: np.ndarray, config: TrainConfig) -> np.ndarray:
     if config.normalize:
         mean, std = _norm_stats(config)
-        return (images - mean) / std
+        out = images - mean
+        out /= std  # in place: a batch-sized temporary fewer
+        return out
     return images
 
 

@@ -191,3 +191,36 @@ def depth_slope(profile, target):
     x = np.array(profile.depths)
     xc = x - x.mean()
     return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+
+
+def make_synthetic_loop(num_classes=10, n_per_class=200, image_hw=(32, 32), channels=3, seed=0,
+                        split="train", shift=6, noise=0.15):
+    """``data.make_synthetic`` built one image at a time with two ``np.roll``
+    calls; returns (images, labels) in the dataset's order."""
+    h, w = image_hw
+    pattern_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5F17)))
+    sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A3B, 1 if split == "test" else 0)))
+    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    patterns = []
+    for _ in range(num_classes):
+        pat = np.zeros((h, w, channels), dtype=np.float64)
+        for _ in range(4):
+            fy, fx = pattern_rng.integers(1, 4, size=2)
+            phase = pattern_rng.uniform(0, 2 * np.pi)
+            amp = pattern_rng.uniform(0.5, 1.0)
+            wave = amp * np.sin(2 * np.pi * (fy * yy / h + fx * xx / w) + phase)
+            pat += wave[:, :, None] * pattern_rng.uniform(0.3, 1.0, size=channels)
+        patterns.append(pat)
+    images = np.empty((num_classes * n_per_class, h, w, channels), dtype=np.float32)
+    labels = np.empty(num_classes * n_per_class, dtype=np.int64)
+    i = 0
+    for cls, pat in enumerate(patterns):
+        for _ in range(n_per_class):
+            dy, dx = sample_rng.integers(-shift, shift + 1, size=2)
+            img = np.roll(np.roll(pat, dy, axis=0), dx, axis=1)
+            img = img + sample_rng.normal(0, noise, size=img.shape)
+            images[i] = np.clip(0.5 + 0.2 * img, 0.0, 1.0)
+            labels[i] = cls
+            i += 1
+    order = sample_rng.permutation(len(labels))
+    return images[order], labels[order]

@@ -13,6 +13,7 @@ from convattn.data import (
     pad_crop,
     stratified_indices,
 )
+from oracles import make_synthetic_loop
 
 
 def test_cifar100_train_file_size(cifar100_dir):
@@ -153,3 +154,15 @@ def test_synthetic_dataset_structure():
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
     again = make_synthetic(num_classes=4, n_per_class=10, seed=1)
     np.testing.assert_array_equal(ds.images, again.images)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(),  # the 2,000-image train split
+    dict(num_classes=3, n_per_class=50, image_hw=(8, 12), channels=2, seed=5, split="test", shift=9),  # a partial gather
+])
+def test_synthetic_gather_matches_the_per_image_loop(kwargs):
+    ds = make_synthetic(**kwargs)
+    images, labels = make_synthetic_loop(**kwargs)
+    assert ds.images.dtype == images.dtype
+    np.testing.assert_array_equal(ds.images, images)
+    np.testing.assert_array_equal(ds.labels, labels)

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -15,11 +16,14 @@ from convattn.blocks import build_model, model_forward, model_forward_features
 from convattn.checkpoint import load_checkpoint
 from convattn.cli import main
 from convattn.optim import AdamW
+from convattn.reparam import switch_block
 from convattn.tensor import Graph, Tensor, backward
 from convattn.train import cross_entropy_label_smooth, train
 from test_train import tiny_config
 
 train_module = importlib.import_module("convattn.train")
+
+GLIBC = platform.libc_ver()[0] == "glibc"
 
 
 def tiny_model(seed=0, modes=("conv", "sa")):
@@ -159,9 +163,9 @@ def test_float64_forward_reaches_the_shards(two_workers, monkeypatch):
     seen = []
     whole = blocks._forward_whole
 
-    def spy(images, model, tap):
+    def spy(images, *rest):
         seen.append((tt.default_dtype(), images.data.dtype))
-        return whole(images, model, tap)
+        return whole(images, *rest)
 
     monkeypatch.setattr(blocks, "_forward_whole", spy)
     with tt.using_dtype(np.float64):
@@ -173,6 +177,26 @@ def test_float64_forward_reaches_the_shards(two_workers, monkeypatch):
     assert seen == [(np.float64, np.dtype(np.float64))] * 3  # two shards, then the taped forward
     assert logits.data.dtype == np.float64
     np.testing.assert_allclose(logits.data, taped.data, rtol=1e-12, atol=1e-15)
+
+
+def test_tape_free_forward_computes_each_bias_once_for_every_shard(two_workers, monkeypatch):
+    model = build_model(8, 3, 3, 8, (32, 32), 3, 4, ["sa", "conv", "conv"], np.random.default_rng(0), mlp_ratio=2)
+    switch_block(model.blocks[2], model.patch_embed.grid_hw)  # one fresh and one switched (pad slot) layer
+    images = batch(5, n=9)[0]
+    slices = runtime.shard_slices(len(images))
+    # each shard computing its own bias, as an unshared forward does
+    own = runtime.run_shards(lambda s: blocks._forward_whole(Tensor(images[s]), model, None)[0].data, slices)
+    calls = []
+    bias_logits = blocks._bias_logits
+
+    def spy(*args):
+        calls.append(threading.get_ident())
+        return bias_logits(*args)
+
+    monkeypatch.setattr(blocks, "_bias_logits", spy)
+    logits = model_forward(Tensor(images), model)
+    assert calls == [threading.get_ident()] * 2  # one per attention layer, before the split
+    np.testing.assert_array_equal(logits.data, np.concatenate(own))
 
 
 def test_taped_forward_records_onto_the_caller_graph_unsharded(two_workers, monkeypatch):
@@ -364,6 +388,46 @@ def test_manifest_records_the_runtime(tmp_path):
     assert code == 0
     rt = json.load(open(os.path.join(out, "manifest.json")))["runtime"]
     control = runtime._OPENBLAS is not None
+    thresholds = {"M_TRIM_THRESHOLD": 256 << 20, "M_MMAP_THRESHOLD": 64 << 20} if GLIBC else {}
     assert rt == {"shards": 2, "workers": 2 if control else 1, "blas_thread_control": control,
                   "blas_threads_outside_shards": runtime.blas_threads(),
-                  "blas_threads_in_shards": 1 if control else runtime.blas_threads()}
+                  "blas_threads_in_shards": 1 if control else runtime.blas_threads(),
+                  "malloc_thresholds": thresholds}
+
+
+# --------------------------------------------------------------------------
+# The allocator
+
+
+# Bytes glibc holds in mmapped chunks, before and after a 16 MiB array is
+# allocated, in a fresh process that imports convattn first or not at all.
+_MMAPPED = """
+import ctypes, sys
+if sys.argv[1] == "convattn":
+    import convattn
+import numpy as np
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                                                     "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL("libc.so.6").mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = [], MallInfo2
+before = mallinfo2().hblkhd
+block = np.ones(16 << 20, dtype=np.uint8)
+print(before, mallinfo2().hblkhd)
+"""
+
+
+@pytest.mark.skipif(not GLIBC, reason="the malloc thresholds are set on glibc only")
+@pytest.mark.skipif(GLIBC and tuple(map(int, platform.libc_ver()[1].split(".")[:2])) < (2, 33),
+                    reason="mallinfo2 needs glibc 2.33")
+@pytest.mark.parametrize("imported, mapped", [("convattn", 0), ("numpy", 16 << 20)])
+def test_import_keeps_multi_mib_arrays_in_the_heap(imported, mapped):
+    src = os.path.dirname(os.path.dirname(runtime.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _MMAPPED, imported], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stdout.split())
+    assert mapped <= after - before < mapped + (1 << 20)
