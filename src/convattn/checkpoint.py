@@ -17,6 +17,7 @@ arrays, which is what makes save -> load -> forward reproducible bitwise.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -71,34 +72,44 @@ def write_container(path: str, header: dict, tensors: dict[str, np.ndarray]) -> 
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    """``n`` bytes; a length past the end of the file is refused before any read."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError(f"unexpected end of file while reading {what}")
-    return buf
+    return fh.read(n)
 
 
 def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header, tensors) of the container at ``path``; anything malformed
+    raises CheckpointError."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise CheckpointError(f"{path}: not a convattn container (bad magic)")
-        (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-        tensors: dict[str, np.ndarray] = {}
-        while True:
-            raw = fh.read(4)
-            if not raw:
-                break
-            if len(raw) != 4:
-                raise CheckpointError("unexpected end of file while reading a tensor name length")
-            (name_len,) = struct.unpack("<I", raw)
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"rank of tensor {name!r}"))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4, f"extent of tensor {name!r}"))[0] for _ in range(rank)
-            )
-            count = int(np.prod(shape)) if shape else 1
-            blob = _read_exact(fh, count * 4, f"data of tensor {name!r}")
-            tensors[name] = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
+        try:
+            return _read_open_container(fh, path)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt container: {exc}") from None
+
+
+def _read_open_container(fh, path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    if fh.read(len(MAGIC)) != MAGIC:
+        raise CheckpointError(f"{path}: not a convattn container (bad magic)")
+    (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
+    header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: container header is not a JSON object")
+    tensors: dict[str, np.ndarray] = {}
+    while True:
+        raw = fh.read(4)
+        if not raw:
+            break
+        if len(raw) != 4:
+            raise CheckpointError("unexpected end of file while reading a tensor name length")
+        (name_len,) = struct.unpack("<I", raw)
+        name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+        (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"rank of tensor {name!r}"))
+        shape = tuple(
+            struct.unpack("<I", _read_exact(fh, 4, f"extent of tensor {name!r}"))[0] for _ in range(rank)
+        )
+        blob = _read_exact(fh, math.prod(shape) * 4, f"data of tensor {name!r}")
+        tensors[name] = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
     return header, tensors
 
 

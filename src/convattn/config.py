@@ -34,7 +34,6 @@ KEY_ALIASES = {
     "model.beta_spike": "beta_spike",
     "schedule.kind": "schedule_kind",
     "schedule.total_epochs": "total_epochs",
-    "schedule.T": "total_epochs",
     "schedule.e_switch": "e_switch",
     "optimizer.lr": "lr",
     "optimizer.weight_decay": "weight_decay",

@@ -43,13 +43,15 @@ class AdamW:
                 del self.m[name], self.v[name], self.steps[name]
 
     def zero_grad(self) -> None:
+        """Clear each parameter's ``grad``; kept only for the benchmark's ``sweep``."""
         for p in self.params.values():
             p.grad = None
 
     def step(self, grads: dict | None = None) -> None:
         """One update from ``grads``, a map from parameter tensor to gradient
         (as :func:`convattn.tensor.backward` returns), or from each
-        parameter's ``grad`` without it. A missing gradient reads as zero."""
+        parameter's ``grad`` without it; that form is kept only for the
+        benchmark's ``sweep``. A missing gradient reads as zero."""
         for name, p in self.params.items():
             g = p.grad if grads is None else grads.get(p)
             if g is None:

@@ -151,8 +151,7 @@ def delta_log_amplitude(profile: SpectrumProfile, f_target: float) -> float:
     return float(profile.log_amp[idx] - profile.log_amp[0])
 
 
-def depth_profile(model: Model, images, epoch: int | None = None, sched=None,
-                  targets=TARGET_FREQS, tap: str = "post-residual",
+def depth_profile(model: Model, images, targets=TARGET_FREQS, tap: str = "post-residual",
                   bin_width: float = DEFAULT_BIN_WIDTH) -> DepthProfile:
     """Delta log amplitude of every block's output at the target frequencies.
 
@@ -160,7 +159,7 @@ def depth_profile(model: Model, images, epoch: int | None = None, sched=None,
     with tap="pre-residual".
     """
     images = images if isinstance(images, Tensor) else Tensor(images)
-    grids = model_forward_features(images, model, epoch, sched, tap=tap)[1]
+    grids = model_forward_features(images, model, tap=tap)[1]
     n_layers = len(grids)
     depths, deltas = [], []
     for i, grid in enumerate(grids):

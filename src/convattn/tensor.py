@@ -103,9 +103,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -180,7 +177,8 @@ def backward(loss: Tensor, graph: Graph, params=None,
 
     ``params`` is the single-graph convenience: each of these tensors gets
     its gradient added to ``grad`` (zero-filled when untouched, so a
-    disconnected parameter reads as zero rather than None).
+    disconnected parameter reads as zero rather than None). It is kept only
+    because the benchmark's ``sweep`` (``perfbench/child.py``) still calls it.
     ``free_intermediates`` releases each node's closure and captured
     buffers as soon as it has run, which bounds peak memory in training.
     """
@@ -438,12 +436,10 @@ def finite_diff_check(f, x: Tensor, step: float = 1e-3, tol: float = 1e-3, indic
     entry is |a - n| / max(|a|, |n|, 1e-8).
     """
     x.requires_grad = True
-    x.zero_grad()
     g = Graph()
     with g:
         y = f(x)
-    backward(y, g, params=[x])
-    analytic = x.grad.reshape(-1).copy()
+    analytic = backward(y, g).get(x, np.zeros_like(x.data)).reshape(-1)
 
     flat = x.data.reshape(-1)
     if indices is None:

@@ -280,17 +280,14 @@ def profile_targets(config: TrainConfig, bin_width: float = 0.0) -> tuple[list[f
 
 
 def write_profile(path: str, model: Model, probe: np.ndarray, config: TrainConfig, *,
-                  epoch: int | None = None, sched=None, tap: str = "post-residual",
-                  bin_width: float = 0.0) -> tuple[DepthProfile, str | None]:
+                  tap: str = "post-residual", bin_width: float = 0.0) -> tuple[DepthProfile, str | None]:
     """Depth profile of ``probe`` (a ``probe_batch``) written as a CSV at ``path``.
 
     Targets are those of ``profile_targets``. Returns the profile and a note
-    when only some targets are populated. ``epoch``/``sched`` check the
-    block modes against the schedule.
+    when only some targets are populated.
     """
     targets, width = profile_targets(config, bin_width)
-    profile = depth_profile(model, probe, epoch=epoch, sched=sched, targets=targets, tap=tap,
-                            bin_width=width)
+    profile = depth_profile(model, probe, targets=targets, tap=tap, bin_width=width)
     write_depth_profile_csv(path, profile)
     note = None
     if len(targets) < len(TARGET_FREQS):
@@ -308,18 +305,28 @@ def write_profile(path: str, model: Model, probe: np.ndarray, config: TrainConfi
 _RESUME_FIELDS = ("num_layers", "total_epochs", "schedule_kind", "e_switch", "image_hw", "patch_size")
 
 
-def _check_resume_config(saved: dict, config: TrainConfig) -> None:
+def _check_resume_config(header: dict, config: TrainConfig) -> None:
+    """Refuse a checkpoint that disagrees with ``config`` on a resume field,
+    or whose layer modes are not the schedule's at its epoch. A fresh run
+    follows the schedule by construction, so this is the one place modes
+    are checked."""
     from .config import ConfigError  # local import keeps module deps one-way
 
-    current = config.to_dict()
+    saved, current = header["config"], config.to_dict()
     for name in _RESUME_FIELDS:
         if saved.get(name) != current[name]:
             raise ConfigError(f"resume checkpoint has {name}={saved.get(name)!r} "
                               f"but the config has {name}={current[name]!r}")
+    sched, epoch = config.schedule(), int(header["epoch"])
+    for layer, mode in enumerate(header["modes"], start=1):
+        expected = mode_at(sched, epoch, layer)
+        if mode != expected:
+            raise ConfigError(f"resume checkpoint has layer {layer} in mode {mode!r} "
+                              f"but the schedule expects {expected!r} at epoch {epoch}")
 
 
 def _train_step(model: Model, optimizer: AdamW, images: np.ndarray, labels: np.ndarray,
-                config: TrainConfig, epoch: int, sched) -> float:
+                config: TrainConfig) -> float:
     """One AdamW step on the mean loss of a raw (augmented) batch, computed
     in concurrent shards; returns the loss.
 
@@ -329,7 +336,7 @@ def _train_step(model: Model, optimizer: AdamW, images: np.ndarray, labels: np.n
     def shard_step(s):
         g = Graph()
         with g:
-            logits = model_forward(Tensor(_prepare(images[s], config)), model, epoch, sched)
+            logits = model_forward(Tensor(_prepare(images[s], config)), model)
             loss = cross_entropy_label_smooth(logits, labels[s], config.label_smoothing)
         loss_val = loss.item()
         if not np.isfinite(loss_val):
@@ -373,7 +380,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     start_epoch = 1
     if resume_from is not None:
         header, tensors = load_checkpoint(resume_from)
-        _check_resume_config(header["config"], config)
+        _check_resume_config(header, config)
         model = model_from_checkpoint(header, tensors)
         optimizer = AdamW(model.named_parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
                           weight_decay=config.weight_decay)
@@ -433,7 +440,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
             images = train_ds.images[idx]
             if config.augment:
                 images = augment_batch(images, aug_rng)
-            loss_val = _train_step(model, optimizer, images, train_ds.labels[idx], config, epoch, sched)
+            loss_val = _train_step(model, optimizer, images, train_ds.labels[idx], config)
             if not np.isfinite(loss_val):
                 raise DivergenceError(epoch, n_batches)
             total_loss += loss_val
@@ -462,8 +469,8 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
         save_checkpoint(ckpt_path, model, config.to_dict(), config.total_epochs, metrics, optimizer)
         if populated_targets(*grid_hw)[0]:  # a grid below 2x2 gets no profile
             profile_path = os.path.join(out_dir, "depth_profile.csv")
-            profile, profile_note = write_profile(profile_path, model, probe_batch(config, eval_ds.images),
-                                                  config, epoch=config.total_epochs, sched=sched)
+            profile, profile_note = write_profile(profile_path, model,
+                                                  probe_batch(config, eval_ds.images), config)
 
     return TrainResult(metrics=metrics, model=model, optimizer=optimizer, checkpoint_path=ckpt_path,
                        metrics_path=metrics_path, profile_path=profile_path, profile_note=profile_note,

@@ -22,7 +22,7 @@ from convattn.blocks import (
     model_forward_features,
     patch_embed_forward,
 )
-from convattn.schedule import CONV, SA, SwitchSchedule
+from convattn.schedule import CONV, SA
 from convattn.tensor import ShapeError, Tensor, finite_diff_check
 from oracles import mhsa_loops, model_forward_straightline, mul, patch_embed_loops, sum_
 
@@ -424,13 +424,6 @@ def test_model_matches_straightline_reference(rng):
         got = model_forward(Tensor(images), model).data
         expected = model_forward_straightline(images, model)
         np.testing.assert_allclose(got, expected, atol=1e-6)
-
-
-def test_model_mode_schedule_consistency_assert(rng):
-    model = small_model(rng, [CONV, CONV])
-    sched = SwitchSchedule(10, 2, "all-sa")
-    with pytest.raises(AssertionError, match="schedule expects"):
-        model_forward(Tensor(rng.normal(size=(1, 16, 16, 3))), model, 5, sched)
 
 
 def test_model_forward_features_taps(rng):

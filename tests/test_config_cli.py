@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from convattn.blocks import build_model
-from convattn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from convattn.checkpoint import (load_checkpoint, model_from_checkpoint, read_container, save_checkpoint,
+                                 write_container)
 from convattn.cli import main
 from convattn.config import (
     ConfigError,
@@ -221,13 +222,14 @@ def cifar_ckpt(tmp_path):
     ["fourier", "--checkpoint", "{ckpt}", "--data", "/nonexistent/cifar"],
     ["fourier", "--checkpoint", "{ckpt}", "--feature-dump", "{tmp}/rank1.bin"],
     ["fourier", "--checkpoint", "{ckpt}", "--feature-dump", "{tmp}/rank5.bin"],
+    ["fourier", "--checkpoint", "{ckpt}", "--feature-dump", "{tmp}/cut.bin"],
 ], ids=["train-resume-missing", "fourier-dump-missing", "fourier-dataset-missing",
-        "fourier-dump-rank1", "fourier-dump-rank5"])
+        "fourier-dump-rank1", "fourier-dump-rank5", "fourier-dump-header-cut"])
 def test_cmd_unreadable_input_exits_3(argv, tiny_cfg_path, cifar_ckpt, tmp_path, capsys, monkeypatch):
-    from convattn.checkpoint import write_container
-
     for name, shape in (("rank1", (8,)), ("rank5", (1, 2, 4, 4, 3))):
         write_container(str(tmp_path / f"{name}.bin"), {"kind": "feature-dump"}, {"maps": np.zeros(shape)})
+    cut = b'{"kind": "feature-du'  # a header that ends mid-JSON
+    (tmp_path / "cut.bin").write_bytes(b"CONVATTN" + len(cut).to_bytes(4, "little") + cut)
     # the manifest records the arguments handed to main, not the host process's
     monkeypatch.setattr("sys.argv", ["host-program", "--some-flag"])
     out = str(tmp_path / "run")
@@ -255,6 +257,43 @@ def test_cmd_train_resume_config_mismatch_exits_2(tiny_cfg_path, tmp_path, capsy
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["status"] == "failed"
     assert manifest["finished_at"] is not None
+
+
+def test_cmd_train_resume_mode_mismatch_exits_2_before_loading_data(tiny_cfg_path, tmp_path, capsys,
+                                                                     monkeypatch):
+    # a linear run's epoch-2 checkpoint holds layer 2 as attention; its
+    # header rewritten to the all-conv schedule makes that layer disagree
+    first = str(tmp_path / "first")
+    assert main(["train", "--config", tiny_cfg_path, "--out", first, "--set", "train.checkpoint_every=2"]) == 0
+    ckpt = os.path.join(first, "checkpoint_epoch_2.bin")
+    header, tensors = read_container(ckpt)
+    assert header["modes"] == ["conv", "sa"]
+    header["config"]["schedule_kind"] = "all-conv"
+    write_container(ckpt, header, tensors)
+    train_module = importlib.import_module("convattn.train")
+    loaded, load_dataset = [], train_module.load_dataset
+    monkeypatch.setattr(train_module, "load_dataset", lambda config, split: loaded.append(split) or
+                        load_dataset(config, split))
+    capsys.readouterr()
+    out = str(tmp_path / "resumed")
+    code = main(["train", "--config", tiny_cfg_path, "--set", "schedule.kind=all-conv", "--out", out,
+                 "--resume-from", ckpt])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: resume checkpoint has layer 2 in mode 'sa' "
+                          "but the schedule expects 'conv' at epoch 2")
+    assert loaded == []
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["status"] == "failed"
+    assert manifest["finished_at"] is not None
+
+
+def test_cmd_fourier_corrupt_checkpoint_exits_3(tmp_path, capsys):
+    header = b'{"kind": "checkp'  # cut mid-JSON
+    path = tmp_path / "cut.bin"
+    path.write_bytes(b"CONVATTN" + len(header).to_bytes(4, "little") + header)
+    assert main(["fourier", "--checkpoint", str(path), "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err.startswith("file error:")
 
 
 def test_cmd_train_bad_config_exits_2(tmp_path, capsys):
@@ -369,8 +408,6 @@ def test_cmd_fourier_tap_recorded_in_manifest(tiny_cfg_path, tmp_path):
 
 
 def test_cmd_fourier_feature_dump(tmp_path, tiny_cfg_path, rng):
-    from convattn.checkpoint import write_container
-
     run_dir = str(tmp_path / "run")
     main(["train", "--config", tiny_cfg_path, "--out", run_dir, "--set", "schedule.total_epochs=1",
           "--set", "model.patch_size=4"])

@@ -16,7 +16,6 @@ from convattn.blocks import build_model, model_forward, model_forward_features
 from convattn.checkpoint import load_checkpoint
 from convattn.cli import main
 from convattn.optim import AdamW
-from convattn.reparam import switch_block
 from convattn.tensor import Graph, Tensor, backward
 from convattn.train import cross_entropy_label_smooth, train
 from test_train import tiny_config
@@ -179,26 +178,6 @@ def test_float64_forward_reaches_the_shards(two_workers, monkeypatch):
     np.testing.assert_allclose(logits.data, taped.data, rtol=1e-12, atol=1e-15)
 
 
-def test_tape_free_forward_computes_each_bias_once_for_every_shard(two_workers, monkeypatch):
-    model = build_model(8, 3, 3, 8, (32, 32), 3, 4, ["sa", "conv", "conv"], np.random.default_rng(0), mlp_ratio=2)
-    switch_block(model.blocks[2], model.patch_embed.grid_hw)  # one fresh and one switched (pad slot) layer
-    images = batch(5, n=9)[0]
-    slices = runtime.shard_slices(len(images))
-    # each shard computing its own bias, as an unshared forward does
-    own = runtime.run_shards(lambda s: blocks._forward_whole(Tensor(images[s]), model, None)[0].data, slices)
-    calls = []
-    bias_logits = blocks._bias_logits
-
-    def spy(*args):
-        calls.append(threading.get_ident())
-        return bias_logits(*args)
-
-    monkeypatch.setattr(blocks, "_bias_logits", spy)
-    logits = model_forward(Tensor(images), model)
-    assert calls == [threading.get_ident()] * 2  # one per attention layer, before the split
-    np.testing.assert_array_equal(logits.data, np.concatenate(own))
-
-
 def test_taped_forward_records_onto_the_caller_graph_unsharded(two_workers, monkeypatch):
     def no_shards(fn, shards):
         raise AssertionError("a taped forward must not shard")
@@ -320,7 +299,7 @@ def test_one_shard_equals_a_direct_step(monkeypatch):
         loss = cross_entropy_label_smooth(model_forward(Tensor(images), direct), labels, cfg.label_smoothing)
     backward(loss, g, params=opt_direct.params.values(), free_intermediates=True)
     opt_direct.step()
-    loss_val = train_module._train_step(sharded, opt_sharded, images, labels, cfg, None, None)
+    loss_val = train_module._train_step(sharded, opt_sharded, images, labels, cfg)
 
     assert loss_val == loss.item()
     for (name, a), (_, b) in zip(direct.named_parameters(), sharded.named_parameters()):
@@ -335,7 +314,7 @@ def test_two_shards_match_one_to_float32_rounding(two_workers, monkeypatch):
     for shards in (1, 2):
         monkeypatch.setattr(runtime, "SHARDS", shards)
         opt = RecordingOptimizer()
-        losses[shards] = train_module._train_step(model, opt, images, labels, tiny_config(), None, None)
+        losses[shards] = train_module._train_step(model, opt, images, labels, tiny_config())
         grads[shards] = opt.grads
     assert losses[2] == pytest.approx(losses[1], rel=1e-6)
     assert set(grads[1]) == set(grads[2])

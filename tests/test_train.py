@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from convattn.checkpoint import (
     write_container,
 )
 from convattn.optim import AdamW, lr_at
-from convattn.schedule import mode_at
+from convattn.schedule import mode_at, switch_epochs
 from convattn.tensor import Tensor, finite_diff_check
 from convattn.train import (
     DivergenceError,
@@ -181,14 +182,17 @@ def test_train_module_is_not_shadowed_by_the_function():
     assert train_module.train is train
 
 
-def test_switch_events_and_loss_continuity():
-    cfg = tiny_config(schedule_kind="linear", total_epochs=6)
+@pytest.mark.parametrize("kind", ["linear", "uniform", "all-conv", "all-sa"])
+def test_switch_events_and_loss_continuity(kind):
+    # a fresh run follows its schedule by construction; nothing on the
+    # forward path checks it, so every epoch's modes are pinned here
+    cfg = tiny_config(schedule_kind=kind, total_epochs=6, e_switch=3 if kind == "uniform" else None)
     res = train(cfg)
-    assert len(res.switch_events) == 2  # one per layer
+    sched = cfg.schedule()
+    assert sorted((ev["layer"], ev["epoch"]) for ev in res.switch_events) == sorted(switch_epochs(sched))
     for ev in res.switch_events:
         rel = abs(ev["loss_after"] - ev["loss_before"]) / ev["loss_before"]
         assert rel < 1e-4, ev
-    sched = cfg.schedule()
     for m in res.metrics:
         assert m["modes"] == [mode_at(sched, m["epoch"], l) for l in (1, 2)]
 
@@ -376,6 +380,26 @@ def test_corrupt_blob_names_tensor(tmp_path, rng):
         fh.write(data[:-40])  # truncate inside the last blob
     with pytest.raises(CheckpointError, match="broken.tensor"):
         read_container(path)
+
+
+_DUMP_HEADER = json.dumps({"kind": "feature-dump"}).encode()
+
+
+@pytest.mark.parametrize("header, body", [
+    (b'{"kind": "feature-du', b""),
+    (b'{"kind": "\xff"}', b""),
+    (b"[1, 2]", b""),
+    # name length, name, rank 0, one float
+    (_DUMP_HEADER, struct.pack("<I", 1) + b"\xff" + struct.pack("<I", 0) + bytes(4)),
+    # rank 4 at the largest extents: 2**128 elements, refused before any read
+    (_DUMP_HEADER, struct.pack("<I", 4) + b"maps" + struct.pack("<5I", 4, *[2**32 - 1] * 4)),
+], ids=["header-cut-mid-json", "header-invalid-utf8", "header-not-an-object", "name-invalid-utf8",
+        "extents-overflow"])
+def test_corrupt_container_is_a_checkpoint_error(tmp_path, header, body):
+    path = tmp_path / "c.bin"
+    path.write_bytes(b"CONVATTN" + struct.pack("<I", len(header)) + header + body)
+    with pytest.raises(CheckpointError):
+        read_container(str(path))
 
 
 def test_version_mismatch_rejected(tmp_path):
