@@ -28,6 +28,7 @@ from .blocks import Model, build_model
 __all__ = [
     "CheckpointError",
     "FORMAT_VERSION",
+    "write_file",
     "write_container",
     "read_container",
     "save_checkpoint",
@@ -43,25 +44,14 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def write_container(path: str, header: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write atomically: a temp file in the same directory, fsynced, then
-    renamed over ``path``. A failure midway leaves ``path`` as it was."""
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+def write_file(path: str, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``path`` atomically: a temp file in
+    the same directory, fsynced, then renamed over ``path``. Every artifact is
+    written here; a failure midway leaves ``path`` as it was and no temp file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            for name, arr in tensors.items():
-                data = np.ascontiguousarray(arr, dtype="<f4")
-                name_bytes = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(name_bytes)))
-                fh.write(name_bytes)
-                fh.write(struct.pack("<I", data.ndim))
-                for extent in data.shape:
-                    fh.write(struct.pack("<I", extent))
-                fh.write(data.tobytes())
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -69,6 +59,26 @@ def write_container(path: str, header: dict, tensors: dict[str, np.ndarray]) -> 
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_container(path: str, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write atomically through :func:`write_file`, one tensor at a time."""
+    def chunks():
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        yield MAGIC
+        yield struct.pack("<I", len(header_bytes))
+        yield header_bytes
+        for name, arr in tensors.items():
+            data = np.ascontiguousarray(arr, dtype="<f4")
+            name_bytes = name.encode("utf-8")
+            yield struct.pack("<I", len(name_bytes))
+            yield name_bytes
+            yield struct.pack("<I", data.ndim)
+            for extent in data.shape:
+                yield struct.pack("<I", extent)
+            yield data.tobytes()
+
+    write_file(path, chunks())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

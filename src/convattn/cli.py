@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, read_container
+from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, read_container, write_file
 from .config import ConfigError, PRESETS, apply_overrides, build_train_config, load_config_file, load_preset
 from .data import DataError
 from .reparam import reparameterize, verify_equivalence
@@ -57,9 +57,8 @@ class RunManifest:
 
     def write(self) -> None:
         os.makedirs(self.out_dir, exist_ok=True)
-        with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        write_file(os.path.join(self.out_dir, "manifest.json"), [text.encode("utf-8")])
 
 
 def _timestamp() -> str:
@@ -224,8 +223,7 @@ def cmd_fourier(args) -> int:
         if note is not None:
             manifest.artifacts["note"] = note
         json_path = os.path.join(manifest.out_dir, "depth_profile.json")
-        with open(json_path, "w") as fh:
-            json.dump(profile.to_dict(), fh, indent=2)
+        write_file(json_path, [json.dumps(profile.to_dict(), indent=2).encode("utf-8")])
         manifest.artifacts["csv"] = csv_path
         manifest.artifacts["json"] = json_path
 

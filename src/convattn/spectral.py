@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import Model, model_forward_features
+from .checkpoint import write_file
 from .tensor import Tensor
 
 __all__ = [
@@ -176,12 +177,10 @@ def depth_profile_rows(profile: DepthProfile) -> list[tuple[float, float, float]
 
 
 def write_csv(path: str, header: str, rows) -> None:
-    """Write ``rows`` under a ``header`` line; floats get six decimals, every
-    other value its ``str``. Every profile CSV goes through here."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    """Write ``rows`` under a ``header`` line, atomically; floats get six
+    decimals, every other value its ``str``. Every profile CSV goes through here."""
+    cells = (",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row) for row in rows)
+    write_file(path, (f"{line}\n".encode("utf-8") for line in (header, *cells)))
 
 
 def write_depth_profile_csv(path: str, profile: DepthProfile) -> None:

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .blocks import Model, build_model, model_forward
-from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint, write_file
 from .data import NORM_STATS, Dataset, augment_batch, load_cifar, make_synthetic, stratified_indices
 from .optim import AdamW, lr_at
 from .reparam import DEFAULT_BETA, switch_block
@@ -357,11 +357,9 @@ def _train_step(model: Model, optimizer: AdamW, images: np.ndarray, labels: np.n
     return loss_val
 
 
-def _write_metrics(path: str, records: list[dict], mode: str) -> None:
-    """One JSON object a line; the file is closed, so flushed, on return."""
-    with open(path, mode) as fh:
-        for m in records:
-            fh.write(json.dumps(m, sort_keys=True) + "\n")
+def _write_metrics(path: str, records: list[dict]) -> None:
+    """Rewrite ``path`` atomically with every record, one JSON object a line."""
+    write_file(path, (f"{json.dumps(m, sort_keys=True)}\n".encode("utf-8") for m in records))
 
 
 def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | None = None) -> TrainResult:
@@ -407,7 +405,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
-        _write_metrics(metrics_path, metrics, "w")
+        _write_metrics(metrics_path, metrics)
 
     for epoch in epochs:
         t0 = time.perf_counter()
@@ -458,7 +456,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
             "epoch_seconds": time.perf_counter() - t0,
         })
         if metrics_path is not None:
-            _write_metrics(metrics_path, metrics[-1:], "a")
+            _write_metrics(metrics_path, metrics)
 
         if out_dir is not None and config.checkpoint_every and epoch % config.checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch_{epoch}.bin"),
