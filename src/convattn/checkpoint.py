@@ -24,6 +24,7 @@ import struct
 import numpy as np
 
 from .blocks import Model, build_model
+from .schedule import CONV, SA
 
 __all__ = [
     "CheckpointError",
@@ -152,6 +153,13 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})")
+    epoch, modes = header.get("epoch"), header.get("modes")
+    if not isinstance(header.get("config"), dict):
+        raise CheckpointError(f"{path}: checkpoint header has no config object")
+    if not isinstance(epoch, int) or isinstance(epoch, bool):
+        raise CheckpointError(f"{path}: checkpoint header epoch {epoch!r} is not an integer")
+    if not isinstance(modes, list) or not all(m in (CONV, SA) for m in modes):
+        raise CheckpointError(f"{path}: checkpoint header modes {modes!r} are not a list of {CONV!r}/{SA!r}")
     return header, tensors
 
 

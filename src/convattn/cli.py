@@ -5,8 +5,12 @@ writes a manifest before doing work and finalizes it with a status and a
 finish time on every exit path, so no artifact exists without a manifest
 accounting for it.
 
+SIGTERM and SIGINT stop a run the same way: its manifest is finalized
+with status ``interrupted`` and an error naming the signal.
+
 Exit codes: 0 success, 1 reparam-check failure, 2 config/usage error,
-3 data error or unreadable file, 4 training divergence.
+3 data error or unreadable file, 4 training divergence, 5 interrupted by
+SIGTERM or SIGINT.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -38,6 +44,16 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
+EXIT_INTERRUPTED = 5
+
+
+class Interrupted(BaseException):
+    """Raised in the main thread on SIGTERM or SIGINT. Not an Exception, so
+    no ``except Exception`` on the way up swallows it."""
+
+
+def _raise_interrupted(signum, frame):
+    raise Interrupted(f"stopped by {signal.Signals(signum).name}")
 
 
 @dataclass
@@ -93,10 +109,11 @@ _FAILURES = (
     ((CheckpointError, OSError), "failed", EXIT_DATA, "file error"),
     (ValueError, "failed", EXIT_CONFIG, "error"),
     (DivergenceError, "diverged", EXIT_DIVERGED, "diverged"),
+    (Interrupted, "interrupted", EXIT_INTERRUPTED, "interrupted"),
 )
 
 
-def _failure(exc: Exception) -> tuple[str, int] | None:
+def _failure(exc: BaseException) -> tuple[str, int] | None:
     """Report a documented failure on stderr and return its (status, exit
     code); None for any other exception."""
     for types, status, code, prefix in _FAILURES:
@@ -119,7 +136,7 @@ def _run(manifest: RunManifest, work) -> int:
         work()
         manifest.status = "completed"
         return EXIT_OK
-    except Exception as exc:
+    except (Exception, Interrupted) as exc:
         manifest.error = str(exc)
         failure = _failure(exc)
         if failure is None:
@@ -165,6 +182,10 @@ def cmd_reparam_check(args) -> int:
         h_t, w_t = (int(p) for p in args.grid.lower().split("x"))
     except ValueError:
         print(f"--grid must look like 8x8, got {args.grid!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.kernel_size // 2 >= min(h_t, w_t):
+        print(f"a K={args.kernel_size} kernel needs both grid sides above {args.kernel_size // 2}, "
+              f"got {h_t}x{w_t}", file=sys.stderr)
         return EXIT_CONFIG
     from .blocks import ConvMixer
 
@@ -342,17 +363,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _install_signal_handlers() -> dict:
+    """Turn SIGTERM and SIGINT into Interrupted; returns the handlers
+    replaced. Only the main thread can set handlers, and an ignored signal
+    (SIGINT in a background job) stays ignored."""
+    if threading.current_thread() is not threading.main_thread():
+        return {}
+    return {signum: signal.signal(signum, _raise_interrupted) for signum in (signal.SIGTERM, signal.SIGINT)
+            if signal.getsignal(signum) is not signal.SIG_IGN}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv  # recorded in the run manifest
+    previous = _install_signal_handlers()
     try:
         return args.func(args)
-    except Exception as exc:  # failures before a run manifest exists; _run handles the rest
+    except (Exception, Interrupted) as exc:  # failures before a run manifest exists; _run handles the rest
         failure = _failure(exc)
         if failure is None:
             raise
         return failure[1]
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

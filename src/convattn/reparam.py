@@ -77,6 +77,8 @@ def reparameterize(conv: ConvMixer, grid_hw: tuple[int, int], beta: float = DEFA
     h_t, w_t = grid_hw
     heads = k_size * k_size
     half = k_size // 2
+    if half >= min(h_t, w_t):
+        raise ShapeError(f"a K={k_size} kernel needs both grid sides above {half}, got {h_t}x{w_t}")
     dtype = conv.kernel.data.dtype
 
     w_q = np.zeros((heads, d, d), dtype=dtype)

@@ -35,7 +35,7 @@ from .data import NORM_STATS, Dataset, augment_batch, load_cifar, make_synthetic
 from .optim import AdamW, lr_at
 from .reparam import DEFAULT_BETA, switch_block
 from .runtime import run_shards, shard_slices
-from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at
+from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at, switch_epochs
 from .spectral import TARGET_FREQS, DepthProfile, depth_profile, populated_targets, write_depth_profile_csv
 from .tensor import Graph, Tensor, backward, record
 
@@ -325,6 +325,17 @@ def _check_resume_config(header: dict, config: TrainConfig) -> None:
                               f"but the schedule expects {expected!r} at epoch {epoch}")
 
 
+def _check_kernel_fits(config: TrainConfig) -> None:
+    """Refuse a schedule that switches a layer whose kernel reaches past the
+    token grid, where the attention rewrite has no bias entry for an offset."""
+    from .config import ConfigError  # local import keeps module deps one-way
+
+    (h_t, w_t), half = config.grid_hw(), config.kernel_size // 2
+    if half >= min(h_t, w_t) and switch_epochs(config.schedule()):
+        raise ConfigError(f"a K={config.kernel_size} kernel needs both grid sides above {half} for a layer "
+                          f"to switch, got {h_t}x{w_t}")
+
+
 def _train_step(model: Model, optimizer: AdamW, images: np.ndarray, labels: np.ndarray,
                 config: TrainConfig) -> float:
     """One AdamW step on the mean loss of a raw (augmented) batch, computed
@@ -371,6 +382,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     checkpoint and, if the grid populates a target frequency,
     ``depth_profile.csv`` of the first 256 test images follow the last epoch.
     """
+    _check_kernel_fits(config)
     sched = config.schedule()
     grid_hw = config.grid_hw()
 
@@ -484,21 +496,24 @@ def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool
     own directory ``out_dir/conv{E}_sa{S}``.
 
     Returns one record per setting with the depth profile, final accuracy
-    and artifact paths. A grid that populates no target frequency raises
-    before any setting trains. With ``resume``, a setting whose
+    and artifact paths. A grid that populates no target frequency, or that a
+    switching setting's kernel reaches past, raises before any setting trains. With ``resume``, a setting whose
     ``checkpoint_final.bin`` exists resumes from it, config check included.
     """
     profile_targets(base_config)
+    configs = [replace(base_config, schedule_kind="uniform", e_switch=setting.e_switch)
+               for setting in interpolation_settings(base_config.total_epochs, base_config.num_layers)]
+    for cfg in configs:
+        _check_kernel_fits(cfg)
     results = []
-    for setting in interpolation_settings(base_config.total_epochs, base_config.num_layers):
-        sa_epochs = base_config.total_epochs - setting.e_switch
-        run_dir = os.path.join(out_dir, f"conv{setting.e_switch}_sa{sa_epochs}")
+    for cfg in configs:
+        sa_epochs = cfg.total_epochs - cfg.e_switch
+        run_dir = os.path.join(out_dir, f"conv{cfg.e_switch}_sa{sa_epochs}")
         ckpt_path = os.path.join(run_dir, "checkpoint_final.bin")
-        cfg = replace(base_config, schedule_kind="uniform", e_switch=setting.e_switch)
         result = train(cfg, out_dir=run_dir,
                        resume_from=ckpt_path if resume and os.path.exists(ckpt_path) else None)
         results.append({
-            "e_switch": setting.e_switch,
+            "e_switch": cfg.e_switch,
             "sa_epochs": sa_epochs,
             "top1": result.metrics[-1]["top1"],
             "top5": result.metrics[-1]["top5"],

@@ -1,7 +1,12 @@
+import builtins
 import importlib
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +140,14 @@ def test_cmd_reparam_check_perturb_fails(capsys):
 def test_cmd_reparam_check_even_kernel_exits_2(capsys):
     assert main(["reparam-check", "-K", "2"]) == 2
     assert "odd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel, grid", [("5", "2x2"), ("3", "1x6"), ("7", "8x3")])
+def test_cmd_reparam_check_kernel_wider_than_grid_exits_2(kernel, grid, capsys):
+    assert main(["reparam-check", "-K", kernel, "--grid", grid, "--dim", "4", "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"a K={kernel} kernel needs both grid sides above {int(kernel) // 2}, got {grid}" in captured.err
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -286,6 +299,40 @@ def test_cmd_train_resume_mode_mismatch_exits_2_before_loading_data(tiny_cfg_pat
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["status"] == "failed"
     assert manifest["finished_at"] is not None
+
+
+WIDE_KERNEL = ["--set", "model.kernel_size=5", "--set", "model.patch_size=16"]  # a 2x2 token grid
+
+
+@pytest.mark.parametrize("command", ["train", "interp"])
+def test_kernel_wider_than_grid_exits_2_before_loading_data(command, tiny_cfg_path, tmp_path, capsys,
+                                                             monkeypatch):
+    loaded = []
+    train_module = importlib.import_module("convattn.train")
+    monkeypatch.setattr(train_module, "load_dataset", lambda config, split: loaded.append(split))
+    out = str(tmp_path / "run")
+    assert main([command, "--config", tiny_cfg_path, *WIDE_KERNEL, "--out", out]) == 2
+    assert "config error: a K=5 kernel needs both grid sides above 2 for a layer to switch, got 2x2" \
+        in capsys.readouterr().err
+    assert loaded == []
+    assert os.listdir(out) == ["manifest.json"]
+    assert json.load(open(os.path.join(out, "manifest.json")))["status"] == "failed"
+
+
+@pytest.mark.parametrize("kind", ["all-sa", "all-conv"])
+def test_kernel_wider_than_grid_trains_when_no_layer_switches(kind, tiny_cfg_path, tmp_path):
+    assert main(["train", "--config", tiny_cfg_path, *WIDE_KERNEL, "--set", f"schedule.kind={kind}",
+                 "--set", "schedule.total_epochs=1", "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("command", ["fourier", "train"])
+def test_checkpoint_header_without_config_exits_3(command, tiny_cfg_path, tmp_path, capsys):
+    path = str(tmp_path / "bare.bin")
+    write_container(path, {"kind": "checkpoint", "format_version": 1}, {})
+    argv = (["fourier", "--checkpoint", path, "--random-batch", "4"] if command == "fourier"
+            else ["train", "--config", tiny_cfg_path, "--resume-from", path])
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == f"file error: {path}: checkpoint header has no config object\n"
 
 
 def test_cmd_fourier_corrupt_checkpoint_exits_3(tmp_path, capsys):
@@ -532,3 +579,71 @@ def test_cmd_interp_tiny_grid_exits_2_before_training(tiny_cfg_path, tmp_path, c
     assert "at least 2x2" in capsys.readouterr().err
     assert os.listdir(out) == ["manifest.json"]
     assert json.load(open(os.path.join(out, "manifest.json")))["status"] == "failed"
+
+
+# --------------------------------------------------------------------------
+# Signals and artifact writes
+
+
+# The child puts SIGINT back at its default disposition first: a shell
+# starts background jobs with SIGINT ignored, and main keeps an ignored
+# signal ignored.
+_CHILD = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_DFL); "
+          "from convattn.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_signal_finalizes_the_manifest(signum, tiny_cfg_path, tmp_path):
+    out = tmp_path / "run"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", _CHILD, "train", "--config", tiny_cfg_path,
+                             "--set", "schedule.total_epochs=400", "--set", "train.checkpoint_every=1",
+                             "--out", str(out)], env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        metrics = out / "metrics.jsonl"
+        deadline = time.monotonic() + 120
+        while not (metrics.exists() and metrics.read_text()):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    name = signal.Signals(signum).name
+    assert proc.returncode == 5, err
+    assert err.endswith(f"interrupted: stopped by {name}\n")
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["status"] == "interrupted"
+    assert manifest["error"] == f"stopped by {name}"
+    assert manifest["finished_at"] is not None
+    records = [json.loads(line) for line in open(metrics)]
+    assert [m["epoch"] for m in records] == list(range(1, len(records) + 1))
+    for ckpt in out.glob("*.bin"):
+        load_checkpoint(str(ckpt))
+    assert not list(out.glob("*.tmp"))
+
+
+def test_artifacts_are_only_opened_for_writing_as_temp_files(tiny_cfg_path, tmp_path, monkeypatch):
+    run_dir = str(tmp_path / "run")
+    writes = []
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and set(mode) & set("wax+"):
+            writes.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert main(["train", "--config", tiny_cfg_path, "--set", "schedule.total_epochs=2",
+                 "--set", "train.checkpoint_every=1", "--out", run_dir]) == 0
+    assert main(["fourier", "--checkpoint", os.path.join(run_dir, "checkpoint_final.bin"),
+                 "--random-batch", "8", "--out", run_dir]) == 0
+    monkeypatch.undo()
+    written = [os.path.relpath(path, run_dir) for path in writes if path.startswith(run_dir)]
+    assert [path for path in written if not path.endswith(".tmp")] == []
+    targets = {path.rsplit(".", 2)[0] for path in written}
+    assert targets == {"manifest.json", "metrics.jsonl", "checkpoint_epoch_1.bin", "checkpoint_epoch_2.bin",
+                       "checkpoint_final.bin", "depth_profile.csv", "depth_profile.json"}

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convattn.blocks import ConvMixer, conv_mixer_forward, mhsa_forward, model_forward
 from convattn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
@@ -59,6 +61,24 @@ def test_reparam_rejects_nonsquare_channels(rng):
     conv = ConvMixer(Tensor(rng.normal(size=(3, 3, 4, 6))), Tensor(np.zeros(6)))
     with pytest.raises(ShapeError, match="identity"):
         reparameterize(conv, (4, 4))
+
+
+@pytest.mark.parametrize("k, grid", [(5, (2, 2)), (3, (1, 6)), (7, (8, 3)), (3, (5, 1))])
+def test_reparam_rejects_kernel_wider_than_grid(rng, k, grid):
+    # an offset beyond the grid has no bias-table entry to hold its spike
+    with pytest.raises(ShapeError, match=f"K={k} kernel needs both grid sides above {k // 2}"):
+        reparameterize(random_conv(rng, k=k, d=4), grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([1, 3, 5, 7]), extra=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       d=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_equivalence_on_every_grid_the_kernel_fits(k, extra, d, seed):
+    # init-scale taps (std 0.1) on grids from one token past K//2 to six past, either side longer
+    grid = (k // 2 + extra[0], k // 2 + extra[1])
+    conv = random_conv(np.random.default_rng(seed), k=k, d=d)
+    report = verify_equivalence(conv, reparameterize(conv, grid), num_samples=4, seed=seed)
+    assert report.max_abs_diff < 1e-5
 
 
 def test_equivalence_random_case(rng):

@@ -10,7 +10,8 @@ import pytest
 
 from convattn import runtime
 from convattn import tensor as tt
-from convattn.blocks import model_forward
+from convattn import train as train_module
+from convattn.blocks import build_model, model_forward
 from convattn.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -19,8 +20,10 @@ from convattn.checkpoint import (
     save_checkpoint,
     write_container,
 )
+from convattn.cli import RunManifest, main
 from convattn.optim import AdamW, lr_at
 from convattn.schedule import mode_at, switch_epochs
+from convattn.spectral import write_csv
 from convattn.tensor import Tensor, finite_diff_check
 from convattn.train import (
     DivergenceError,
@@ -341,21 +344,97 @@ def test_container_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(loaded[name], arr)
 
 
-def test_write_container_is_atomic(tmp_path, rng):
-    path = str(tmp_path / "ckpt.bin")
-    write_container(path, {"kind": "feature-dump"}, {"a": rng.normal(size=(3, 4))})
-    with open(path, "rb") as fh:
-        good = fh.read()
+class FailsMidway:
+    def __array__(self, dtype=None, copy=None):
+        raise RuntimeError("write failed midway")
 
-    class FailsMidway:
-        def __array__(self, dtype=None, copy=None):
-            raise RuntimeError("write failed midway")
 
-    with pytest.raises(RuntimeError, match="midway"):
-        write_container(path, {"kind": "feature-dump"}, {"a": rng.normal(size=(3, 4)), "b": FailsMidway()})
-    with open(path, "rb") as fh:
-        assert fh.read() == good
-    assert os.listdir(tmp_path) == ["ckpt.bin"]
+def _atomic_container(out, version):
+    tensors = {"a": np.full((3, 4), version, dtype=np.float32)}
+    if version:
+        tensors["b"] = FailsMidway()  # fails while the temp file is half written
+    write_container(os.path.join(out, "ckpt.bin"), {"kind": "feature-dump"}, tensors)
+
+
+def _atomic_manifest(out, version):
+    RunManifest("train", [], {}, 0, out, "then", artifacts={"version": version}).write()
+
+
+def _atomic_csv(out, version):
+    write_csv(os.path.join(out, "profile.csv"), "depth,f", [(version, 0.5), (version + 1, 1.5)])
+
+
+def _atomic_metrics(out, version):
+    train_module._write_metrics(os.path.join(out, "metrics.jsonl"), [{"epoch": e} for e in range(version + 2)])
+
+
+def _atomic_fourier_json(out, version):
+    cfg = tiny_config()
+    ckpt = os.path.join(os.path.dirname(out), "fourier.bin")
+    if not os.path.exists(ckpt):
+        model = build_model(cfg.dim, cfg.num_layers, cfg.kernel_size, cfg.patch_size, cfg.image_hw,
+                            cfg.in_channels, cfg.num_classes, ["conv"] * cfg.num_layers, np.random.default_rng(0))
+        save_checkpoint(ckpt, model, cfg.to_dict(), 0, [])
+    code = main(["fourier", "--checkpoint", ckpt, "--random-batch", str(4 + version), "--out", out])
+    assert code == (3 if version else 0)  # the failed rename is a file error
+
+
+@pytest.mark.parametrize("name, write", [
+    ("ckpt.bin", _atomic_container),
+    ("manifest.json", _atomic_manifest),
+    ("profile.csv", _atomic_csv),
+    ("metrics.jsonl", _atomic_metrics),
+    ("depth_profile.json", _atomic_fourier_json),
+], ids=["container", "manifest", "csv", "metrics", "fourier-json"])
+def test_write_container_is_atomic(tmp_path, monkeypatch, name, write):
+    # every artifact writer goes through write_file: a write that fails
+    # midway, in its chunks or at the rename, keeps the old bytes
+    out = tmp_path / "out"
+    out.mkdir()
+    write(str(out), 0)
+    good = (out / name).read_bytes()
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("write failed midway")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    try:
+        write(str(out), 1)
+    except (OSError, RuntimeError) as exc:
+        assert "midway" in str(exc)
+    assert (out / name).read_bytes() == good
+    assert [f for f in os.listdir(out) if f.endswith(".tmp")] == []
+
+
+_HEADER = {"kind": "checkpoint", "format_version": 1, "config": {}, "epoch": 2, "modes": ["conv", "sa"]}
+_MISSING = object()
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("config", _MISSING, "no config object"),
+    ("config", [1], "no config object"),
+    ("epoch", _MISSING, "epoch None is not an integer"),
+    ("epoch", "2", "epoch '2' is not an integer"),
+    ("epoch", 2.0, "epoch 2.0 is not an integer"),
+    ("epoch", True, "epoch True is not an integer"),
+    ("modes", _MISSING, "modes None are not a list"),
+    ("modes", "conv", "modes 'conv' are not a list"),
+    ("modes", ["conv", "attn"], "are not a list of 'conv'/'sa'"),
+], ids=["config-missing", "config-list", "epoch-missing", "epoch-str", "epoch-float", "epoch-bool",
+        "modes-missing", "modes-str", "modes-unknown"])
+def test_load_checkpoint_checks_header_keys(tmp_path, key, value, match):
+    path = str(tmp_path / "c.bin")
+    write_container(path, _HEADER, {})
+    assert load_checkpoint(path)[0] == _HEADER
+    header = {k: v for k, v in _HEADER.items() if k != key}
+    if value is not _MISSING:
+        header[key] = value
+    write_container(path, header, {})
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
 
 
 def test_save_load_forward_bitwise(tmp_path, rng):
