@@ -497,8 +497,9 @@ def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool
 
     Returns one record per setting with the depth profile, final accuracy
     and artifact paths. A grid that populates no target frequency, or that a
-    switching setting's kernel reaches past, raises before any setting trains. With ``resume``, a setting whose
-    ``checkpoint_final.bin`` exists resumes from it, config check included.
+    switching setting's kernel reaches past, raises before any setting
+    trains. With ``resume``, a setting whose ``checkpoint_final.bin``
+    exists resumes from it, config check included.
     """
     profile_targets(base_config)
     configs = [replace(base_config, schedule_kind="uniform", e_switch=setting.e_switch)
