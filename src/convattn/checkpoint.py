@@ -163,9 +163,19 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, tensors
 
 
+# config keys a checkpoint needs to rebuild its model; the rest have defaults
+_ARCH_KEYS = ("dim", "num_layers", "kernel_size", "patch_size", "image_hw", "in_channels", "num_classes")
+
+
 def model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Model:
     """Rebuild the model: architecture from the header, weights from blobs."""
     cfg = header["config"]
+    for key in _ARCH_KEYS:
+        if key not in cfg:
+            raise CheckpointError(f"checkpoint config has no {key!r}")
+    if len(header["modes"]) != cfg["num_layers"]:
+        raise CheckpointError(f"checkpoint has {len(header['modes'])} layer modes "
+                              f"but num_layers={cfg['num_layers']!r}")
     model = build_model(
         dim=cfg["dim"],
         num_layers=cfg["num_layers"],

@@ -23,9 +23,6 @@ __all__ = [
     "load_cifar",
     "stratified_indices",
     "make_synthetic",
-    "hflip",
-    "pad_crop",
-    "augment",
     "augment_batch",
     "NORM_STATS",
 ]
@@ -128,16 +125,23 @@ def stratified_indices(labels: np.ndarray, fraction: float, seed: int) -> np.nda
     return np.sort(np.concatenate(picked))
 
 
-# Images built per gather in make_synthetic. Its float64 work buffers take
-# 0.4 MB each at 16 images (a whole 2,000-image split would take 49 MB); at
-# 128 images the freed buffers stayed in the heap and raised the peak RSS
-# of an evaluation after them by about 2 MB.
+# Images built per gather in make_synthetic: its one image-sized temporary,
+# the gathered float32 patterns, takes 0.2 MB at 16 images. A bigger
+# gather's freed buffers stay in the heap and raise the peak RSS of a later
+# evaluation (by about 2 MB at 128 images, measured with float64 buffers).
 _SYNTHETIC_CHUNK = 16
+
+
+def _image_rng(seed: int, split_tag: int, index: int) -> np.random.Generator:
+    """Image ``index``'s own noise stream. A child of the split stream's seed
+    by spawn key: the bare entropy (seed, 0x5A3B, tag, 0) would be the split
+    stream itself, since SeedSequence zero-pads entropy to four words."""
+    return np.random.default_rng(np.random.SeedSequence((seed, 0x5A3B, split_tag), spawn_key=(index,)))
 
 
 def make_synthetic(num_classes: int = 10, n_per_class: int = 200, image_hw: tuple[int, int] = (32, 32),
                    channels: int = 3, seed: int = 0, split: str = "train",
-                   shift: int = 6, noise: float = 0.15) -> Dataset:
+                   shift: int = 6, noise: float = 0.15, fraction: float = 1.0) -> Dataset:
     """Randomly translated smooth class patterns plus pixel noise.
 
     Class identity is carried by a spatial pattern that appears at a random
@@ -145,10 +149,19 @@ def make_synthetic(num_classes: int = 10, n_per_class: int = 200, image_hw: tupl
     genuinely help. The patterns depend only on ``seed``; ``split`` selects
     an independent sample stream over the same classes. Not a CIFAR
     substitute; used for data-free checks.
+
+    Image ``i`` is a function of (seed, split, i) alone: the split's stream
+    draws the label order and every shift, and each image draws its noise
+    from its own stream. ``fraction`` < 1 keeps ``stratified_indices(labels,
+    fraction, seed)`` and builds only those images, so the result is the
+    full split's ``subset`` of them, bitwise, and smaller fractions nest.
     """
+    if not 0.0 < fraction <= 1.0:
+        raise DataError(f"fraction must be in (0, 1], got {fraction}")
     h, w = image_hw
+    split_tag = 1 if split == "test" else 0
     pattern_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5F17)))
-    sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A3B, 1 if split == "test" else 0)))
+    split_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A3B, split_tag)))
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     patterns = []
     for _ in range(num_classes):
@@ -160,56 +173,38 @@ def make_synthetic(num_classes: int = 10, n_per_class: int = 200, image_hw: tupl
             wave = amp * np.sin(2 * np.pi * (fy * yy / h + fx * xx / w) + phase)
             pat += wave[:, :, None] * pattern_rng.uniform(0.3, 1.0, size=channels)
         patterns.append(pat)
-    patterns = np.stack(patterns)
-    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
-    images = np.empty((len(labels), h, w, channels), dtype=np.float32)
-    for start in range(0, len(labels), _SYNTHETIC_CHUNK):
-        cls = labels[start : start + _SYNTHETIC_CHUNK]
-        shifts = np.empty((len(cls), 2), dtype=np.int64)
-        img = np.empty((len(cls), h, w, channels))
-        for j in range(len(cls)):  # each image draws its shift, then its noise
-            shifts[j] = sample_rng.integers(-shift, shift + 1, size=2)
-            img[j] = sample_rng.normal(0, noise, size=(h, w, channels))
+    patterns = np.stack(patterns).astype(np.float32)
+    labels = split_rng.permutation(np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class))
+    shifts = split_rng.integers(-shift, shift + 1, size=(len(labels), 2))
+    keep = stratified_indices(labels, fraction, seed)
+    images = np.empty((len(keep), h, w, channels), dtype=np.float32)
+    for start in range(0, len(keep), _SYNTHETIC_CHUNK):
+        idx = keep[start : start + _SYNTHETIC_CHUNK]
+        img = images[start : start + len(idx)]
+        for j, i in enumerate(idx):
+            _image_rng(seed, split_tag, int(i)).standard_normal(out=img[j], dtype=np.float32)
+        img *= noise
         # cyclic shift by (dy, dx): pixel (y, x) reads the pattern at (y - dy, x - dx)
-        rows = (np.arange(h) - shifts[:, :1]) % h
-        cols = (np.arange(w) - shifts[:, 1:]) % w
-        img += patterns[cls[:, None, None], rows[:, :, None], cols[:, None, :]]
+        rows = (np.arange(h) - shifts[idx, :1]) % h
+        cols = (np.arange(w) - shifts[idx, 1:]) % w
+        img += patterns[labels[idx, None, None], rows[:, :, None], cols[:, None, :]]
         img *= 0.2
         img += 0.5
-        np.clip(img, 0.0, 1.0, out=images[start : start + len(cls)])
-    order = sample_rng.permutation(len(labels))
-    return Dataset(images[order], labels[order], num_classes)
+        np.clip(img, 0.0, 1.0, out=img)
+    return Dataset(images, labels[keep], num_classes)
 
 
 # --------------------------------------------------------------------------
 # Augmentation
 
 
-def hflip(image: np.ndarray) -> np.ndarray:
-    return image[:, ::-1, :].copy()
-
-
-def pad_crop(image: np.ndarray, dy: int, dx: int, pad: int = 4) -> np.ndarray:
-    """Zero-pad by ``pad`` then crop at offset (dy, dx); (pad, pad) restores."""
-    h, w, _ = image.shape
-    padded = np.pad(image, ((pad, pad), (pad, pad), (0, 0)))
-    return padded[dy : dy + h, dx : dx + w, :].copy()
-
-
-def augment(image: np.ndarray, rng: np.random.Generator, pad: int = 4, flip: bool = True) -> np.ndarray:
-    """Random crop from zero padding plus horizontal flip, seeded by ``rng``."""
-    dy, dx = rng.integers(0, 2 * pad + 1, size=2)
-    out = pad_crop(image, int(dy), int(dx), pad=pad)
-    if flip and rng.random() < 0.5:
-        out = hflip(out)
-    return out
-
-
 def augment_batch(images: np.ndarray, rng: np.random.Generator, pad: int = 4, flip: bool = True) -> np.ndarray:
-    """``augment`` on every image of a [n, h, w, c] batch, in one gather.
+    """Random crop from zero padding plus horizontal flip, seeded by
+    ``rng``, on every image of a [n, h, w, c] batch in one gather.
 
-    The random draws are made per image in ``augment``'s order, so the
-    output is bitwise what the per-image loop gives for the same ``rng``.
+    Each image draws its two crop offsets, then (with ``flip``) one uniform
+    that flips it below 0.5, so the output is bitwise what a per-image loop
+    in that order gives for the same ``rng``.
     """
     n, h, w, _ = images.shape
     offsets = np.empty((n, 2), dtype=np.int64)

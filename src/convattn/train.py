@@ -25,13 +25,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .blocks import Model, build_model, model_forward
-from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint, write_file
-from .data import NORM_STATS, Dataset, augment_batch, load_cifar, make_synthetic, stratified_indices
+from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, save_checkpoint, write_file
+from .data import NORM_STATS, Dataset, augment_batch, load_cifar, make_synthetic
 from .optim import AdamW, lr_at
 from .reparam import DEFAULT_BETA, switch_block
 from .runtime import run_shards, shard_slices
@@ -94,8 +94,9 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+        for name in ("fraction", "eval_fraction"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be >= 1")
         for name in ("dim", "num_layers", "kernel_size", "patch_size", "mlp_ratio",
@@ -116,6 +117,10 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
+        """The config a checkpoint header carries."""
+        unknown = sorted(d.keys() - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise CheckpointError(f"checkpoint config has unknown keys {unknown}")
         d = dict(d)
         if "image_hw" in d:
             d["image_hw"] = tuple(d["image_hw"])
@@ -180,11 +185,8 @@ def load_dataset(config: TrainConfig, split: str) -> Dataset:
         return load_cifar(config.data_dir, config.dataset, split, fraction=fraction, seed=config.seed)
     if config.dataset == "synthetic":
         n = 200 if split == "train" else 50
-        ds = make_synthetic(config.num_classes, n_per_class=n, image_hw=config.image_hw,
-                            channels=config.in_channels, seed=config.seed, split=split)
-        if fraction < 1.0:
-            ds = ds.subset(stratified_indices(ds.labels, fraction, config.seed))
-        return ds
+        return make_synthetic(config.num_classes, n_per_class=n, image_hw=config.image_hw,
+                              channels=config.in_channels, seed=config.seed, split=split, fraction=fraction)
     raise ValueError(f"unknown dataset {config.dataset!r}")
 
 

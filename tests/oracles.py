@@ -195,11 +195,16 @@ def depth_slope(profile, target):
 
 def make_synthetic_loop(num_classes=10, n_per_class=200, image_hw=(32, 32), channels=3, seed=0,
                         split="train", shift=6, noise=0.15):
-    """``data.make_synthetic`` built one image at a time with two ``np.roll``
-    calls; returns (images, labels) in the dataset's order."""
+    """``data.make_synthetic`` over the whole split, built one image at a time
+    with two ``np.roll`` calls; returns (images, labels) in the dataset's order.
+
+    The split's stream draws the label order, then every image's shift; image
+    ``i`` draws its noise from the stream with spawn key ``i`` under the split's
+    seed."""
     h, w = image_hw
+    tag = 1 if split == "test" else 0
     pattern_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5F17)))
-    sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A3B, 1 if split == "test" else 0)))
+    split_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A3B, tag)))
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     patterns = []
     for _ in range(num_classes):
@@ -210,17 +215,36 @@ def make_synthetic_loop(num_classes=10, n_per_class=200, image_hw=(32, 32), chan
             amp = pattern_rng.uniform(0.5, 1.0)
             wave = amp * np.sin(2 * np.pi * (fy * yy / h + fx * xx / w) + phase)
             pat += wave[:, :, None] * pattern_rng.uniform(0.3, 1.0, size=channels)
-        patterns.append(pat)
-    images = np.empty((num_classes * n_per_class, h, w, channels), dtype=np.float32)
-    labels = np.empty(num_classes * n_per_class, dtype=np.int64)
-    i = 0
-    for cls, pat in enumerate(patterns):
-        for _ in range(n_per_class):
-            dy, dx = sample_rng.integers(-shift, shift + 1, size=2)
-            img = np.roll(np.roll(pat, dy, axis=0), dx, axis=1)
-            img = img + sample_rng.normal(0, noise, size=img.shape)
-            images[i] = np.clip(0.5 + 0.2 * img, 0.0, 1.0)
-            labels[i] = cls
-            i += 1
-    order = sample_rng.permutation(len(labels))
-    return images[order], labels[order]
+        patterns.append(pat.astype(np.float32))
+    n = num_classes * n_per_class
+    labels = split_rng.permutation(np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class))
+    shifts = split_rng.integers(-shift, shift + 1, size=(n, 2))
+    images = np.empty((n, h, w, channels), dtype=np.float32)
+    for i in range(n):
+        image_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A3B, tag), spawn_key=(i,)))
+        dy, dx = shifts[i]
+        img = np.roll(np.roll(patterns[labels[i]], dy, axis=0), dx, axis=1)
+        img = image_rng.standard_normal((h, w, channels), dtype=np.float32) * noise + img
+        images[i] = np.clip(0.5 + 0.2 * img, 0.0, 1.0)
+    return images, labels
+
+
+def hflip(image):
+    return image[:, ::-1, :].copy()
+
+
+def pad_crop(image, dy, dx, pad=4):
+    """Zero-pad by ``pad`` then crop at offset (dy, dx); (pad, pad) restores."""
+    h, w, _ = image.shape
+    padded = np.pad(image, ((pad, pad), (pad, pad), (0, 0)))
+    return padded[dy : dy + h, dx : dx + w, :].copy()
+
+
+def augment(image, rng, pad=4, flip=True):
+    """``data.augment_batch`` on one [h, w, c] image: random crop from zero
+    padding plus horizontal flip, seeded by ``rng``."""
+    dy, dx = rng.integers(0, 2 * pad + 1, size=2)
+    out = pad_crop(image, int(dy), int(dx), pad=pad)
+    if flip and rng.random() < 0.5:
+        out = hflip(out)
+    return out

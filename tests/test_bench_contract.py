@@ -4,9 +4,10 @@ and its child operations call convattn's public entry points.
 Entering and leaving ``perfbench/tracer.py``'s Tracer with every convattn
 module loaded must not raise, must replace each traced name, and must put
 every original back. A rename that would silently stop the benchmark from
-measuring a layer fails here first. The analyze and sweep operations of
-``perfbench/child.py`` run once each (the sweep for one round), so an API
-change they depend on fails here rather than as a failed benchmark operation.
+measuring a layer fails here first. The train, analyze and sweep operations
+of ``perfbench/child.py`` run once each (train for one epoch, the sweep for
+one round), so an API change they depend on fails here rather than as a
+failed benchmark operation.
 """
 
 import importlib
@@ -109,6 +110,18 @@ def child(monkeypatch):
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     yield _load("perfbench_child", os.path.join(PERFBENCH, "child.py"))
     sys.modules.pop("tracer", None)
+
+
+def test_bench_train_operation_runs(child, tmp_path):
+    # cli.main(["train", ...]) with train.load_dataset(config, split) and
+    # train.lr_at swapped for the hooks that mark the first epoch and count
+    # the training set
+    argv = ["train", "--preset", "desk", "--set", "data.dataset=synthetic", "--set", "data.seed=7",
+            "--set", "schedule.total_epochs=1", "--out", str(tmp_path)]
+    result = child.train_op(argv)
+    assert result["exit_code"] == 0
+    assert "first_epoch" in result
+    assert result["train_images"] == 200  # desk keeps 10% of 10 classes x 200 images
 
 
 def test_bench_analyze_operation_runs(child, tmp_path):

@@ -255,6 +255,13 @@ def test_cmd_unreadable_input_exits_3(argv, tiny_cfg_path, cifar_ckpt, tmp_path,
     assert manifest["argv"] == argv
 
 
+@pytest.mark.parametrize("key", ["data.fraction", "data.eval_fraction"])
+def test_cmd_train_fraction_out_of_range_exits_2(key, tiny_cfg_path, tmp_path, capsys):
+    name = key.split(".")[1]
+    assert main(["train", "--config", tiny_cfg_path, "--set", f"{key}=0", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"config error: {name} must be in (0, 1], got 0\n"
+
+
 def test_cmd_train_resume_config_mismatch_exits_2(tiny_cfg_path, tmp_path, capsys):
     uniform = ["--set", "schedule.kind=uniform", "--set", "schedule.total_epochs=2"]
     first = str(tmp_path / "first")
@@ -333,6 +340,28 @@ def test_checkpoint_header_without_config_exits_3(command, tiny_cfg_path, tmp_pa
             else ["train", "--config", tiny_cfg_path, "--resume-from", path])
     assert main([*argv, "--out", str(tmp_path / "run")]) == 3
     assert capsys.readouterr().err == f"file error: {path}: checkpoint header has no config object\n"
+
+
+@pytest.mark.parametrize("config, modes, message", [
+    ({}, [], "checkpoint config has no 'dim'"),
+    (TrainConfig(num_layers=2).to_dict(), ["conv"], "checkpoint has 1 layer modes but num_layers=2"),
+], ids=["config-empty", "modes-short"])
+def test_checkpoint_config_that_cannot_build_the_model_exits_3(config, modes, message, tmp_path, capsys):
+    path = str(tmp_path / "c.bin")
+    write_container(path, {"kind": "checkpoint", "format_version": 1, "config": config, "epoch": 0,
+                           "modes": modes}, {})
+    assert main(["fourier", "--checkpoint", path, "--random-batch", "4", "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == f"file error: {message}\n"
+
+
+def test_checkpoint_config_with_an_unknown_key_exits_3(tmp_path, capsys):
+    config = TrainConfig(dim=8, num_layers=1)
+    model = build_model(config.dim, config.num_layers, config.kernel_size, config.patch_size, config.image_hw,
+                        config.in_channels, config.num_classes, ["conv"], np.random.default_rng(0))
+    path = str(tmp_path / "c.bin")
+    save_checkpoint(path, model, {**config.to_dict(), "bogus": 1}, 0, [])
+    assert main(["fourier", "--checkpoint", path, "--random-batch", "4", "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == "file error: checkpoint config has unknown keys ['bogus']\n"
 
 
 def test_cmd_fourier_corrupt_checkpoint_exits_3(tmp_path, capsys):

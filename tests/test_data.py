@@ -3,17 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from convattn.data import (
-    DataError,
-    augment,
-    augment_batch,
-    hflip,
-    load_cifar,
-    make_synthetic,
-    pad_crop,
-    stratified_indices,
-)
-from oracles import make_synthetic_loop
+from convattn import data
+from convattn.data import DataError, augment_batch, load_cifar, make_synthetic, stratified_indices
+from oracles import augment, hflip, make_synthetic_loop, pad_crop
 
 
 def test_cifar100_train_file_size(cifar100_dir):
@@ -166,3 +158,54 @@ def test_synthetic_gather_matches_the_per_image_loop(kwargs):
     assert ds.images.dtype == images.dtype
     np.testing.assert_array_equal(ds.images, images)
     np.testing.assert_array_equal(ds.labels, labels)
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.1, 0.5])
+def test_synthetic_fraction_is_the_full_splits_subset(fraction):
+    # image i depends on (seed, split, i) alone, so a fraction's build is the
+    # full split's stratified subset bitwise, and smaller fractions nest in it
+    kwargs = dict(num_classes=4, n_per_class=40, image_hw=(8, 12), channels=2, seed=3, split="test")
+    full = make_synthetic(**kwargs)
+    kept = stratified_indices(full.labels, fraction, 3)
+    part = make_synthetic(**kwargs, fraction=fraction)
+    expected = full.subset(kept)
+    np.testing.assert_array_equal(part.images, expected.images)
+    np.testing.assert_array_equal(part.labels, expected.labels)
+    assert part.num_classes == 4
+
+
+def test_synthetic_fraction_builds_only_the_kept_images(monkeypatch):
+    built, image_rng = [], data._image_rng
+
+    def counting(seed, split_tag, index):
+        built.append(index)
+        return image_rng(seed, split_tag, index)
+
+    monkeypatch.setattr(data, "_image_rng", counting)
+    full = make_synthetic(seed=2)
+    assert built == list(range(2000))
+    built.clear()
+    part = make_synthetic(seed=2, fraction=0.1)
+    assert built == list(stratified_indices(full.labels, 0.1, 2))
+    assert len(part) == 200
+
+
+def test_synthetic_image_streams_are_not_the_split_stream():
+    # the entropy (seed, 0x5A3B, tag, 0) would alias the split stream (seed,
+    # 0x5A3B, tag): SeedSequence zero-pads entropy to four words
+    split = np.random.default_rng(np.random.SeedSequence((0, 0x5A3B, 0))).integers(0, 2**63, 4)
+    image0 = data._image_rng(0, 0, 0).integers(0, 2**63, 4)
+    assert not np.array_equal(split, image0)
+
+
+def test_synthetic_fraction_validation():
+    with pytest.raises(DataError, match="fraction"):
+        make_synthetic(num_classes=2, n_per_class=4, fraction=0.0)
+
+
+def test_synthetic_fractions_nest():
+    # each class keeps a prefix of one seeded permutation, so image i kept
+    # at a smaller fraction is kept, as the same image, at every larger one
+    ds = make_synthetic(num_classes=4, n_per_class=40, image_hw=(8, 8), seed=5)
+    kept = [set(stratified_indices(ds.labels, f, 5)) for f in (0.05, 0.1, 0.5, 1.0)]
+    assert all(small < large for small, large in zip(kept, kept[1:]))
