@@ -32,12 +32,11 @@ from .config import ConfigError, PRESETS, apply_overrides, build_train_config, l
 from .data import DataError
 from .reparam import reparameterize, verify_equivalence
 from .runtime import describe as describe_runtime
-from .schedule import SwitchSchedule, switch_epochs
-from .spectral import (TARGET_FREQS, auto_bin_width, channel_maps, delta_log_amplitude, depth_profile_rows,
-                       spectrum_of_maps, write_csv)
+from .schedule import KINDS, SwitchSchedule, switch_epochs
+from .spectral import (TARGET_FREQS, DepthProfile, channel_maps, delta_log_amplitude, depth_profile,
+                       depth_profile_rows, require_targets, spectrum_of_maps, write_csv, write_depth_profile_csv)
 from .tensor import ShapeError, Tensor
-from .train import (DivergenceError, TrainConfig, load_dataset, probe_batch, profile_targets,
-                    run_interpolation_suite, train, write_profile)
+from .train import DivergenceError, TrainConfig, load_dataset, probe_batch, run_interpolation_suite, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -148,6 +147,12 @@ def _run(manifest: RunManifest, work) -> int:
         manifest.write()
 
 
+def _profile_note(profile: DepthProfile, grid_hw: tuple[int, int]) -> str | None:
+    """The manifest note for a profile that reports only some standard frequencies."""
+    n, total = len(profile.targets), len(TARGET_FREQS)
+    return None if n == total else f"grid {grid_hw[0]}x{grid_hw[1]} populates only {n} of {total} standard frequencies"
+
+
 # --------------------------------------------------------------------------
 # train
 
@@ -160,10 +165,11 @@ def cmd_train(args) -> int:
         result = train(config, out_dir=manifest.out_dir, resume_from=args.resume_from)
         manifest.artifacts["metrics"] = result.metrics_path
         manifest.artifacts["checkpoint"] = result.checkpoint_path
-        if result.profile_path is not None:
+        if result.profile is not None:
             manifest.artifacts["depth_profile"] = result.profile_path
-        if result.profile_note is not None:
-            manifest.artifacts["depth_profile_note"] = result.profile_note
+            note = _profile_note(result.profile, config.grid_hw())
+            if note is not None:
+                manifest.artifacts["depth_profile_note"] = note
         last = result.metrics[-1]
         print(f"done: {len(result.metrics)} epochs, top1 {last['top1']:.2f}, top5 {last['top5']:.2f}")
 
@@ -224,13 +230,14 @@ def cmd_fourier(args) -> int:
                                      "expected [h, w], [n, h, w] or [B, h, w, d]")
                 if maps.ndim == 4:
                     maps = channel_maps(maps)
-                profile = spectrum_of_maps(maps, bin_width=args.bin_width or auto_bin_width(*maps.shape[-2:]))
-                rows += [(name, f, delta_log_amplitude(profile, f)) for f in TARGET_FREQS]
+                targets, width = require_targets(*maps.shape[-2:], args.bin_width)
+                profile = spectrum_of_maps(maps, bin_width=width)
+                rows += [(name, f, delta_log_amplitude(profile, f)) for f in targets]
             path = os.path.join(manifest.out_dir, "feature_dump_profile.csv")
             write_csv(path, "map,f,delta_log_amp", rows)
             manifest.artifacts["profile"] = path
             return
-        profile_targets(config, args.bin_width)  # a grid with no target exits before any image loads
+        require_targets(*config.grid_hw(), args.bin_width)  # a grid with no target exits before any image loads
         if args.random_batch:
             rng = np.random.default_rng(config.seed)
             images = rng.random((args.random_batch, *config.image_hw, config.in_channels)).astype(np.float32)
@@ -239,8 +246,10 @@ def cmd_fourier(args) -> int:
             images = load_dataset(data_config, "test").images
         # rebinding drops the raw batch before the forward
         images = probe_batch(config, images, args.random_batch or args.batch)
+        profile = depth_profile(model, images, tap=args.tap, bin_width=args.bin_width)
         csv_path = os.path.join(manifest.out_dir, "depth_profile.csv")
-        profile, note = write_profile(csv_path, model, images, config, tap=args.tap, bin_width=args.bin_width)
+        write_depth_profile_csv(csv_path, profile)
+        note = _profile_note(profile, config.grid_hw())
         if note is not None:
             manifest.artifacts["note"] = note
         json_path = os.path.join(manifest.out_dir, "depth_profile.json")
@@ -350,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="print the per-layer switch table")
     p.add_argument("--epochs", "-T", type=int, required=True)
     p.add_argument("--layers", "-L", type=int, required=True)
-    p.add_argument("--kind", default="linear", choices=("linear", "uniform", "all-conv", "all-sa"))
+    p.add_argument("--kind", default="linear", choices=KINDS)
     p.add_argument("--e-switch", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_schedule)

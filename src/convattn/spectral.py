@@ -28,7 +28,6 @@ __all__ = [
     "SpectrumProfile",
     "DepthProfile",
     "TARGET_FREQS",
-    "DEFAULT_BIN_WIDTH",
     "AMPLITUDE_FLOOR",
     "channel_maps",
     "feature_spectrum",
@@ -40,10 +39,10 @@ __all__ = [
     "write_csv",
     "auto_bin_width",
     "populated_targets",
+    "require_targets",
 ]
 
 TARGET_FREQS = (math.pi / 3, 2 * math.pi / 3, math.pi)
-DEFAULT_BIN_WIDTH = math.pi / 16
 AMPLITUDE_FLOOR = 1e-12
 
 
@@ -94,8 +93,13 @@ def _radial_bins(h: int, w: int, bin_width: float) -> tuple[np.ndarray, int]:
     return idx, n_bins
 
 
-def spectrum_of_maps(maps: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> SpectrumProfile:
-    """Profile a stack of spatial maps [n, h, w] (or one [h, w] map)."""
+def _bin_of(f: float, bin_width: float, n_bins: int) -> int:
+    return min(int(f / bin_width), n_bins - 1)
+
+
+def spectrum_of_maps(maps: np.ndarray, bin_width: float = 0.0) -> SpectrumProfile:
+    """Profile a stack of spatial maps [n, h, w] (or one [h, w] map);
+    ``bin_width`` 0 picks ``auto_bin_width`` of the maps' grid."""
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim == 2:
         maps = maps[None]
@@ -105,6 +109,7 @@ def spectrum_of_maps(maps: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     if h < 2 or w < 2:
         raise ValueError(f"grid {h}x{w} too small for spectral analysis; need at least 2x2")
 
+    bin_width = bin_width or auto_bin_width(h, w)
     amp = np.abs(np.fft.fft2(maps))  # unnormalized forward transform
     idx, n_bins = _radial_bins(h, w, bin_width)
     flat_idx = idx.reshape(-1)
@@ -130,44 +135,47 @@ def channel_maps(features: np.ndarray) -> np.ndarray:
     return np.moveaxis(features, -1, 1).reshape(-1, features.shape[1], features.shape[2])
 
 
-def feature_spectrum(x: Tensor, bin_width: float = DEFAULT_BIN_WIDTH) -> SpectrumProfile:
-    """Profile every channel of every sample in [batch, h_t, w_t, d] token maps."""
+def feature_spectrum(x: Tensor, bin_width: float = 0.0) -> SpectrumProfile:
+    """Profile every channel of every sample in [batch, h_t, w_t, d] token
+    maps; ``bin_width`` 0 picks ``auto_bin_width`` of the token grid."""
     return spectrum_of_maps(channel_maps(x.data), bin_width=bin_width)
 
 
 def delta_log_amplitude(profile: SpectrumProfile, f_target: float) -> float:
-    """Log amplitude at the bin containing ``f_target`` minus at bin 0."""
+    """Log amplitude at the bin containing ``f_target`` minus at bin 0; a
+    target in bin 0 or in an empty bin has none and raises ValueError."""
     if not 0.0 < f_target <= math.pi + 1e-12:
         raise ValueError(f"target frequency must lie in (0, pi], got {f_target}")
-    n_bins = len(profile.bins)
-    idx = min(int(f_target / profile.bin_width), n_bins - 1)
+    idx = _bin_of(f_target, profile.bin_width, len(profile.bins))
+    if idx == 0:
+        raise ValueError(f"frequency {f_target:.4f} falls in the zero-frequency bin at bin width "
+                         f"{profile.bin_width:.4f}; a narrower bin (bin_width=0 picks the grid's own) is needed")
     if profile.counts[idx] == 0:
-        min_side = int(math.ceil(2 * math.pi / profile.bin_width))
-        raise ValueError(
-            f"bin at frequency {f_target:.4f} is empty for this geometry; "
-            f"grids of at least {min_side}x{min_side} tokens (or a wider bin) are needed"
-        )
+        raise ValueError(f"bin at frequency {f_target:.4f} is empty for this geometry at bin width "
+                         f"{profile.bin_width:.4f}; a wider bin (bin_width=0 picks the grid's own) is needed")
     if profile.counts[0] == 0:
         raise ValueError("zero-frequency bin is empty")
     return float(profile.log_amp[idx] - profile.log_amp[0])
 
 
-def depth_profile(model: Model, images, targets=TARGET_FREQS, tap: str = "post-residual",
-                  bin_width: float = DEFAULT_BIN_WIDTH) -> DepthProfile:
-    """Delta log amplitude of every block's output at the target frequencies.
+def depth_profile(model: Model, images, tap: str = "post-residual", bin_width: float = 0.0) -> DepthProfile:
+    """Delta log amplitude of every block's output at the standard target
+    frequencies the model's token grid populates (``require_targets``).
 
-    Blocks are captured post-residual by default, or the pre-residual branch
-    with tap="pre-residual".
+    ``bin_width`` 0 picks ``auto_bin_width`` of the grid. Blocks are captured
+    post-residual by default, or the pre-residual branch with
+    tap="pre-residual". A grid with no target raises before any forward.
     """
+    targets, width = require_targets(*model.patch_embed.grid_hw, bin_width)
     images = images if isinstance(images, Tensor) else Tensor(images)
     grids = model_forward_features(images, model, tap=tap)[1]
     n_layers = len(grids)
     depths, deltas = [], []
     for i, grid in enumerate(grids):
-        profile = feature_spectrum(grid, bin_width=bin_width)
+        profile = feature_spectrum(grid, bin_width=width)
         depths.append((i + 1) / n_layers)
         deltas.append([delta_log_amplitude(profile, f) for f in targets])
-    return DepthProfile(depths=depths, targets=list(targets), deltas=deltas, modes=model.modes())
+    return DepthProfile(depths=depths, targets=targets, deltas=deltas, modes=model.modes())
 
 
 def depth_profile_rows(profile: DepthProfile) -> list[tuple[float, float, float]]:
@@ -200,13 +208,25 @@ def auto_bin_width(h_t: int, w_t: int) -> float:
 
 
 def populated_targets(h_t: int, w_t: int, bin_width: float = 0.0) -> tuple[list[float], float]:
-    """Standard target frequencies whose radial bin an h_t x w_t grid populates.
+    """Standard target frequencies an h_t x w_t grid reports at ``bin_width``
+    (0 picks ``auto_bin_width``), with the width used.
 
-    Returns them with the bin width used; 0 selects ``auto_bin_width``.
+    A target reports when its radial bin is populated and is not the
+    zero-frequency bin, whose delta would be that bin minus itself.
     """
     width = bin_width or auto_bin_width(h_t, w_t)
     if h_t < 2 or w_t < 2:
         return [], width
     idx, n_bins = _radial_bins(h_t, w_t, width)
     counts = np.bincount(idx.reshape(-1), minlength=n_bins)
-    return [f for f in TARGET_FREQS if counts[min(int(f / width), n_bins - 1)] > 0], width
+    return [f for f in TARGET_FREQS if 0 < (b := _bin_of(f, width, n_bins)) and counts[b] > 0], width
+
+
+def require_targets(h_t: int, w_t: int, bin_width: float = 0.0) -> tuple[list[float], float]:
+    """``populated_targets``, raising ValueError when the grid reports none;
+    commands that must write a profile call it before any work."""
+    targets, width = populated_targets(h_t, w_t, bin_width)
+    if not targets:
+        raise ValueError(f"no standard target frequency is populated on a {h_t}x{w_t} grid at bin width "
+                         f"{width:.4f}; grids of at least 2x2 tokens and a compatible bin width are needed")
+    return targets, width

@@ -36,7 +36,7 @@ from .optim import AdamW, lr_at
 from .reparam import DEFAULT_BETA, switch_block
 from .runtime import run_shards, shard_slices
 from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at, switch_epochs
-from .spectral import TARGET_FREQS, DepthProfile, depth_profile, populated_targets, write_depth_profile_csv
+from .spectral import DepthProfile, depth_profile, populated_targets, require_targets, write_depth_profile_csv
 from .tensor import Graph, Tensor, backward, record
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "run_interpolation_suite",
     "load_dataset",
     "probe_batch",
-    "write_profile",
-    "profile_targets",
 ]
 
 
@@ -135,7 +133,6 @@ class TrainResult:
     checkpoint_path: str | None = None
     metrics_path: str | None = None
     profile_path: str | None = None
-    profile_note: str | None = None
     profile: DepthProfile | None = None
 
     @property
@@ -269,35 +266,6 @@ def probe_batch(config: TrainConfig, images: np.ndarray, count: int = 256) -> np
     return _prepare(images[:count], config)
 
 
-def profile_targets(config: TrainConfig, bin_width: float = 0.0) -> tuple[list[float], float]:
-    """The standard target frequencies the config's token grid populates at
-    ``bin_width`` (0 picks one) and the width used. Raises ValueError when
-    there are none; commands that must write a profile call it before any work."""
-    h_t, w_t = config.grid_hw()
-    targets, width = populated_targets(h_t, w_t, bin_width)
-    if not targets:
-        raise ValueError(f"no standard target frequency is populated on a {h_t}x{w_t} grid; "
-                         "grids of at least 2x2 tokens and a compatible bin width are needed")
-    return targets, width
-
-
-def write_profile(path: str, model: Model, probe: np.ndarray, config: TrainConfig, *,
-                  tap: str = "post-residual", bin_width: float = 0.0) -> tuple[DepthProfile, str | None]:
-    """Depth profile of ``probe`` (a ``probe_batch``) written as a CSV at ``path``.
-
-    Targets are those of ``profile_targets``. Returns the profile and a note
-    when only some targets are populated.
-    """
-    targets, width = profile_targets(config, bin_width)
-    profile = depth_profile(model, probe, targets=targets, tap=tap, bin_width=width)
-    write_depth_profile_csv(path, profile)
-    note = None
-    if len(targets) < len(TARGET_FREQS):
-        h_t, w_t = config.grid_hw()
-        note = f"grid {h_t}x{w_t} populates only {len(targets)} of {len(TARGET_FREQS)} standard frequencies"
-    return profile, note
-
-
 # --------------------------------------------------------------------------
 # Training
 
@@ -415,7 +383,7 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
         probe_labels = train_ds.labels[: len(probe_images)]
     eval_ds = load_dataset(config, "test")
 
-    ckpt_path = metrics_path = profile_path = profile_note = profile = None
+    ckpt_path = metrics_path = profile_path = profile = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -481,12 +449,11 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
         save_checkpoint(ckpt_path, model, config.to_dict(), config.total_epochs, metrics, optimizer)
         if populated_targets(*grid_hw)[0]:  # a grid below 2x2 gets no profile
             profile_path = os.path.join(out_dir, "depth_profile.csv")
-            profile, profile_note = write_profile(profile_path, model,
-                                                  probe_batch(config, eval_ds.images), config)
+            profile = depth_profile(model, probe_batch(config, eval_ds.images))
+            write_depth_profile_csv(profile_path, profile)
 
     return TrainResult(metrics=metrics, model=model, optimizer=optimizer, checkpoint_path=ckpt_path,
-                       metrics_path=metrics_path, profile_path=profile_path, profile_note=profile_note,
-                       profile=profile)
+                       metrics_path=metrics_path, profile_path=profile_path, profile=profile)
 
 
 # --------------------------------------------------------------------------
@@ -503,7 +470,7 @@ def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool
     trains. With ``resume``, a setting whose ``checkpoint_final.bin``
     exists resumes from it, config check included.
     """
-    profile_targets(base_config)
+    require_targets(*base_config.grid_hw())
     configs = [replace(base_config, schedule_kind="uniform", e_switch=setting.e_switch)
                for setting in interpolation_settings(base_config.total_epochs, base_config.num_layers)]
     for cfg in configs:

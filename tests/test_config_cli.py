@@ -22,8 +22,8 @@ from convattn.config import (
     load_preset,
     parse_config_text,
 )
-from convattn.spectral import auto_bin_width, depth_profile, write_depth_profile_csv
-from convattn.train import TrainConfig, _prepare, load_dataset, run_interpolation_suite
+from convattn.spectral import depth_profile, write_depth_profile_csv
+from convattn.train import TrainConfig, _prepare, load_dataset, probe_batch, run_interpolation_suite
 
 TINY_CFG = """
 # tiny synthetic run
@@ -409,8 +409,8 @@ def test_cmd_fourier_from_checkpoint(tiny_cfg_path, tmp_path, capsys):
     assert len(profile["depths"]) == 2
 
 
-def _profile_csv(path, model, images, config) -> str:
-    write_depth_profile_csv(str(path), depth_profile(model, images, bin_width=auto_bin_width(*config.grid_hw())))
+def _profile_csv(path, model, images) -> str:
+    write_depth_profile_csv(str(path), depth_profile(model, images))
     return path.read_text()
 
 
@@ -436,9 +436,9 @@ def test_train_fourier_and_interp_write_one_profile(tiny_cfg_path, tmp_path):
     written = [(tmp_path / d / "depth_profile.csv").read_text() for d in ("train", "fourier")]
     written.append(open(suite[1]["csv"]).read())
     images = load_dataset(config, "test").images[:256]
-    expected = _profile_csv(tmp_path / "expected.csv", model, _prepare(images, config), config)
+    expected = _profile_csv(tmp_path / "expected.csv", model, _prepare(images, config))
     assert written == [expected] * 3
-    assert _profile_csv(tmp_path / "raw.csv", model, images, config) != expected
+    assert _profile_csv(tmp_path / "raw.csv", model, images) != expected
 
 
 @pytest.mark.parametrize("batch", ["0", "-3"])
@@ -468,8 +468,8 @@ def test_cmd_fourier_random_batch_profiles_prepared_images(tiny_cfg_path, tmp_pa
     images = np.random.default_rng(config.seed).random((16, *config.image_hw, config.in_channels))
     images = images.astype(np.float32)
     written = (out / "depth_profile.csv").read_text()
-    assert written == _profile_csv(tmp_path / "expected.csv", model, _prepare(images, config), config)
-    assert written != _profile_csv(tmp_path / "raw.csv", model, images, config)
+    assert written == _profile_csv(tmp_path / "expected.csv", model, _prepare(images, config))
+    assert written != _profile_csv(tmp_path / "raw.csv", model, images)
 
 
 def test_cmd_fourier_tap_recorded_in_manifest(tiny_cfg_path, tmp_path):
@@ -496,6 +496,60 @@ def test_cmd_fourier_feature_dump(tmp_path, tiny_cfg_path, rng):
     lines = open(os.path.join(out, "feature_dump_profile.csv")).read().strip().splitlines()
     assert lines[0] == "map,f,delta_log_amp"
     assert len(lines) == 4
+
+
+def _preset_checkpoint(tmp_path, preset: str) -> tuple[str, TrainConfig, object]:
+    """A freshly initialised, partly switched checkpoint at a preset's geometry."""
+    config = build_train_config(apply_overrides(load_preset(preset), ["data.dataset=synthetic"]))
+    modes = ["conv"] * (config.num_layers - 1) + ["sa"]
+    model = build_model(config.dim, config.num_layers, config.kernel_size, config.patch_size, config.image_hw,
+                        config.in_channels, config.num_classes, modes, np.random.default_rng(3),
+                        mlp_ratio=config.mlp_ratio)
+    path = str(tmp_path / f"{preset}.bin")
+    save_checkpoint(path, model, config.to_dict(), 1, [])
+    return path, config, model
+
+
+@pytest.mark.parametrize("preset, note", [
+    ("desk", "grid 4x4 populates only 2 of 3 standard frequencies"),
+    ("interp", None),
+])
+def test_library_depth_profile_default_matches_fourier(preset, note, tmp_path):
+    # depth_profile(model, images) picks the targets and the width fourier reports
+    ckpt, config, model = _preset_checkpoint(tmp_path, preset)
+    out = tmp_path / "fourier"
+    assert main(["fourier", "--checkpoint", ckpt, "--random-batch", "8", "--out", str(out)]) == 0
+    images = np.random.default_rng(config.seed).random((8, *config.image_hw, config.in_channels))
+    expected = _profile_csv(tmp_path / "expected.csv", model, probe_batch(config, images.astype(np.float32)))
+    assert (out / "depth_profile.csv").read_text() == expected
+    assert json.load(open(out / "manifest.json"))["artifacts"].get("note") == note
+
+
+def test_cmd_fourier_feature_dump_reports_only_populated_targets(tmp_path, rng):
+    ckpt, _, _ = _preset_checkpoint(tmp_path, "desk")
+    dump = str(tmp_path / "features.bin")
+    write_container(dump, {"kind": "feature-dump"}, {"m": rng.normal(size=(3, 4, 4)).astype(np.float32)})
+    out = tmp_path / "dumpprof"
+    assert main(["fourier", "--checkpoint", ckpt, "--feature-dump", dump, "--out", str(out)]) == 0
+    rows = [line.split(",")[:2] for line in (out / "feature_dump_profile.csv").read_text().splitlines()[1:]]
+    assert rows == [["m", f"{2 * math.pi / 3:.6f}"], ["m", f"{math.pi:.6f}"]]
+
+
+def test_cmd_fourier_never_reports_the_zero_frequency_bin(tmp_path, capsys):
+    ckpt, _, _ = _preset_checkpoint(tmp_path, "desk")
+    # at width 10 every target falls in bin 0: no target, exit 2 and no CSV
+    out = tmp_path / "wide"
+    assert main(["fourier", "--checkpoint", ckpt, "--random-batch", "4", "--bin-width", "10",
+                 "--out", str(out)]) == 2
+    assert "no standard target frequency" in capsys.readouterr().err
+    assert not (out / "depth_profile.csv").exists()
+    # at pi/2, pi/3 falls in bin 0 and is left out
+    out = tmp_path / "half"
+    assert main(["fourier", "--checkpoint", ckpt, "--random-batch", "4", "--bin-width", "1.5708",
+                 "--out", str(out)]) == 0
+    rows = (out / "depth_profile.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == {f"{2 * math.pi / 3:.6f}", f"{math.pi:.6f}"}
+    assert json.load(open(out / "depth_profile.json"))["targets"] == [2 * math.pi / 3, math.pi]
 
 
 def test_cmd_fourier_tiny_grid_exits_2(tmp_path, capsys, monkeypatch):

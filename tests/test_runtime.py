@@ -202,7 +202,7 @@ import threading
 import numpy as np
 from convattn import runtime
 from convattn.blocks import build_model
-from convattn.spectral import depth_profile, populated_targets
+from convattn.spectral import depth_profile
 from convattn.tensor import Tensor
 from convattn.train import TrainConfig, evaluate, load_dataset
 
@@ -220,10 +220,9 @@ cfg = TrainConfig(dim=8, num_layers=2, patch_size=8, num_classes=4, dataset="syn
 model = build_model(8, 2, 3, 8, (32, 32), 3, 4, ["conv", "sa"], np.random.default_rng(0), mlp_ratio=2)
 ds = load_dataset(cfg, "test")
 images = Tensor(ds.images[:16])
-targets, width = populated_targets(*cfg.grid_hw())
 
 def both():
-    return depth_profile(model, images, targets=targets, bin_width=width).deltas, evaluate(model, ds, cfg)
+    return depth_profile(model, images).deltas, evaluate(model, ds, cfg)
 
 top = both()
 assert runtime.run_shards(lambda _: both(), [0, 1]) == [top, top]

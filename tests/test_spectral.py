@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from convattn import spectral
 from convattn.blocks import build_model
 from convattn.schedule import CONV, SA
 from convattn.spectral import (
@@ -12,6 +13,7 @@ from convattn.spectral import (
     depth_profile,
     depth_profile_rows,
     feature_spectrum,
+    populated_targets,
     spectrum_of_maps,
 )
 from convattn.tensor import Tensor
@@ -85,8 +87,8 @@ def test_parseval_convention(rng):
 
 
 def test_empty_bin_raises_with_guidance(rng):
-    profile = spectrum_of_maps(rng.standard_normal((2, 8, 8)))  # default width pi/16
-    with pytest.raises(ValueError, match="at least"):
+    profile = spectrum_of_maps(rng.standard_normal((2, 8, 8)), bin_width=math.pi / 16)
+    with pytest.raises(ValueError, match=r"bin width 0\.1963.*bin_width=0"):
         delta_log_amplitude(profile, 2 * math.pi / 3)
     wide = spectrum_of_maps(rng.standard_normal((2, 8, 8)), bin_width=math.pi / 8)
     delta_log_amplitude(wide, 2 * math.pi / 3)  # populated at the wider bin
@@ -107,6 +109,28 @@ def test_auto_bin_width():
     assert auto_bin_width(32, 32) == math.pi / 16
     assert auto_bin_width(8, 8) == math.pi / 8
     assert auto_bin_width(4, 4) == math.pi / 4
+
+
+@pytest.mark.parametrize("side", [4, 8, 16, 32])
+def test_zero_width_is_the_grids_own(side, rng):
+    maps = rng.standard_normal((3, side, side))
+    assert spectrum_of_maps(maps).bin_width == auto_bin_width(side, side)
+    assert feature_spectrum(Tensor(maps[..., None])).bin_width == auto_bin_width(side, side)
+    assert populated_targets(side, side)[1] == auto_bin_width(side, side)
+
+
+def test_zero_frequency_bin_is_never_a_target(rng):
+    # at width 10 every target falls in bin 0; at pi/2 only pi/3 does
+    assert populated_targets(4, 4, 10.0) == ([], 10.0)
+    assert populated_targets(4, 4, math.pi / 2)[0] == [2 * math.pi / 3, math.pi]
+    profile = spectrum_of_maps(rng.standard_normal((2, 4, 4)), bin_width=math.pi / 2)
+    with pytest.raises(ValueError, match="zero-frequency bin"):
+        delta_log_amplitude(profile, math.pi / 3)
+    delta_log_amplitude(profile, 2 * math.pi / 3)
+    # no automatic width puts a target in bin 0
+    for side in range(2, 40):
+        width = auto_bin_width(side, side)
+        assert all(int(f / width) > 0 for f in TARGET_FREQS)
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +169,16 @@ def test_depth_profile_single_layer(rng):
     assert profile.depths == [1.0]
     assert len(profile.deltas) == 1
     assert profile.modes == [SA]
+
+
+def test_depth_profile_without_targets_raises_before_any_forward(rng, monkeypatch):
+    monkeypatch.setattr(spectral, "model_forward_features", lambda *a, **k: pytest.fail("forward ran"))
+    tiny = build_model(4, 1, 3, 32, (32, 32), 1, 3, [CONV], rng)  # a 1x1 grid
+    with pytest.raises(ValueError, match="no standard target frequency is populated on a 1x1 grid"):
+        depth_profile(tiny, rng.standard_normal((2, 32, 32, 1)))
+    desk = build_model(4, 1, 3, 8, (32, 32), 1, 3, [CONV], rng)
+    with pytest.raises(ValueError, match="no standard target frequency is populated on a 4x4 grid"):
+        depth_profile(desk, rng.standard_normal((2, 32, 32, 1)), bin_width=10.0)
 
 
 def test_depth_profile_rows_layout(rng):
