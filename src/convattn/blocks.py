@@ -196,6 +196,25 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     return grid, pad.astype(flat.dtype), weights.astype(flat.dtype)
 
 
+def _table_grad(grid_grad: np.ndarray, pad_grad: np.ndarray, pad_weights: np.ndarray,
+                b_rel: np.ndarray) -> np.ndarray:
+    """Gradient of the [H, 2h-1, 2w-1] table from the batch-summed logit
+    gradients: key-major grid [H, N_keys, N_queries] and pad [H, N_queries].
+
+    Every grid entry lands on its offset's table entry, all heads in one
+    pass over the key-major index; the pad-logit gradient reaches the table
+    through the off-grid logsumexp weights of :func:`_bias_logits`.
+    """
+    heads, rows, cols = b_rel.shape
+    idx = _rel_geometry((rows + 1) // 2, (cols + 1) // 2)[0]
+    r = rows * cols
+    bins = (np.arange(heads)[:, None] * r + idx.reshape(1, -1)).reshape(-1)
+    d_flat = np.bincount(bins, weights=grid_grad.reshape(-1).astype(np.float64),
+                         minlength=heads * r).reshape(heads, r)
+    d_flat += np.einsum("hq,hqr->hr", pad_grad, pad_weights)
+    return d_flat.reshape(b_rel.shape).astype(b_rel.dtype)
+
+
 # Probabilities are stored key-major, [.., N_keys, N_queries], so the
 # softmax's max and sum run over axis -2, across contiguous rows. The pad
 # slot is carried out-of-band: the pad probability is a separate [.., N_queries]
@@ -354,25 +373,37 @@ def _qkv_gemm(x_flat: np.ndarray, a: AttnMixer, batch: int, n: int):
 def _slice_probs(k: np.ndarray, q_s: np.ndarray, grid: np.ndarray, pad: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
     """Key-major probabilities of one batch slice into ``out``; returns the
-    pad probabilities. Shared by the fused op and the inspection helper so
-    both always compute the same thing."""
+    pad probabilities. The per-sample probabilities of the general path and
+    of the inspection helper; the positional path calls the same
+    :func:`attn_probs_inplace` once on a zero score buffer instead."""
     np.matmul(k, q_s.swapaxes(-1, -2), out=out)
     return attn_probs_inplace(out, grid, pad)
+
+
+def _positional(a: AttnMixer) -> bool:
+    """Whether the logits are the bias table alone: w_q and w_k both exactly
+    zero, as in every reparameterized layer. Both must be zero, because
+    dW_q = x^T (dS k) needs the per-sample logit gradient dS unless k = 0."""
+    return not (a.w_q.data.any() or a.w_k.data.any())
 
 
 def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     """The attention mixer as one tape node: [B, h_t, w_t, d] in and out.
 
     Sum over heads of softmax(q k^T * scale + B) v W_o, plus the output
-    bias. q, k and v come from one stacked gemm and are read as strided
-    per-head views; head outputs are written straight into a [B, N, H, d_h]
-    buffer that the output projection reads flat, so no head transpose is
-    copied. Scores, softmax and value mixing run per batch slice of about
-    _SLICE_BYTES of probabilities. The full probability buffer is kept only
-    when a tape records the node; a tape-free forward reuses one slice.
-    The pad key contributes only to the softmax denominator since its value
-    vector is zero.
+    bias. When w_q and w_k are both exactly zero the logits are the same for
+    every sample, and :func:`_positional_mix` computes the node with one
+    softmax per call. Otherwise q, k and v come from one stacked gemm and
+    are read as strided per-head views; head outputs are written straight
+    into a [B, N, H, d_h] buffer that the output projection reads flat, so
+    no head transpose is copied. Scores, softmax and value mixing run per
+    batch slice of about _SLICE_BYTES of probabilities. The full probability
+    buffer is kept only when a tape records the node; a tape-free forward
+    reuses one slice. The pad key contributes only to the softmax
+    denominator since its value vector is zero.
     """
+    if _positional(a):
+        return _positional_mix(x, a)
     batch, h_t, w_t, d = x.shape
     n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
     inputs = (x, a.w_q, a.w_k, a.w_v, a.w_o, a.b_rel, a.out_bias)
@@ -420,27 +451,75 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
         d_w = (x_flat.T @ d_qkv).reshape(d, 3, heads, d_h)
         d_wq, d_wk, d_wv = (np.ascontiguousarray(d_w[:, i].transpose(1, 0, 2)) for i in range(3))
         dx = (d_qkv @ w.T).reshape(x.shape)
-        # key-major grid-logit gradient scattered into the table, all heads
-        # in one pass over the key-major index
-        idx = _rel_geometry(h_t, w_t)[0]
-        r = a.b_rel.data[0].size
-        bins = (np.arange(heads)[:, None] * r + idx.reshape(1, -1)).reshape(-1)
-        d_flat = np.bincount(bins, weights=grid_sum.reshape(-1).astype(np.float64),
-                             minlength=heads * r).reshape(heads, r)
-        # pad-logit gradient routed into the table through the off-grid
-        # logsumexp weights
-        d_flat += np.einsum("hq,hqr->hr", pad_sum, pad_weights)
-        d_rel = d_flat.reshape(a.b_rel.shape).astype(a.b_rel.data.dtype)
+        d_rel = _table_grad(grid_sum, pad_sum, pad_weights, a.b_rel.data)
         return dx, d_wq, d_wk, d_wv, d_w_o, d_rel, d_out_bias
 
     return record(out, inputs, bwd)
 
 
+def _positional_mix(x: Tensor, a: AttnMixer) -> Tensor:
+    """:func:`attention_mix` for q = k = 0, where the logits are the bias
+    table alone.
+
+    The probabilities [H, N_keys, N_queries] (plus the pad column) are built
+    once per call, by the same :func:`attn_probs_inplace` arithmetic on a
+    zero [1, H, N, N] score buffer, and applied to v as one gemm per head
+    across the batch: each head's v is one token-major [N, B*d_h] matrix.
+    The backward sums dP over the batch with one gemm per head and runs the
+    softmax backward once. w_q and w_k get no gradient, which is exact:
+    dq = dS k = 0 and dk = dS^T q = 0.
+    """
+    batch, h_t, w_t, d = x.shape
+    n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
+    inputs = (x, a.w_q, a.w_k, a.w_v, a.w_o, a.b_rel, a.out_bias)
+    x_flat = x.data.reshape(batch * n, d)
+    x_tok = np.ascontiguousarray(x.data.reshape(batch, n, d).swapaxes(0, 1)).reshape(n * batch, d)
+    v = np.matmul(x_tok, a.w_v.data).reshape(heads, n, batch * d_h)
+    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
+    p = np.zeros((1, heads, n, n), dtype=v.dtype)
+    p_pad = attn_probs_inplace(p, grid, pad)
+    merged = _batch_major(np.matmul(p[0].swapaxes(-1, -2), v), batch, d_h)
+    w_o = a.w_o.data.reshape(heads * d_h, d)
+    y = merged @ w_o
+    y += a.out_bias.data
+    out = Tensor(y.reshape(x.shape))
+
+    def bwd(g):
+        g_flat = g.reshape(batch * n, d)
+        d_out_bias = g_flat.sum(axis=0)
+        d_w_o = (merged.T @ g_flat).reshape(a.w_o.shape)
+        g_tok = np.ascontiguousarray(g.reshape(batch, n, d).swapaxes(0, 1)).reshape(n * batch, d)
+        d_o = np.matmul(g_tok, a.w_o.data.swapaxes(-1, -2)).reshape(heads, n, batch * d_h)
+        dv = _batch_major(np.matmul(p[0], d_o), batch, d_h)
+        dp = np.matmul(v, d_o.swapaxes(-1, -2))[None]  # batch-summed, key-major
+        dpad = attn_softmax_backward(p, p_pad, dp)  # dp becomes the logit gradient
+        d_rel = _table_grad(dp[0], dpad[0], pad_weights, a.b_rel.data)
+        w_v = a.w_v.data.transpose(1, 0, 2).reshape(d, heads * d_h)
+        d_wv = np.ascontiguousarray((x_flat.T @ dv).reshape(d, heads, d_h).transpose(1, 0, 2))
+        dx = (dv @ w_v.T).reshape(x.shape)
+        return dx, None, None, d_wv, d_w_o, d_rel, d_out_bias
+
+    return record(out, inputs, bwd)
+
+
+def _batch_major(per_head: np.ndarray, batch: int, d_h: int) -> np.ndarray:
+    """[H, N, B*d_h] per-head token-major rows as a flat [B*N, H*d_h] copy,
+    the layout the general path's projections read. The weight gradients
+    then reduce over rows in the general path's order, which keeps their
+    bits."""
+    heads, n = per_head.shape[:2]
+    return np.ascontiguousarray(per_head.reshape(heads, n, batch, d_h).transpose(2, 1, 0, 3)).reshape(
+        batch * n, heads * d_h)
+
+
 def attention_scores(x: Tensor, head: int, a: AttnMixer) -> Tensor:
     """Attention rows for one head on a single sample: [N, N_keys].
 
-    Inspection helper over the same probability computation mhsa_forward
-    uses, returned query-major; the result is detached from any active tape.
+    Inspection helper over the general path's per-sample probabilities
+    (:func:`_slice_probs`), returned query-major; the result is detached
+    from any active tape. For w_q = w_k = 0 its scores are zero, so it
+    runs the same softmax arithmetic on the same logits as the positional
+    path.
     """
     _check_attn_input(x, a)
     if x.shape[0] != 1:

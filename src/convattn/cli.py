@@ -60,7 +60,7 @@ class RunManifest:
     command: str
     argv: list[str]
     config: dict
-    seed: int
+    seed: int | None
     out_dir: str
     started_at: str
     version: str = __version__
@@ -80,9 +80,12 @@ def _timestamp() -> str:
     return time.strftime("%Y%m%dT%H%M%S")
 
 
-def _new_manifest(command: str, argv: list[str], config: TrainConfig, out_dir: str | None) -> RunManifest:
-    out_dir = out_dir or os.path.join("runs", f"{command}-{_timestamp()}-seed{config.seed}")
-    return RunManifest(command, argv, config.to_dict(), config.seed, out_dir, _timestamp(),
+def _new_manifest(command: str, argv: list[str], config: TrainConfig | None, out_dir: str | None) -> RunManifest:
+    """A manifest for a run of ``config``; None for a run that reads no
+    config, whose manifest records an empty config and a null seed."""
+    seed = None if config is None else config.seed
+    out_dir = out_dir or os.path.join("runs", f"{command}-{_timestamp()}-seed{seed}")
+    return RunManifest(command, argv, {} if config is None else config.to_dict(), seed, out_dir, _timestamp(),
                        runtime=describe_runtime())
 
 
@@ -213,10 +216,14 @@ def cmd_reparam_check(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    header, tensors = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(header, tensors)
-    config = TrainConfig.from_dict(header["config"])
-    manifest = _new_manifest("fourier", args.argv, config, args.out or os.path.dirname(args.checkpoint) or ".")
+    out_dir = args.out or os.path.dirname(args.checkpoint) or "."
+    if args.feature_dump:  # the dump stands alone: the checkpoint only names the default --out
+        manifest = _new_manifest("fourier", args.argv, None, out_dir)
+    else:
+        header, tensors = load_checkpoint(args.checkpoint)
+        model = model_from_checkpoint(header, tensors)
+        config = TrainConfig.from_dict(header["config"])
+        manifest = _new_manifest("fourier", args.argv, config, out_dir)
     manifest.artifacts["tap"] = args.tap
 
     def work() -> None:

@@ -15,7 +15,10 @@ difference by ~N*exp(-beta).
 The attention layer replaces the conv; a switched block keeps no conv.
 Every produced weight is trainable, but at the default beta the one-hot
 softmax passes no gradient to the bias table, w_q or w_k (which also sit at
-the q = k = 0 saddle), so only w_v, w_o and the output bias learn.
+the q = k = 0 saddle), so only w_v, w_o and the output bias learn. With
+w_q and w_k exactly zero the logits are the bias table alone, so a switched
+layer runs the positional path of :func:`convattn.blocks.attention_mix`,
+which computes its probabilities once per call rather than once per sample.
 """
 
 from __future__ import annotations

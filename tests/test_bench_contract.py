@@ -79,17 +79,21 @@ def test_tracer_patches_every_traced_name_and_restores_it():
         assert cls.__dict__[attr] is original
 
 
-def test_tracer_sees_the_attention_layer():
+@pytest.mark.parametrize("mixer", ["fresh", "switched"])
+def test_tracer_sees_the_attention_layer(mixer):
     # one forward and backward of a tiny attention block must reach every
     # span the benchmark reads for the attention layer; a fused node under
-    # another name would otherwise report zero calls and no test would fail
+    # another name would otherwise report zero calls and no test would fail.
+    # A switched block (w_q = w_k = 0) runs the positional path
     for info in pkgutil.iter_modules(convattn.__path__):
         importlib.import_module(f"convattn.{info.name}")
     blocks, tensor = sys.modules["convattn.blocks"], sys.modules["convattn.tensor"]
     rng = np.random.default_rng(0)
     d, h_t, w_t = 4, 3, 3
-    blk = blocks.HybridBlock(blocks.AttnMixer.init(d, 9, d, (h_t, w_t), rng),
-                             blocks.LayerNormParams(d), blocks.LayerNormParams(d), blocks.Mlp.init(d, 2, rng))
+    first = blocks.AttnMixer.init(d, 9, d, (h_t, w_t), rng) if mixer == "fresh" else blocks.ConvMixer.init(3, d, rng)
+    blk = blocks.HybridBlock(first, blocks.LayerNormParams(d), blocks.LayerNormParams(d), blocks.Mlp.init(d, 2, rng))
+    if mixer == "switched":
+        sys.modules["convattn.reparam"].switch_block(blk, (h_t, w_t))
     x = tensor.Tensor(rng.normal(size=(2, h_t, w_t, d)))
 
     with _load_tracer().Tracer() as tracer:

@@ -22,6 +22,7 @@ from convattn.blocks import (
     model_forward_features,
     patch_embed_forward,
 )
+from convattn.reparam import reparameterize
 from convattn.schedule import CONV, SA
 from convattn.tensor import ShapeError, Tensor, finite_diff_check
 from oracles import mhsa_loops, model_forward_straightline, mul, patch_embed_loops, sum_
@@ -230,11 +231,16 @@ def test_mhsa_one_hot_offset_selection(rng):
     np.testing.assert_allclose(out, shifted @ a.w_o.data[0], atol=1e-5)
 
 
-@pytest.mark.parametrize("pad", [False, True])
-def test_mhsa_matches_bruteforce(rng, pad):
+@pytest.mark.parametrize("pad, zero_qk", [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["False", "True", "zero_qk-False", "zero_qk-True"])
+def test_mhsa_matches_bruteforce(rng, pad, zero_qk):
+    # zero_qk: w_q = w_k = 0, the input-free logits the positional path takes
     with tt.using_dtype(np.float64):
         d, h_t, w_t = 4, 2, 2
         a = AttnMixer.init(d, 2, d, (h_t, w_t), rng, pad_token_enabled=pad)
+        if zero_qk:
+            a.w_q.data[:] = 0
+            a.w_k.data[:] = 0
         a.b_rel.data = rng.normal(size=a.b_rel.shape)
         a.out_bias.data = rng.normal(size=d)
         x = rng.normal(size=(2, h_t, w_t, d))
@@ -244,14 +250,28 @@ def test_mhsa_matches_bruteforce(rng, pad):
         np.testing.assert_allclose(got, expected.reshape(2, h_t, w_t, d), atol=1e-6)
 
 
-@pytest.mark.parametrize("wrt", ["x", "q", "k", "v", "o", "b_rel", "out_bias"])
-@pytest.mark.parametrize("pad", [False, True])
-def test_attention_mix_gradient(rng, monkeypatch, pad, wrt):
+def _gradient_cases():
+    # (q/k, pad, wrt) with ids; the random cases keep their original ids
+    pads = [False, True]
+    cases = [pytest.param("random", pad, wrt, id=f"{pad}-{wrt}")
+             for wrt in ["x", "q", "k", "v", "o", "b_rel", "out_bias"] for pad in pads]
+    cases += [pytest.param("zero", pad, wrt, id=f"zero-{pad}-{wrt}")
+              for wrt in ["x", "q", "k", "v", "o", "b_rel", "out_bias"] for pad in pads]
+    cases += [pytest.param("q_zero", pad, "q", id=f"q_zero-{pad}-q") for pad in pads]
+    return cases
+
+
+@pytest.mark.parametrize("qk, pad, wrt", _gradient_cases())
+def test_attention_mix_gradient(rng, monkeypatch, qk, pad, wrt):
     # the fused node w.r.t. its input and every parameter (q, k, v and o are
     # the projections w_q, w_k, w_v and w_o). Batch 5 in 2-row slices: two
     # full slices and a remainder, so the bias gradient's batch-sum runs
     # across slices; with the pad slot on, the pad logit's gradient also
-    # reaches the table through the off-grid logsumexp weights
+    # reaches the table through the off-grid logsumexp weights.
+    # qk "zero" (w_q = w_k = 0) runs the positional path, whose batch-sum is
+    # one gemm per head; float64 keeps the softmax tail, so the table
+    # gradient is not zero, and w_q and w_k get none, exactly. "q_zero" (w_q = 0 only) must stay on the general
+    # path: w_q's gradient x^T (dS k) needs the per-sample dS
     with tt.using_dtype(np.float64):
         b, heads, h_t, w_t, d = 5, 2, 3, 3, 3
         n = h_t * w_t
@@ -261,6 +281,10 @@ def test_attention_mix_gradient(rng, monkeypatch, pad, wrt):
         for _, param in a.named_parameters():
             param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
         a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
+        if qk != "random":
+            a.w_q.data[:] = 0
+        if qk == "zero":
+            a.w_k.data[:] = 0
         x = Tensor(rng.normal(size=(b, h_t, w_t, d)))
         r = Tensor(rng.uniform(-1, 1, size=x.shape))
         targets = {"x": x, "q": a.w_q, "k": a.w_k, "v": a.w_v, "o": a.w_o, "b_rel": a.b_rel,
@@ -300,6 +324,21 @@ def test_attention_mix_tape_free_forward_matches_taped(rng, monkeypatch):
     assert [p.shape[0] for p in free_buffers] == [p.shape[0] for p in buffers] == [3, 3, 1]
     assert all(np.shares_memory(p, free_buffers[0]) for p in free_buffers)
     assert not any(np.shares_memory(p, q) for i, p in enumerate(buffers) for q in buffers[:i])
+
+    # a switched mixer (w_q = w_k = 0) builds its probabilities once per
+    # call on a [1, H, N, N] buffer, whatever the batch, taped or not
+    switched = reparameterize(ConvMixer.init(3, d, rng), (h_t, w_t))
+    for batch in (1, b):
+        x = Tensor(rng.normal(size=(batch, h_t, w_t, d)))
+        buffers[:] = []
+        free = attention_mix(x, switched)
+        assert [p.shape[0] for p in buffers] == [1]
+        g = tt.Graph()
+        with g:
+            taped = attention_mix(x, switched)
+        assert taped.requires_grad and len(g) == 1
+        assert [p.shape[0] for p in buffers] == [1, 1]
+        np.testing.assert_array_equal(free.data, taped.data)
 
 
 def capture_attention(monkeypatch):

@@ -535,6 +535,19 @@ def test_cmd_fourier_feature_dump_reports_only_populated_targets(tmp_path, rng):
     assert rows == [["m", f"{2 * math.pi / 3:.6f}"], ["m", f"{math.pi:.6f}"]]
 
 
+def test_cmd_fourier_feature_dump_never_opens_the_checkpoint(tmp_path, rng):
+    # a dump is analysed on its own; the checkpoint path only names the
+    # default output directory, so a missing checkpoint is no error
+    dump = str(tmp_path / "features.bin")
+    write_container(dump, {"kind": "feature-dump"}, {"m": rng.normal(size=(3, 4, 4)).astype(np.float32)})
+    out = tmp_path / "dumpprof"
+    assert main(["fourier", "--checkpoint", str(tmp_path / "missing.bin"), "--feature-dump", dump,
+                 "--out", str(out)]) == 0
+    assert (out / "feature_dump_profile.csv").exists()
+    manifest = json.load(open(out / "manifest.json"))
+    assert (manifest["status"], manifest["config"], manifest["seed"]) == ("completed", {}, None)
+
+
 def test_cmd_fourier_never_reports_the_zero_frequency_bin(tmp_path, capsys):
     ckpt, _, _ = _preset_checkpoint(tmp_path, "desk")
     # at width 10 every target falls in bin 0: no target, exit 2 and no CSV

@@ -249,6 +249,36 @@ def test_determinism_same_seed_same_history(tmp_path):
         np.testing.assert_array_equal(t1[name], t2[name])
 
 
+def test_positional_attention_trains_to_the_general_path_bits(tmp_path, monkeypatch):
+    # the benchmark's interp-switched run (8x8 grid, pad slot, +100 spikes,
+    # both layers switched after epoch 1) ends on the same bits whether its
+    # switched layers compute their probabilities once per call or per sample
+    blocks = importlib.import_module("convattn.blocks")
+    argv = ["train", "--preset", "interp", "--set", "schedule.kind=uniform", "--set", "schedule.e_switch=1",
+            "--set", "data.dataset=synthetic", "--set", "schedule.total_epochs=3"]
+    positional, selected = blocks._positional, []
+
+    def recording(a):
+        selected.append(positional(a))
+        return selected[-1]
+
+    def run(name, select):
+        monkeypatch.setattr(blocks, "_positional", select)
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        loss = _metrics_lines(out / "metrics.jsonl")[-1]["train_loss"]
+        return loss, load_checkpoint(str(out / "checkpoint_final.bin"))[1], (out / "depth_profile.csv").read_bytes()
+
+    loss, tensors, profile = run("positional", recording)
+    assert any(selected)
+    general_loss, general_tensors, general_profile = run("general", lambda a: False)
+    assert loss == general_loss
+    assert tensors.keys() == general_tensors.keys()
+    for name, value in tensors.items():
+        assert value.tobytes() == general_tensors[name].tobytes(), name
+    assert profile == general_profile
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr=1e6 overflows gelu on purpose
 def test_divergence_aborts_with_epoch():
     cfg = tiny_config(schedule_kind="all-conv", total_epochs=3, lr=1e6)
