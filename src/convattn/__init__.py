@@ -10,7 +10,6 @@ from .blocks import (
     HybridBlock,
     Model,
     PatchEmbed,
-    attention_scores,
     block_forward,
     build_model,
     conv_mixer_forward,

@@ -33,7 +33,6 @@ __all__ = [
     "Model",
     "patch_embed_forward",
     "conv_mixer_forward",
-    "attention_scores",
     "mhsa_forward",
     "block_forward",
     "model_forward",
@@ -180,7 +179,7 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
         raise ShapeError(f"bias table {b_rel.shape} does not match lattice {h_t}x{w_t}")
     idx, offgrid = _rel_geometry(h_t, w_t)
     flat = b_rel.reshape(heads, -1)
-    grid = flat[:, idx]
+    grid = np.take(flat, idx, axis=1)  # contiguous; flat[:, idx] would put the heads innermost
     if not pad_token:
         return (grid, np.full((heads, idx.shape[0]), _PAD_NEG, dtype=flat.dtype),
                 np.zeros((heads, *offgrid.shape), dtype=flat.dtype))
@@ -221,31 +220,74 @@ def _table_grad(grid_grad: np.ndarray, pad_grad: np.ndarray, pad_weights: np.nda
 # array, which keeps every gemm touching the probabilities contiguous.
 
 
-def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray):
-    """Turn key-major raw scores into probabilities in place; returns the
-    pad probability array.
+# A sample whose logits span at most this range is shifted by its largest
+# logit: every exponent is then at least e^-64 (about 1.6e-28), a normal
+# number even in float32, so no query column needs its own maximum.
+_NARROW_RANGE = 64.0
 
-    ``grid`` is the key-major bias [H, N_keys, N_queries] and ``pad`` the
-    pad logit [H, N_queries]. A logit gap below log(tiny) of the buffer's
-    dtype would exponentiate to a subnormal; it is flushed to -inf so its
-    probability is an exact zero. After a switch at beta=100 that is nearly
-    the whole column, and subnormal arithmetic is many times slower than
-    normal arithmetic on this path.
-    """
-    p += grid
+
+def _softmax_shift(p: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """The shift of each query column of the logits ``p``, broadcastable
+    to [B, H, N_queries]: the sample's largest logit (pad logits included)
+    when every logit of the sample in ``p`` lies within _NARROW_RANGE of
+    it, otherwise the column's own maximum. A sample's shift depends on its
+    own logits alone, not on the batch it is sliced with."""
+    hi = np.maximum(p.max(axis=(1, 2, 3)), pad.max())
+    narrow = hi - p.min(axis=(1, 2, 3)) <= _NARROW_RANGE  # False for a non-finite range
+    if narrow.all():
+        return hi[:, None, None]
     m = p.max(axis=-2)
     np.maximum(m, pad, out=m)
-    p -= m[..., None, :]
+    m[narrow] = hi[narrow, None, None]
+    return m
+
+
+def _exp_shifted(p: np.ndarray, shift: np.ndarray):
+    """exp(p - shift) in place, the shift broadcast over the keys. A logit
+    gap below log(tiny) of the buffer's dtype would exponentiate to a
+    subnormal; it is flushed to -inf so its probability is an exact zero.
+    After a switch at beta=100 that is nearly the whole column, and
+    subnormal arithmetic is many times slower than normal arithmetic on
+    this path. Only a column's own shift can leave such a gap, so the
+    flush runs only when the minimum is below the floor."""
+    p -= shift[..., None, :]
     floor = np.log(np.finfo(p.dtype).tiny)
-    np.copyto(p, -np.inf, where=p < floor)
+    if np.min(p, initial=0.0) < floor:
+        np.copyto(p, -np.inf, where=p < floor)
     np.exp(p, out=p)
-    e_pad = pad - m
-    np.copyto(e_pad, -np.inf, where=e_pad < floor)
+
+
+def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray):
+    """Turn key-major raw scores into probabilities in place; returns the
+    pad probabilities, the shift and the column totals.
+
+    ``grid`` is the key-major bias [H, N_keys, N_queries] and ``pad`` the
+    pad logit [H, N_queries]. The logits are shifted by
+    :func:`_softmax_shift` and exponentiated by :func:`_exp_shifted`; the
+    pad logit is flushed on its own. The shift and the totals [B, H,
+    N_queries] (pad included) are the softmax statistics from which
+    :func:`attn_probs_again` rebuilds the same probabilities from the same
+    raw scores, bitwise.
+    """
+    p += grid
+    shift = _softmax_shift(p, pad)
+    _exp_shifted(p, shift)
+    e_pad = pad - shift
+    np.copyto(e_pad, -np.inf, where=e_pad < np.log(np.finfo(p.dtype).tiny))
     np.exp(e_pad, out=e_pad)
-    s = p.sum(axis=-2)
-    s += e_pad
-    p /= s[..., None, :]
-    return e_pad / s
+    total = np.einsum("...kq->...q", p)  # bitwise p.sum(axis=-2), in under half its time
+    total += e_pad
+    p /= total[..., None, :]
+    return e_pad / total, shift, total
+
+
+def attn_probs_again(p: np.ndarray, grid: np.ndarray, shift: np.ndarray, total: np.ndarray):
+    """:func:`attn_probs_inplace`'s probabilities again, in place, from the
+    same raw scores and the shift and totals it returned: the same
+    arithmetic without its reductions."""
+    p += grid
+    _exp_shifted(p, shift)
+    p /= total[..., None, :]
 
 
 def attn_softmax_backward(p: np.ndarray, p_pad: np.ndarray, dp: np.ndarray):
@@ -325,7 +367,7 @@ class AttnMixer:
 
 def _attn_scale(d: int) -> float:
     """1/sqrt(d) as a Python float, so it keeps float32 scores float32 (a
-    numpy float64 scalar would promote the whole [B, H, N, N] buffer)."""
+    numpy float64 scalar would promote q and every probability buffer)."""
     return 1.0 / math.sqrt(d)
 
 
@@ -370,16 +412,6 @@ def _qkv_gemm(x_flat: np.ndarray, a: AttnMixer, batch: int, n: int):
     return w, qkv, (q_s, k, v)
 
 
-def _slice_probs(k: np.ndarray, q_s: np.ndarray, grid: np.ndarray, pad: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """Key-major probabilities of one batch slice into ``out``; returns the
-    pad probabilities. The per-sample probabilities of the general path and
-    of the inspection helper; the positional path calls the same
-    :func:`attn_probs_inplace` once on a zero score buffer instead."""
-    np.matmul(k, q_s.swapaxes(-1, -2), out=out)
-    return attn_probs_inplace(out, grid, pad)
-
-
 def _positional(a: AttnMixer) -> bool:
     """Whether the logits are the bias table alone: w_q and w_k both exactly
     zero, as in every reparameterized layer. Both must be zero, because
@@ -397,10 +429,14 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     are read as strided per-head views; head outputs are written straight
     into a [B, N, H, d_h] buffer that the output projection reads flat, so
     no head transpose is copied. Scores, softmax and value mixing run per
-    batch slice of about _SLICE_BYTES of probabilities. The full probability
-    buffer is kept only when a tape records the node; a tape-free forward
-    reuses one slice. The pad key contributes only to the softmax
-    denominator since its value vector is zero.
+    batch slice of about _SLICE_BYTES of probabilities, in one slice buffer
+    whether or not a tape records the node: no [B, H, N, N] tensor is
+    kept. A taped forward keeps each slice's softmax statistics (pad
+    probabilities, shift and column totals, [B, H, N] in all); the
+    backward recomputes each slice's scores and rebuilds its probabilities
+    from them with :func:`attn_probs_again`, bitwise the forward's. The pad
+    key contributes only to the softmax denominator since its value vector
+    is zero.
     """
     if _positional(a):
         return _positional_mix(x, a)
@@ -412,13 +448,16 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     w, qkv, (q_s, k, v) = _qkv_gemm(x_flat, a, batch, n)
     grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
     slices = _batch_slices(batch, heads, n, qkv.dtype)
-    p = np.empty((batch if taped else slices[0].stop, heads, n, n), dtype=qkv.dtype)
-    p_pad = np.empty((batch, heads, n), dtype=qkv.dtype)
+    p = np.empty((slices[0].stop, heads, n, n), dtype=qkv.dtype)  # one slice's probabilities
+    stats = []  # per slice: pad probabilities, shift and column totals
     merged = np.empty((batch * n, heads * d_h), dtype=qkv.dtype)
     o = merged.reshape(batch, n, heads, d_h).transpose(0, 2, 1, 3)
     for s in slices:
-        ps = p[s] if taped else p[: s.stop - s.start]
-        p_pad[s] = _slice_probs(k[s], q_s[s], grid, pad, ps)
+        ps = p[: s.stop - s.start]
+        np.matmul(k[s], q_s[s].swapaxes(-1, -2), out=ps)
+        slice_stats = attn_probs_inplace(ps, grid, pad)
+        if taped:
+            stats.append(slice_stats)
         np.matmul(ps.swapaxes(-1, -2), v[s], out=o[s])
     w_o = a.w_o.data.reshape(heads * d_h, d)
     y = merged @ w_o
@@ -432,16 +471,19 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
         d_o = (g_flat @ w_o.T).reshape(batch, n, heads, d_h).transpose(0, 2, 1, 3)
         d_qkv = np.empty_like(qkv)
         dq, dk, dv = _head_views(d_qkv, batch, n, heads, d_h)
-        dp = np.empty((slices[0].stop, heads, n, n), dtype=np.result_type(v, d_o))
+        p = np.empty((slices[0].stop, heads, n, n), dtype=qkv.dtype)
+        dp = np.empty(p.shape, dtype=np.result_type(v, d_o))
         ones_row = np.ones((1, dp.shape[0]), dtype=dp.dtype)
         grid_sum = np.zeros((heads, n, n), dtype=dp.dtype)  # batch-summed logit gradient
         pad_sum = np.zeros((heads, n), dtype=dp.dtype)
-        for s in slices:
+        for s, (p_pad, shift, total) in zip(slices, stats):
             rows = s.stop - s.start
-            ps, dps = p[s], dp[:rows]
+            ps, dps = p[:rows], dp[:rows]
+            np.matmul(k[s], q_s[s].swapaxes(-1, -2), out=ps)
+            attn_probs_again(ps, grid, shift, total)  # bitwise the forward's probabilities
             np.matmul(ps, d_o[s], out=dv[s])
             np.matmul(v[s], d_o[s].swapaxes(-1, -2), out=dps)
-            dpad = attn_softmax_backward(ps, p_pad[s], dps)  # dps becomes the logit gradient
+            dpad = attn_softmax_backward(ps, p_pad, dps)  # dps becomes the logit gradient
             summed = ones_row[:, :rows] @ dps.reshape(rows, grid_sum.size)  # batch-sum via gemv
             grid_sum += summed.reshape(grid_sum.shape)
             pad_sum += dpad.sum(axis=0)
@@ -477,7 +519,7 @@ def _positional_mix(x: Tensor, a: AttnMixer) -> Tensor:
     v = np.matmul(x_tok, a.w_v.data).reshape(heads, n, batch * d_h)
     grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
     p = np.zeros((1, heads, n, n), dtype=v.dtype)
-    p_pad = attn_probs_inplace(p, grid, pad)
+    p_pad, _, _ = attn_probs_inplace(p, grid, pad)
     merged = _batch_major(np.matmul(p[0].swapaxes(-1, -2), v), batch, d_h)
     w_o = a.w_o.data.reshape(heads * d_h, d)
     y = merged @ w_o
@@ -510,32 +552,6 @@ def _batch_major(per_head: np.ndarray, batch: int, d_h: int) -> np.ndarray:
     heads, n = per_head.shape[:2]
     return np.ascontiguousarray(per_head.reshape(heads, n, batch, d_h).transpose(2, 1, 0, 3)).reshape(
         batch * n, heads * d_h)
-
-
-def attention_scores(x: Tensor, head: int, a: AttnMixer) -> Tensor:
-    """Attention rows for one head on a single sample: [N, N_keys].
-
-    Inspection helper over the general path's per-sample probabilities
-    (:func:`_slice_probs`), returned query-major; the result is detached
-    from any active tape. For w_q = w_k = 0 its scores are zero, so it
-    runs the same softmax arithmetic on the same logits as the positional
-    path.
-    """
-    _check_attn_input(x, a)
-    if x.shape[0] != 1:
-        raise ShapeError("attention_scores inspects a single sample; pass batch 1")
-    if not 0 <= head < a.n_heads:
-        raise ShapeError(f"head {head} out of range 0..{a.n_heads - 1}")
-    h_t, w_t = a.grid_hw
-    n = h_t * w_t
-    _, qkv, (q_s, k, _) = _qkv_gemm(x.data.reshape(n, a.dim), a, 1, n)
-    grid, pad, _ = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
-    p = np.empty((1, a.n_heads, n, n), dtype=qkv.dtype)
-    p_pad = _slice_probs(k, q_s, grid, pad, p)
-    rows = p[0, head].T
-    if a.pad_token_enabled:
-        rows = np.concatenate([rows, p_pad[0, head][:, None]], axis=-1)
-    return Tensor(rows)
 
 
 def mhsa_forward(x: Tensor, a: AttnMixer) -> Tensor:

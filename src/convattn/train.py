@@ -187,14 +187,18 @@ def load_dataset(config: TrainConfig, split: str) -> Dataset:
     raise ValueError(f"unknown dataset {config.dataset!r}")
 
 
-def _norm_stats(config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _norm_stats(config: TrainConfig, image_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std, repeated over a whole [H, W, C] image: a
+    3-float operand along the innermost axis would run numpy's inner loop 3
+    elements at a time."""
     mean, std = NORM_STATS.get(config.dataset, NORM_STATS["synthetic"])
-    return np.asarray(mean, dtype=np.float32), np.asarray(std, dtype=np.float32)
+    return tuple(np.ascontiguousarray(np.broadcast_to(np.asarray(v, dtype=np.float32), image_shape))
+                 for v in (mean, std))
 
 
 def _prepare(images: np.ndarray, config: TrainConfig) -> np.ndarray:
     if config.normalize:
-        mean, std = _norm_stats(config)
+        mean, std = _norm_stats(config, images.shape[1:])
         out = images - mean
         out /= std  # in place: a batch-sized temporary fewer
         return out

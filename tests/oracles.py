@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: explicit loops, plain numpy, no reuse
 of the library's forward code. These pin down expected values for the fast
-implementations.
+implementations. The exception is ``attention_scores``, an inspection helper
+that runs the library's own softmax kernel on one sample.
 """
 
 import numpy as np
 
-from convattn.tensor import Tensor, record
+from convattn import blocks
+from convattn.tensor import ShapeError, Tensor, record
 
 
 def conv2d_loops(x, kernel, bias):
@@ -85,6 +87,34 @@ def mhsa_loops(x, w_q, w_k, w_v, w_o, b_rel, out_bias, h_t, w_t, pad_token):
                 out[bi, qi] += mixed @ w_o[head]
         out[bi] += out_bias
     return out
+
+
+def attention_scores(x, head, a):
+    """Attention rows for one head of an AttnMixer on a single sample:
+    [N, N_keys], with the pad slot's probability as a last column when the
+    mixer has one.
+
+    Unlike the loop oracles this reuses the library's projections, bias
+    expansion and softmax kernel (``blocks.attn_probs_inplace``, read at
+    call time so a test's spy on it sees the call), so the tests that read
+    it exercise them. For w_q = w_k = 0 its scores are zero, the positional
+    path's logits.
+    """
+    blocks._check_attn_input(x, a)
+    if x.shape[0] != 1:
+        raise ShapeError("attention_scores inspects a single sample; pass batch 1")
+    if not 0 <= head < a.n_heads:
+        raise ShapeError(f"head {head} out of range 0..{a.n_heads - 1}")
+    h_t, w_t = a.grid_hw
+    n = h_t * w_t
+    _, _, (q_s, k, _) = blocks._qkv_gemm(x.data.reshape(n, a.dim), a, 1, n)
+    grid, pad, _ = blocks._bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
+    p = k @ q_s.swapaxes(-1, -2)  # key-major [1, H, N_keys, N_queries]
+    p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
+    rows = p[0, head].T
+    if a.pad_token_enabled:
+        rows = np.concatenate([rows, p_pad[0, head][:, None]], axis=-1)
+    return Tensor(rows)
 
 
 def model_forward_straightline(images, model):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from convattn.blocks import (
     _bias_logits,
     _rel_geometry,
     attention_mix,
-    attention_scores,
     block_forward,
     build_model,
     conv_mixer_forward,
@@ -25,7 +26,7 @@ from convattn.blocks import (
 from convattn.reparam import reparameterize
 from convattn.schedule import CONV, SA
 from convattn.tensor import ShapeError, Tensor, finite_diff_check
-from oracles import mhsa_loops, model_forward_straightline, mul, patch_embed_loops, sum_
+from oracles import attention_scores, mhsa_loops, model_forward_straightline, mul, patch_embed_loops, sum_
 
 
 def grid_of(rng, b, h, w, d):
@@ -253,11 +254,11 @@ def test_mhsa_matches_bruteforce(rng, pad, zero_qk):
 def _gradient_cases():
     # (q/k, pad, wrt) with ids; the random cases keep their original ids
     pads = [False, True]
-    cases = [pytest.param("random", pad, wrt, id=f"{pad}-{wrt}")
-             for wrt in ["x", "q", "k", "v", "o", "b_rel", "out_bias"] for pad in pads]
-    cases += [pytest.param("zero", pad, wrt, id=f"zero-{pad}-{wrt}")
-              for wrt in ["x", "q", "k", "v", "o", "b_rel", "out_bias"] for pad in pads]
+    wrts = ["x", "q", "k", "v", "o", "b_rel", "out_bias"]
+    cases = [pytest.param("random", pad, wrt, id=f"{pad}-{wrt}") for wrt in wrts for pad in pads]
+    cases += [pytest.param("zero", pad, wrt, id=f"zero-{pad}-{wrt}") for wrt in wrts for pad in pads]
     cases += [pytest.param("q_zero", pad, "q", id=f"q_zero-{pad}-q") for pad in pads]
+    cases += [pytest.param("wide", pad, wrt, id=f"wide-{pad}-{wrt}") for wrt in wrts for pad in pads]
     return cases
 
 
@@ -271,7 +272,14 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, pad, wrt):
     # qk "zero" (w_q = w_k = 0) runs the positional path, whose batch-sum is
     # one gemm per head; float64 keeps the softmax tail, so the table
     # gradient is not zero, and w_q and w_k get none, exactly. "q_zero" (w_q = 0 only) must stay on the general
-    # path: w_q's gradient x^T (dS k) needs the per-sample dS
+    # path: w_q's gradient x^T (dS k) needs the per-sample dS.
+    # Every sample of these cases spans a logit range of at most
+    # _NARROW_RANGE, so the softmax shifts it by one scalar, except "wide":
+    # its channel 0 is about +1 or -1 over each sample's tokens and w_k
+    # reads it 40 times over, so each query's logits move by about +-40.
+    # That widens every sample past the range, onto the per-query shift,
+    # while each softmax stays unsaturated; the larger logits need a finer
+    # step
     with tt.using_dtype(np.float64):
         b, heads, h_t, w_t, d = 5, 2, 3, 3, 3
         n = h_t * w_t
@@ -281,26 +289,42 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, pad, wrt):
         for _, param in a.named_parameters():
             param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
         a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
-        if qk != "random":
+        if qk in ("zero", "q_zero"):
             a.w_q.data[:] = 0
         if qk == "zero":
             a.w_k.data[:] = 0
-        x = Tensor(rng.normal(size=(b, h_t, w_t, d)))
+        xs = rng.normal(size=(b, h_t, w_t, d))
+        if qk == "wide":
+            xs[..., 0] = np.array([1, -1, 1, -1, 1])[:, None, None] + 0.05 * xs[..., 0]
+            a.w_k.data[:, 0] *= 40
+        x = Tensor(xs)
         r = Tensor(rng.uniform(-1, 1, size=x.shape))
         targets = {"x": x, "q": a.w_q, "k": a.w_k, "v": a.w_v, "o": a.w_o, "b_rel": a.b_rel,
                    "out_bias": a.out_bias}
+        spans = []
+        probs_inplace = blocks.attn_probs_inplace
+
+        def spy(p, grid, pad_logits):
+            logits = p + grid
+            hi = np.maximum(logits.max(axis=(1, 2, 3)), pad_logits.max())
+            spans.extend(hi - logits.min(axis=(1, 2, 3)))
+            return probs_inplace(p, grid, pad_logits)
+
+        monkeypatch.setattr(blocks, "attn_probs_inplace", spy)
+        attention_mix(x, a)
+        assert spans and all((span > blocks._NARROW_RANGE) == (qk == "wide") for span in spans), spans
 
         def f(_):
             return sum_(mul(attention_mix(x, a), r))
 
-        report = finite_diff_check(f, targets[wrt], step=1e-4, tol=1e-5)
+        report = finite_diff_check(f, targets[wrt], step=1e-5 if qk == "wide" else 1e-4, tol=1e-5)
         assert report.passed, report
 
 
 def test_attention_mix_tape_free_forward_matches_taped(rng, monkeypatch):
-    # without a tape the slices share one slice-sized probability buffer;
-    # with one, each slice is its own part of the full buffer. The numbers
-    # are bitwise the same either way, and the layer is one tape node
+    # with or without a tape the slices share one slice-sized probability
+    # buffer, so no [B, H, N, N] tensor is kept. The numbers are bitwise the
+    # same either way, and the layer is one tape node
     d, h_t, w_t, b = 8, 4, 4, 7
     monkeypatch.setattr(blocks, "_SLICE_BYTES", 3 * 9 * (h_t * w_t) ** 2 * 4)  # slices of 3, 3, 1
     buffers = []
@@ -322,8 +346,8 @@ def test_attention_mix_tape_free_forward_matches_taped(rng, monkeypatch):
     assert not free.requires_grad and taped.requires_grad and len(g) == 1
     np.testing.assert_array_equal(free.data, taped.data)
     assert [p.shape[0] for p in free_buffers] == [p.shape[0] for p in buffers] == [3, 3, 1]
-    assert all(np.shares_memory(p, free_buffers[0]) for p in free_buffers)
-    assert not any(np.shares_memory(p, q) for i, p in enumerate(buffers) for q in buffers[:i])
+    for run in (free_buffers, buffers):
+        assert all(np.shares_memory(p, run[0]) for p in run)
 
     # a switched mixer (w_q = w_k = 0) builds its probabilities once per
     # call on a [1, H, N, N] buffer, whatever the batch, taped or not
@@ -351,9 +375,9 @@ def capture_attention(monkeypatch):
     probs_inplace, record = blocks.attn_probs_inplace, blocks.record
 
     def capture_probs(p, grid, pad):
-        p_pad = probs_inplace(p, grid, pad)
-        probs.append((p.swapaxes(-1, -2).copy(), p_pad))
-        return p_pad
+        result = probs_inplace(p, grid, pad)
+        probs.append((p.swapaxes(-1, -2).copy(), result[0]))
+        return result
 
     def capture_record(out, inputs, backward_fn):
         def bwd(g):
@@ -370,7 +394,7 @@ def capture_attention(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_runs_in_tensor_dtype(rng, monkeypatch, dtype):
-    # float32 tensors keep the [B, H, N, N] buffer and every gradient float32
+    # float32 tensors keep the probability slices and every gradient float32
     # (a float64 scale would promote them); the float64 oracles stay float64
     probs, grads = capture_attention(monkeypatch)
     with tt.using_dtype(dtype):
@@ -386,6 +410,183 @@ def test_attention_runs_in_tensor_dtype(rng, monkeypatch, dtype):
     assert out.data.dtype == dtype
     assert p.dtype == p_pad.dtype == dtype
     assert [t.dtype for t in raw] == [dtype] * 7
+
+
+@pytest.mark.parametrize("spike", [False, True], ids=["narrow", "wide"])
+def test_backward_recomputes_the_forward_probabilities_bitwise(rng, monkeypatch, spike):
+    # the general path keeps only each slice's softmax statistics between
+    # its forward and its backward: the backward recomputes the scores and
+    # rebuilds the probabilities from them, and must get the forward's
+    # bits on either shift (a +100 spike widens every sample's logit range
+    # past _NARROW_RANGE)
+    d, h_t, w_t, b = 8, 4, 4, 7
+    monkeypatch.setattr(blocks, "_SLICE_BYTES", 3 * 9 * (h_t * w_t) ** 2 * 4)  # slices of 3, 3, 1
+    probs, _ = capture_attention(monkeypatch)
+    recomputed = []
+    probs_again = blocks.attn_probs_again
+
+    def capture_again(p, grid, shift, total):
+        probs_again(p, grid, shift, total)
+        recomputed.append(p.swapaxes(-1, -2).copy())
+
+    monkeypatch.setattr(blocks, "attn_probs_again", capture_again)
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng, pad_token_enabled=True)
+    a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
+    if spike:
+        a.b_rel.data[:, h_t - 1, w_t - 1] += 100.0
+    g = tt.Graph()
+    with g:
+        loss = sum_(attention_mix(grid_of(rng, b, h_t, w_t, d), a))
+    assert not recomputed
+    tt.backward(loss, g)
+    assert [p.shape[0] for p, _ in probs] == [p.shape[0] for p in recomputed] == [3, 3, 1]
+    for (p, _), q in zip(probs, recomputed):
+        assert p.tobytes() == q.tobytes()
+    if spike:
+        assert all(p.max() == 1.0 for p, _ in probs)
+
+
+def test_general_path_keeps_no_probability_block_per_sample(rng):
+    # a taped forward and backward keeps no [B, H, N, N] tensor: between two
+    # batch sizes its traced peak grows by less than one float32 [H, N, N]
+    # block (147 KB at 9 heads on an 8x8 grid) per sample. Keeping every
+    # slice's probabilities for the backward grows it by about 227 KB
+    d, h_t, w_t = 4, 8, 8
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
+
+    def traced_peak(batch):
+        x = grid_of(rng, batch, h_t, w_t, d)
+        tracemalloc.start()
+        try:
+            g = tt.Graph()
+            with g:
+                loss = sum_(attention_mix(x, a))
+            tt.backward(loss, g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(3)  # fill the geometry cache first
+    per_sample = (traced_peak(18) - traced_peak(6)) / 12
+    assert per_sample < 9 * (h_t * w_t) ** 2 * 4
+
+
+def _column_softmax(p, grid, pad):
+    """Key-major softmax with each query's own shift and the subnormal
+    flush, written out: the arithmetic for a wide sample."""
+    p = p + grid
+    m = np.maximum(p.max(axis=-2), pad)
+    floor = np.log(np.finfo(p.dtype).tiny)
+    z, z_pad = p - m[..., None, :], pad - m
+    z[z < floor] = -np.inf
+    z_pad[z_pad < floor] = -np.inf
+    e, e_pad = np.exp(z), np.exp(z_pad)
+    s = e.sum(axis=-2) + e_pad
+    return e / s[..., None, :], e_pad / s
+
+
+@pytest.mark.parametrize("case", ["spike", "wide", "non-finite"])
+def test_wide_logit_ranges_keep_the_per_query_softmax_bits(rng, case):
+    heads, n, rows = 3, 16, 2
+    p = rng.normal(size=(rows, heads, n, n)).astype(np.float32)
+    grid = rng.normal(size=(heads, n, n)).astype(np.float32)
+    pad = rng.normal(size=(heads, n)).astype(np.float32)
+    if case == "spike":
+        grid[:, np.arange(n), np.arange(n)] += 100.0
+    elif case == "wide":
+        p[..., ::2] += 65.0  # every other query 65 above the rest, each softmax unsaturated
+    elif case == "non-finite":
+        p[:, 0, 0, 0] = np.inf
+    assert blocks._softmax_shift(p + grid, pad).shape == (rows, heads, n)
+    with np.errstate(invalid="ignore"):  # inf - inf in the non-finite case
+        expected, expected_pad = _column_softmax(p, grid, pad)
+        p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
+    np.testing.assert_array_equal(p, expected)
+    np.testing.assert_array_equal(p_pad, expected_pad)
+
+
+@pytest.mark.parametrize("pad_slot", [False, True])
+def test_narrow_logit_ranges_shift_each_sample_by_one_scalar(rng, pad_slot):
+    # a sample whose logits span at most 64 is shifted by its own largest
+    # logit; every exponent is then a normal float32, so nothing is
+    # flushed, and the probabilities are the softmax's to float32 rounding
+    heads, n = 3, 16
+    p = rng.normal(size=(2, heads, n, n)).astype(np.float32)
+    p[0, 0, :, 0] -= 50.0  # one query's column sits far below the rest
+    p[1] += 30.0  # a second sample far above the first: each is narrow alone
+    grid = rng.normal(size=(heads, n, n)).astype(np.float32)
+    pad = (rng.normal(size=(heads, n)) if pad_slot else np.full((heads, n), blocks._PAD_NEG)).astype(np.float32)
+    logits = (p + grid).astype(np.float64)
+    shift = blocks._softmax_shift(p + grid, pad)
+    np.testing.assert_array_equal(shift[:, 0, 0], np.maximum((p + grid).max(axis=(1, 2, 3)), pad.max()))
+    assert shift.shape == (2, 1, 1)
+    z = np.concatenate([logits, np.broadcast_to(pad[:, None, :], (2, heads, 1, n))], axis=-2)
+    e = np.exp(z - z.max(axis=-2, keepdims=True))
+    expected = e / e.sum(axis=-2, keepdims=True)
+    p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
+    assert p.dtype == p_pad.dtype == np.float32
+    np.testing.assert_allclose(p, expected[..., :n, :], rtol=2e-5)
+    np.testing.assert_allclose(p_pad, expected[..., n, :], rtol=2e-5, atol=1e-37)
+    assert p.min() > np.finfo(np.float32).tiny
+
+
+def test_each_sample_softmax_is_independent_of_its_batch(rng, monkeypatch):
+    # a sample's probabilities are bitwise those of the sample alone,
+    # whichever shift its neighbours take, so the general path's output
+    # does not depend on how the batch is sliced
+    heads, n = 3, 16
+    p = rng.normal(size=(4, heads, n, n)).astype(np.float32)
+    p[1] *= 40.0  # a wide sample between narrow ones
+    p[3] += 30.0
+    grid = rng.normal(size=(heads, n, n)).astype(np.float32)
+    pad = rng.normal(size=(heads, n)).astype(np.float32)
+    alone = [p[i:i + 1].copy() for i in range(len(p))]
+    alone_pad = [blocks.attn_probs_inplace(q, grid, pad)[0] for q in alone]
+    for batch in ([0, 2, 3], [0, 1, 2, 3]):  # all narrow, and mixed
+        probs = p[batch]
+        batch_pad, _, _ = blocks.attn_probs_inplace(probs, grid, pad)
+        for j, i in enumerate(batch):
+            assert probs[j].tobytes() == alone[i].tobytes() and batch_pad[j].tobytes() == alone_pad[i].tobytes()
+
+    d, h_t, w_t = 8, 4, 4
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng, pad_token_enabled=True)
+    for _, param in a.named_parameters():
+        param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
+    a.w_k.data[:, 0] *= 100.0
+    xs = rng.normal(size=(7, h_t, w_t, d))
+    xs[..., 0] = np.array([0, 0, 1, 0, 0, -1, 0])[:, None, None]  # samples 2 and 5 wide
+    x = Tensor(xs)
+    spans = []
+    probs_inplace = blocks.attn_probs_inplace
+
+    def spy(p, grid, pad_logits):
+        logits = p + grid
+        spans.extend(np.maximum(logits.max(axis=(1, 2, 3)), pad_logits.max()) - logits.min(axis=(1, 2, 3)))
+        return probs_inplace(p, grid, pad_logits)
+
+    monkeypatch.setattr(blocks, "attn_probs_inplace", spy)
+    outs = []
+    for rows in (1, 2, 3, 7):
+        monkeypatch.setattr(blocks, "_SLICE_BYTES", rows * 9 * (h_t * w_t) ** 2 * 4)
+        outs.append(attention_mix(x, a).data)
+    assert [span > blocks._NARROW_RANGE for span in spans] == [False, False, True, False, False, True, False] * 4
+    assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+
+
+def test_general_path_takes_an_empty_batch(rng):
+    # one empty slice: forward and backward run, the output is empty and
+    # every parameter gradient is zero
+    d, h_t, w_t = 8, 4, 4
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng, pad_token_enabled=True)
+    x = Tensor(np.zeros((0, h_t, w_t, d)), requires_grad=True)
+    g = tt.Graph()
+    with g:
+        out = attention_mix(x, a)
+        loss = sum_(out)
+    grads = tt.backward(loss, g)
+    assert out.shape == x.shape
+    params = [param for _, param in a.named_parameters()]
+    assert all(grads[param].shape == param.shape and not grads[param].any() for param in params)
 
 
 # --------------------------------------------------------------------------

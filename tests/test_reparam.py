@@ -11,6 +11,7 @@ from convattn.reparam import reparameterize, switch_block, verify_equivalence
 from convattn.schedule import CONV, SA
 from convattn.tensor import Graph, ShapeError, Tensor, backward
 from convattn.train import TrainConfig, cross_entropy_label_smooth
+from oracles import attention_scores
 from test_blocks import capture_attention, make_block, small_model
 
 
@@ -126,8 +127,6 @@ def test_report_json_roundtrip(rng):
 def test_softmax_tail_bound(rng):
     conv = random_conv(rng, d=4)
     attn = reparameterize(conv, (4, 4))
-    from convattn.blocks import attention_scores
-
     x = Tensor(rng.normal(size=(1, 4, 4, 4)))
     n = 16
     for head in (0, 4, 8):

@@ -112,6 +112,20 @@ def test_lr_warmup_and_cosine():
 # Evaluation
 
 
+@pytest.mark.parametrize("dataset", ["synthetic", "cifar10", "cifar100"])
+def test_prepare_normalizes_each_channel_bitwise(rng, dataset):
+    # the full-image mean and std give the bits of the per-channel formula
+    from convattn.data import NORM_STATS
+
+    config = tiny_config(dataset=dataset)
+    images = rng.random((5, 32, 32, 3), dtype=np.float32)
+    mean, std = (np.asarray(v, dtype=np.float32) for v in NORM_STATS[dataset])
+    prepared = train_module._prepare(images, config)
+    assert prepared.dtype == np.float32
+    assert prepared.tobytes() == ((images - mean) / std).tobytes()
+    assert train_module._prepare(images, tiny_config(dataset=dataset, normalize=False)) is images
+
+
 def test_topk_one_hot_logits():
     labels = np.array([2, 0, 1])
     logits = np.full((3, 5), -1.0)
