@@ -171,8 +171,8 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     masked logsumexp of the table over the query's off-grid offsets. The
     weights are the softmax over that masked subset, i.e. the pad logit's
     gradient w.r.t. the flat table. Without a pad slot (and for a query with
-    no off-grid offset) the pad logit is _PAD_NEG and its weights are zero,
-    so the slot takes no probability and routes no gradient.
+    no off-grid offset) the pad logit is _PAD_NEG, so the slot takes no
+    probability and routes no gradient; its weights are zero, or None.
     """
     heads = b_rel.shape[0]
     if b_rel.shape[1] != 2 * h_t - 1 or b_rel.shape[2] != 2 * w_t - 1:
@@ -181,8 +181,7 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     flat = b_rel.reshape(heads, -1)
     grid = np.take(flat, idx, axis=1)  # contiguous; flat[:, idx] would put the heads innermost
     if not pad_token:
-        return (grid, np.full((heads, idx.shape[0]), _PAD_NEG, dtype=flat.dtype),
-                np.zeros((heads, *offgrid.shape), dtype=flat.dtype))
+        return grid, np.full((heads, idx.shape[0]), _PAD_NEG, dtype=flat.dtype), None
     masked = np.where(offgrid[None, :, :], flat[:, None, :], -np.inf)
     m = masked.max(axis=-1)  # [H, N]
     have_any = np.isfinite(m)
@@ -195,14 +194,14 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     return grid, pad.astype(flat.dtype), weights.astype(flat.dtype)
 
 
-def _table_grad(grid_grad: np.ndarray, pad_grad: np.ndarray, pad_weights: np.ndarray,
+def _table_grad(grid_grad: np.ndarray, pad_grad: np.ndarray, pad_weights: np.ndarray | None,
                 b_rel: np.ndarray) -> np.ndarray:
     """Gradient of the [H, 2h-1, 2w-1] table from the batch-summed logit
     gradients: key-major grid [H, N_keys, N_queries] and pad [H, N_queries].
 
     Every grid entry lands on its offset's table entry, all heads in one
     pass over the key-major index; the pad-logit gradient reaches the table
-    through the off-grid logsumexp weights of :func:`_bias_logits`.
+    through the off-grid logsumexp weights of :func:`_bias_logits`, if any.
     """
     heads, rows, cols = b_rel.shape
     idx = _rel_geometry((rows + 1) // 2, (cols + 1) // 2)[0]
@@ -210,50 +209,48 @@ def _table_grad(grid_grad: np.ndarray, pad_grad: np.ndarray, pad_weights: np.nda
     bins = (np.arange(heads)[:, None] * r + idx.reshape(1, -1)).reshape(-1)
     d_flat = np.bincount(bins, weights=grid_grad.reshape(-1).astype(np.float64),
                          minlength=heads * r).reshape(heads, r)
-    d_flat += np.einsum("hq,hqr->hr", pad_grad, pad_weights)
+    if pad_weights is not None:
+        d_flat += np.einsum("hq,hqr->hr", pad_grad, pad_weights)
     return d_flat.reshape(b_rel.shape).astype(b_rel.dtype)
 
 
-# Probabilities are stored key-major, [.., N_keys, N_queries], so the
-# softmax's max and sum run over axis -2, across contiguous rows. The pad
-# slot is carried out-of-band: the pad probability is a separate [.., N_queries]
-# array, which keeps every gemm touching the probabilities contiguous.
+# Probabilities are key-major, [.., N_keys, N_queries], so the softmax's max
+# and sum run over axis -2, across contiguous rows. The pad probability is a
+# separate [.., N_queries] array, so every gemm reads the rest contiguous.
 
 
-# A sample whose logits span at most this range is shifted by its largest
-# logit: every exponent is then at least e^-64 (about 1.6e-28), a normal
-# number even in float32, so no query column needs its own maximum.
+# A sample whose logits lie within this bound of zero (pad logits at most
+# this) is not shifted: each exponent is a normal float32 and the sum finite.
 _NARROW_RANGE = 64.0
 
 
-def _softmax_shift(p: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """The shift of each query column of the logits ``p``, broadcastable
-    to [B, H, N_queries]: the sample's largest logit (pad logits included)
-    when every logit of the sample in ``p`` lies within _NARROW_RANGE of
-    it, otherwise the column's own maximum. A sample's shift depends on its
+def _softmax_shift(p: np.ndarray, pad: np.ndarray) -> np.ndarray | None:
+    """Each query column's shift, or None if no sample needs one: 0 in a
+    sample within _NARROW_RANGE, else the column's maximum, pad included
+    (a +100 spike, a wide or non-finite range). It depends on the sample's
     own logits alone, not on the batch it is sliced with."""
-    hi = np.maximum(p.max(axis=(1, 2, 3)), pad.max())
-    narrow = hi - p.min(axis=(1, 2, 3)) <= _NARROW_RANGE  # False for a non-finite range
-    if narrow.all():
-        return hi[:, None, None]
+    inside = (p.min(axis=(1, 2, 3)) >= -_NARROW_RANGE) & (p.max(axis=(1, 2, 3)) <= _NARROW_RANGE)
+    inside &= pad.max() <= _NARROW_RANGE  # False for a non-finite range
+    if inside.all():
+        return None
     m = p.max(axis=-2)
     np.maximum(m, pad, out=m)
-    m[narrow] = hi[narrow, None, None]
+    m[inside] = 0.0
     return m
 
 
-def _exp_shifted(p: np.ndarray, shift: np.ndarray):
+def _exp_shifted(p: np.ndarray, shift: np.ndarray | None):
     """exp(p - shift) in place, the shift broadcast over the keys. A logit
     gap below log(tiny) of the buffer's dtype would exponentiate to a
     subnormal; it is flushed to -inf so its probability is an exact zero.
     After a switch at beta=100 that is nearly the whole column, and
-    subnormal arithmetic is many times slower than normal arithmetic on
-    this path. Only a column's own shift can leave such a gap, so the
-    flush runs only when the minimum is below the floor."""
-    p -= shift[..., None, :]
-    floor = np.log(np.finfo(p.dtype).tiny)
-    if np.min(p, initial=0.0) < floor:
-        np.copyto(p, -np.inf, where=p < floor)
+    subnormal arithmetic is many times slower than normal arithmetic. Only
+    a column's own shift can leave such a gap: with no shift, exp(p)."""
+    if shift is not None:
+        p -= shift[..., None, :]
+        floor = np.log(np.finfo(p.dtype).tiny)
+        if np.min(p, initial=0.0) < floor:
+            np.copyto(p, -np.inf, where=p < floor)
     np.exp(p, out=p)
 
 
@@ -261,18 +258,18 @@ def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray):
     """Turn key-major raw scores into probabilities in place; returns the
     pad probabilities, the shift and the column totals.
 
-    ``grid`` is the key-major bias [H, N_keys, N_queries] and ``pad`` the
-    pad logit [H, N_queries]. The logits are shifted by
-    :func:`_softmax_shift` and exponentiated by :func:`_exp_shifted`; the
-    pad logit is flushed on its own. The shift and the totals [B, H,
-    N_queries] (pad included) are the softmax statistics from which
-    :func:`attn_probs_again` rebuilds the same probabilities from the same
-    raw scores, bitwise.
+    ``p`` is [B, G, N_keys, Q], ``grid`` the bias [G, N_keys, Q] and
+    ``pad`` the pad logit [G, Q]: heads as groups on the positional path,
+    one group of (head, query) columns on the general path. The logits are
+    shifted by :func:`_softmax_shift` and exponentiated by
+    :func:`_exp_shifted`; the pad logit is flushed on its own. The shift
+    and the totals [B, G, Q] (pad included) are the statistics from which
+    :func:`attn_probs_again` rebuilds the same probabilities, bitwise.
     """
     p += grid
     shift = _softmax_shift(p, pad)
     _exp_shifted(p, shift)
-    e_pad = pad - shift
+    e_pad = pad - (0.0 if shift is None else shift)
     np.copyto(e_pad, -np.inf, where=e_pad < np.log(np.finfo(p.dtype).tiny))
     np.exp(e_pad, out=e_pad)
     total = np.einsum("...kq->...q", p)  # bitwise p.sum(axis=-2), in under half its time
@@ -367,7 +364,7 @@ class AttnMixer:
 
 def _attn_scale(d: int) -> float:
     """1/sqrt(d) as a Python float, so it keeps float32 scores float32 (a
-    numpy float64 scalar would promote q and every probability buffer)."""
+    numpy float64 scalar would promote them and every probability buffer)."""
     return 1.0 / math.sqrt(d)
 
 
@@ -392,26 +389,6 @@ def _batch_slices(batch: int, heads: int, n: int, dtype) -> list[slice]:
     return [slice(s, min(s + rows, batch)) for s in range(0, max(batch, 1), rows)]
 
 
-def _head_views(qkv: np.ndarray, batch: int, n: int, heads: int, d_h: int):
-    """q, k, v as strided [B, H, N, d_h] views of a [B*N, 3*H*d_h] buffer."""
-    split = qkv.reshape(batch, n, 3, heads, d_h)
-    return tuple(split[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
-
-
-def _qkv_gemm(x_flat: np.ndarray, a: AttnMixer, batch: int, n: int):
-    """One gemm X[B*N, d] @ W[d, 3*H*d_h] for q, k and v.
-
-    Returns (W, the projected buffer, its (q_scaled, k, v) head views); q is
-    scaled in place.
-    """
-    w = np.concatenate([t.data.transpose(1, 0, 2) for t in (a.w_q, a.w_k, a.w_v)], axis=1)
-    w = w.reshape(a.dim, -1)
-    qkv = x_flat @ w
-    q_s, k, v = _head_views(qkv, batch, n, a.n_heads, a.d_head)
-    q_s *= _attn_scale(a.dim)
-    return w, qkv, (q_s, k, v)
-
-
 def _positional(a: AttnMixer) -> bool:
     """Whether the logits are the bias table alone: w_q and w_k both exactly
     zero, as in every reparameterized layer. Both must be zero, because
@@ -425,18 +402,17 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     Sum over heads of softmax(q k^T * scale + B) v W_o, plus the output
     bias. When w_q and w_k are both exactly zero the logits are the same for
     every sample, and :func:`_positional_mix` computes the node with one
-    softmax per call. Otherwise q, k and v come from one stacked gemm and
-    are read as strided per-head views; head outputs are written straight
-    into a [B, N, H, d_h] buffer that the output projection reads flat, so
-    no head transpose is copied. Scores, softmax and value mixing run per
-    batch slice of about _SLICE_BYTES of probabilities, in one slice buffer
-    whether or not a tape records the node: no [B, H, N, N] tensor is
-    kept. A taped forward keeps each slice's softmax statistics (pad
-    probabilities, shift and column totals, [B, H, N] in all); the
-    backward recomputes each slice's scores and rebuilds its probabilities
-    from them with :func:`attn_probs_again`, bitwise the forward's. The pad
-    key contributes only to the softmax denominator since its value vector
-    is zero.
+    softmax per call. Otherwise the node runs in token space: with A_h =
+    scale W_q,h W_k,h^T and Y = [x A_h]_h, rows (head, query), one gemm per
+    sample gives its logits, key-major [N_keys, H*N_queries], and one more
+    mixes every head's tokens, Z_b = P_b^T x_b; each Z_h W_v,h fills the
+    buffer the output projection reads. Both run per batch slice of about
+    _SLICE_BYTES of probabilities in one buffer, so no [B, H, N, N] tensor
+    is kept; the tape keeps Y, the projected mix and the softmax
+    statistics. The backward rebuilds the probabilities bitwise with
+    :func:`attn_probs_again` and takes dv per head as the positional path
+    does, so w_q = w_k = 0 gets that path's bits either way. The pad key,
+    whose value is zero, enters only the denominator.
     """
     if _positional(a):
         return _positional_mix(x, a)
@@ -444,22 +420,30 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
     inputs = (x, a.w_q, a.w_k, a.w_v, a.w_o, a.b_rel, a.out_bias)
     taped = tt.recording(inputs)
+    w_q, w_k, w_v = a.w_q.data, a.w_k.data, a.w_v.data
+    scale = _attn_scale(d)
+    a_h = np.matmul(w_q, w_k.swapaxes(-1, -2)) * scale  # [H, d, d]
+    w_o = a.w_o.data.reshape(heads * d_h, d)
     x_flat = x.data.reshape(batch * n, d)
-    w, qkv, (q_s, k, v) = _qkv_gemm(x_flat, a, batch, n)
+    x_b = x_flat.reshape(batch, n, d)
+    y_b = np.matmul(x_b[:, None], a_h).reshape(batch, heads * n, d)
     grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
-    slices = _batch_slices(batch, heads, n, qkv.dtype)
-    p = np.empty((slices[0].stop, heads, n, n), dtype=qkv.dtype)  # one slice's probabilities
+    grid = np.ascontiguousarray(grid.swapaxes(0, 1)).reshape(1, n, heads * n)  # [1, keys, (head, query)]
+    pad = pad.reshape(1, heads * n)
+    slices = _batch_slices(batch, heads, n, y_b.dtype)
+    p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)  # one slice's probabilities
+    z = np.empty((slices[0].stop, heads, n, d), dtype=y_b.dtype)
     stats = []  # per slice: pad probabilities, shift and column totals
-    merged = np.empty((batch * n, heads * d_h), dtype=qkv.dtype)
-    o = merged.reshape(batch, n, heads, d_h).transpose(0, 2, 1, 3)
+    merged = np.empty((batch * n, heads * d_h), dtype=y_b.dtype)
+    o = merged.reshape(batch, n, heads, d_h).swapaxes(1, 2)
     for s in slices:
-        ps = p[: s.stop - s.start]
-        np.matmul(k[s], q_s[s].swapaxes(-1, -2), out=ps)
+        ps, zs = p[: s.stop - s.start], z[: s.stop - s.start]
+        np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
         slice_stats = attn_probs_inplace(ps, grid, pad)
         if taped:
             stats.append(slice_stats)
-        np.matmul(ps.swapaxes(-1, -2), v[s], out=o[s])
-    w_o = a.w_o.data.reshape(heads * d_h, d)
+        np.matmul(ps[:, 0].swapaxes(-1, -2), x_b[s], out=zs.reshape(len(zs), heads * n, d))
+        np.matmul(zs, w_v, out=o[s])
     y = merged @ w_o
     y += a.out_bias.data
     out = Tensor(y.reshape(x.shape))
@@ -468,33 +452,37 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
         g_flat = g.reshape(batch * n, d)
         d_out_bias = g_flat.sum(axis=0)
         d_w_o = (merged.T @ g_flat).reshape(a.w_o.shape)
-        d_o = (g_flat @ w_o.T).reshape(batch, n, heads, d_h).transpose(0, 2, 1, 3)
-        d_qkv = np.empty_like(qkv)
-        dq, dk, dv = _head_views(d_qkv, batch, n, heads, d_h)
-        p = np.empty((slices[0].stop, heads, n, n), dtype=qkv.dtype)
-        dp = np.empty(p.shape, dtype=np.result_type(v, d_o))
-        ones_row = np.ones((1, dp.shape[0]), dtype=dp.dtype)
-        grid_sum = np.zeros((heads, n, n), dtype=dp.dtype)  # batch-summed logit gradient
-        pad_sum = np.zeros((heads, n), dtype=dp.dtype)
+        d_o = (g_flat @ w_o.T).reshape(batch, n, heads, d_h).swapaxes(1, 2)
+        d_z = np.matmul(g.reshape(batch, 1, n, d), np.matmul(w_v, a.w_o.data).swapaxes(1, 2)).reshape(y_b.shape)
+        dv = np.empty(merged.shape, dtype=d_o.dtype)
+        dv_h = dv.reshape(batch, n, heads, d_h).swapaxes(1, 2)
+        d_yb, dx_s = np.empty(y_b.shape, dtype=d_z.dtype), np.empty(x_b.shape, dtype=d_z.dtype)
+        p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)
+        dp = np.empty(p.shape, dtype=d_z.dtype)
+        grid_sum = np.zeros((n, heads * n), dtype=dp.dtype)  # batch-summed logit gradient
+        pad_sum = np.zeros(heads * n, dtype=dp.dtype)
         for s, (p_pad, shift, total) in zip(slices, stats):
-            rows = s.stop - s.start
-            ps, dps = p[:rows], dp[:rows]
-            np.matmul(k[s], q_s[s].swapaxes(-1, -2), out=ps)
+            ps, dps = p[: s.stop - s.start], dp[: s.stop - s.start]
+            np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
             attn_probs_again(ps, grid, shift, total)  # bitwise the forward's probabilities
-            np.matmul(ps, d_o[s], out=dv[s])
-            np.matmul(v[s], d_o[s].swapaxes(-1, -2), out=dps)
+            np.matmul(ps.reshape(len(ps), n, heads, n).swapaxes(1, 2), d_o[s], out=dv_h[s])
+            np.matmul(x_b[s], d_z[s].swapaxes(-1, -2), out=dps[:, 0])
             dpad = attn_softmax_backward(ps, p_pad, dps)  # dps becomes the logit gradient
-            summed = ones_row[:, :rows] @ dps.reshape(rows, grid_sum.size)  # batch-sum via gemv
-            grid_sum += summed.reshape(grid_sum.shape)
-            pad_sum += dpad.sum(axis=0)
-            np.matmul(dps.swapaxes(-1, -2), k[s], out=dq[s])
-            np.matmul(dps, q_s[s], out=dk[s])
-        dq *= _attn_scale(d)
-        d_w = (x_flat.T @ d_qkv).reshape(d, 3, heads, d_h)
-        d_wq, d_wk, d_wv = (np.ascontiguousarray(d_w[:, i].transpose(1, 0, 2)) for i in range(3))
-        dx = (d_qkv @ w.T).reshape(x.shape)
-        d_rel = _table_grad(grid_sum, pad_sum, pad_weights, a.b_rel.data)
-        return dx, d_wq, d_wk, d_wv, d_w_o, d_rel, d_out_bias
+            for row, row_pad in zip(dps, dpad):
+                grid_sum += row[0]
+                pad_sum += row_pad[0]
+            np.matmul(dps[:, 0], y_b[s], out=dx_s[s])
+            np.matmul(dps[:, 0].swapaxes(-1, -2), x_b[s], out=d_yb[s])
+        d_y = np.ascontiguousarray(d_yb.reshape(batch, heads, n, d).swapaxes(1, 2)).reshape(batch * n, heads * d)
+        dx = dv @ w_v.swapaxes(0, 1).reshape(d, heads * d_h).T  # the positional path's bits
+        dx += dx_s.reshape(dx.shape)
+        dx += d_y @ a_h.swapaxes(0, 1).reshape(d, heads * d).T
+        d_a = (x_flat.T @ d_y).reshape(d, heads, d).swapaxes(0, 1) * scale
+        d_wq, d_wk = np.matmul(d_a, w_k), np.matmul(d_a.swapaxes(-1, -2), w_q)
+        d_wv = np.ascontiguousarray((x_flat.T @ dv).reshape(d, heads, d_h).swapaxes(0, 1))
+        d_rel = _table_grad(grid_sum.reshape(n, heads, n).swapaxes(0, 1), pad_sum.reshape(heads, n),
+                            pad_weights, a.b_rel.data)
+        return dx.reshape(x.shape), d_wq, d_wk, d_wv, d_w_o, d_rel, d_out_bias
 
     return record(out, inputs, bwd)
 

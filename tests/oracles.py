@@ -81,7 +81,7 @@ def mhsa_loops(x, w_q, w_k, w_v, w_o, b_rel, out_bias, h_t, w_t, pad_token):
                             tr, tc = rows[qi] + dr, cols[qi] + dc
                             if not (0 <= tr < h_t and 0 <= tc < w_t):
                                 exps.append(np.exp(b_rel[head, dr + h_t - 1, dc + w_t - 1]))
-                                vals.append(np.zeros(d))
+                                vals.append(np.zeros(w_v.shape[2]))
                 total = np.sum(exps)
                 mixed = sum(e * val for e, val in zip(exps, vals)) / total
                 out[bi, qi] += mixed @ w_o[head]
@@ -94,11 +94,12 @@ def attention_scores(x, head, a):
     [N, N_keys], with the pad slot's probability as a last column when the
     mixer has one.
 
-    Unlike the loop oracles this reuses the library's projections, bias
-    expansion and softmax kernel (``blocks.attn_probs_inplace``, read at
-    call time so a test's spy on it sees the call), so the tests that read
-    it exercise them. For w_q = w_k = 0 its scores are zero, the positional
-    path's logits.
+    Unlike the loop oracles this reuses the library's bias expansion and
+    softmax kernel (``blocks.attn_probs_inplace``, read at call time so a
+    test's spy on it sees the call), so the tests that read it exercise
+    them. Its scores come from each head's own q and k, not from the
+    layer's token-space products. For w_q = w_k = 0 they are zero, the
+    positional path's logits.
     """
     blocks._check_attn_input(x, a)
     if x.shape[0] != 1:
@@ -107,9 +108,11 @@ def attention_scores(x, head, a):
         raise ShapeError(f"head {head} out of range 0..{a.n_heads - 1}")
     h_t, w_t = a.grid_hw
     n = h_t * w_t
-    _, _, (q_s, k, _) = blocks._qkv_gemm(x.data.reshape(n, a.dim), a, 1, n)
+    flat = x.data.reshape(n, a.dim)
+    q_s = flat @ a.w_q.data * blocks._attn_scale(a.dim)  # [H, N, d_h]
+    k = flat @ a.w_k.data
     grid, pad, _ = blocks._bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
-    p = k @ q_s.swapaxes(-1, -2)  # key-major [1, H, N_keys, N_queries]
+    p = (k @ q_s.swapaxes(-1, -2))[None]  # key-major [1, H, N_keys, N_queries]
     p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
     rows = p[0, head].T
     if a.pad_token_enabled:

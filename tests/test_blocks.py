@@ -251,6 +251,28 @@ def test_mhsa_matches_bruteforce(rng, pad, zero_qk):
         np.testing.assert_allclose(got, expected.reshape(2, h_t, w_t, d), atol=1e-6)
 
 
+@pytest.mark.parametrize("d_h", [2, 6])
+@pytest.mark.parametrize("pad", [False, True])
+def test_head_width_other_than_token_width(rng, monkeypatch, d_h, pad):
+    # the general path takes each head's forms as [d, d] matrices in token
+    # space, which holds for any head width: the loop oracle and float64
+    # finite differences through every input, in 2-row slices
+    with tt.using_dtype(np.float64):
+        b, heads, h_t, w_t, d = 5, 3, 3, 3, 4
+        monkeypatch.setattr(blocks, "_SLICE_BYTES", 2 * heads * (h_t * w_t) ** 2 * 8)
+        a = AttnMixer.init(d, heads, d_h, (h_t, w_t), rng, pad_token_enabled=pad)
+        for _, param in a.named_parameters():
+            param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
+        x = Tensor(rng.normal(size=(b, h_t, w_t, d)))
+        expected = mhsa_loops(x.data.reshape(b, h_t * w_t, d), a.w_q.data, a.w_k.data, a.w_v.data,
+                              a.w_o.data, a.b_rel.data, a.out_bias.data, h_t, w_t, pad)
+        np.testing.assert_allclose(mhsa_forward(x, a).data, expected.reshape(x.shape), atol=1e-12)
+        r = Tensor(rng.uniform(-1, 1, size=x.shape))
+        for target in (x, *(param for _, param in a.named_parameters())):
+            report = finite_diff_check(lambda _: sum_(mul(attention_mix(x, a), r)), target, step=1e-4, tol=1e-5)
+            assert report.passed, report
+
+
 def _gradient_cases():
     # (q/k, pad, wrt) with ids; the random cases keep their original ids
     pads = [False, True]
@@ -273,13 +295,12 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, pad, wrt):
     # one gemm per head; float64 keeps the softmax tail, so the table
     # gradient is not zero, and w_q and w_k get none, exactly. "q_zero" (w_q = 0 only) must stay on the general
     # path: w_q's gradient x^T (dS k) needs the per-sample dS.
-    # Every sample of these cases spans a logit range of at most
-    # _NARROW_RANGE, so the softmax shifts it by one scalar, except "wide":
-    # its channel 0 is about +1 or -1 over each sample's tokens and w_k
-    # reads it 40 times over, so each query's logits move by about +-40.
-    # That widens every sample past the range, onto the per-query shift,
-    # while each softmax stays unsaturated; the larger logits need a finer
-    # step
+    # Every logit of these cases lies within +-_NARROW_RANGE, so the
+    # softmax takes no shift, except in "wide": its channel 0 is about +1 or
+    # -1 over each sample's tokens and w_k reads it 100 times over, so each
+    # query's logits move by about +-100. That takes every sample past the
+    # bound, onto the per-query shift, while each softmax stays unsaturated;
+    # the larger logits need a finer step
     with tt.using_dtype(np.float64):
         b, heads, h_t, w_t, d = 5, 2, 3, 3, 3
         n = h_t * w_t
@@ -295,24 +316,23 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, pad, wrt):
             a.w_k.data[:] = 0
         xs = rng.normal(size=(b, h_t, w_t, d))
         if qk == "wide":
-            xs[..., 0] = np.array([1, -1, 1, -1, 1])[:, None, None] + 0.05 * xs[..., 0]
-            a.w_k.data[:, 0] *= 40
+            xs[..., 0] = np.array([1, -1, 1, -1, 1])[:, None, None] + 0.02 * xs[..., 0]
+            a.w_k.data[:, 0] *= 100
         x = Tensor(xs)
         r = Tensor(rng.uniform(-1, 1, size=x.shape))
         targets = {"x": x, "q": a.w_q, "k": a.w_k, "v": a.w_v, "o": a.w_o, "b_rel": a.b_rel,
                    "out_bias": a.out_bias}
-        spans = []
+        bounds = []
         probs_inplace = blocks.attn_probs_inplace
 
         def spy(p, grid, pad_logits):
             logits = p + grid
-            hi = np.maximum(logits.max(axis=(1, 2, 3)), pad_logits.max())
-            spans.extend(hi - logits.min(axis=(1, 2, 3)))
+            bounds.extend(np.maximum(np.abs(logits).max(axis=(1, 2, 3)), pad_logits.max()))
             return probs_inplace(p, grid, pad_logits)
 
         monkeypatch.setattr(blocks, "attn_probs_inplace", spy)
         attention_mix(x, a)
-        assert spans and all((span > blocks._NARROW_RANGE) == (qk == "wide") for span in spans), spans
+        assert bounds and all((bound > blocks._NARROW_RANGE) == (qk == "wide") for bound in bounds), bounds
 
         def f(_):
             return sum_(mul(attention_mix(x, a), r))
@@ -506,28 +526,41 @@ def test_wide_logit_ranges_keep_the_per_query_softmax_bits(rng, case):
 
 
 @pytest.mark.parametrize("pad_slot", [False, True])
-def test_narrow_logit_ranges_shift_each_sample_by_one_scalar(rng, pad_slot):
-    # a sample whose logits span at most 64 is shifted by its own largest
-    # logit; every exponent is then a normal float32, so nothing is
-    # flushed, and the probabilities are the softmax's to float32 rounding
+def test_logits_within_64_of_zero_take_no_shift(rng, pad_slot):
+    # a sample whose logits lie in [-64, 64], no pad logit above 64, is not
+    # shifted: each exponent is a normal float32 and their sum is finite, so
+    # nothing is flushed or overflows (a RuntimeWarning fails the test), and
+    # the probabilities are the softmax's to float32 rounding. A sample
+    # 1e-3 past the bound keeps the per-query shift, bit for bit
     heads, n = 3, 16
-    p = rng.normal(size=(2, heads, n, n)).astype(np.float32)
-    p[0, 0, :, 0] -= 50.0  # one query's column sits far below the rest
-    p[1] += 30.0  # a second sample far above the first: each is narrow alone
-    grid = rng.normal(size=(heads, n, n)).astype(np.float32)
-    pad = (rng.normal(size=(heads, n)) if pad_slot else np.full((heads, n), blocks._PAD_NEG)).astype(np.float32)
-    logits = (p + grid).astype(np.float64)
+    p = rng.uniform(-1, 1, size=(3, heads, n, n)).astype(np.float32)
+    grid = rng.uniform(-1, 1, size=(heads, n, n)).astype(np.float32)
+    grid[0, 0, 0] = grid[1, 2, 3] = grid[2, 5, 5] = 0.0
+    p[:2, 0, 0, 0] = 64.0  # sample 0 touches both bounds, sample 1 the upper one
+    p[0, 1, 2, 3] = -64.0
+    p[2, 2, 5, 5] = 64.0 + 1e-3
+    pad = (rng.uniform(-1, 1, size=(heads, n)) if pad_slot else np.full((heads, n), blocks._PAD_NEG)).astype(
+        np.float32)
+    assert blocks._softmax_shift(p[:2] + grid, pad) is None
+    pad_above = pad.copy()
+    pad_above[0, 0] = 64.0 + 1e-3  # one pad logit past the bound shifts every sample per query
+    assert blocks._softmax_shift(p[:2] + grid, pad_above).shape == (2, heads, n)
     shift = blocks._softmax_shift(p + grid, pad)
-    np.testing.assert_array_equal(shift[:, 0, 0], np.maximum((p + grid).max(axis=(1, 2, 3)), pad.max()))
-    assert shift.shape == (2, 1, 1)
+    assert not shift[:2].any()
+    np.testing.assert_array_equal(shift[2], np.maximum((p[2] + grid).max(axis=-2), pad))
+
+    logits = (p[:2] + grid).astype(np.float64)
     z = np.concatenate([logits, np.broadcast_to(pad[:, None, :], (2, heads, 1, n))], axis=-2)
     e = np.exp(z - z.max(axis=-2, keepdims=True))
     expected = e / e.sum(axis=-2, keepdims=True)
+    expected_wide, expected_wide_pad = _column_softmax(p[2:], grid, pad)
     p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
     assert p.dtype == p_pad.dtype == np.float32
-    np.testing.assert_allclose(p, expected[..., :n, :], rtol=2e-5)
-    np.testing.assert_allclose(p_pad, expected[..., n, :], rtol=2e-5, atol=1e-37)
-    assert p.min() > np.finfo(np.float32).tiny
+    np.testing.assert_allclose(p[:2], expected[..., :n, :], rtol=2e-5)
+    np.testing.assert_allclose(p_pad[:2], expected[..., n, :], rtol=2e-5, atol=1e-37)
+    assert p[:2].min() > np.finfo(np.float32).tiny
+    np.testing.assert_array_equal(p[2:], expected_wide)
+    np.testing.assert_array_equal(p_pad[2:], expected_wide_pad)
 
 
 def test_each_sample_softmax_is_independent_of_its_batch(rng, monkeypatch):
