@@ -10,6 +10,7 @@ from .blocks import (
     HybridBlock,
     Model,
     PatchEmbed,
+    PositionalMixer,
     block_forward,
     build_model,
     conv_mixer_forward,

@@ -4,8 +4,9 @@ Both mixers share the residual block skeleton
     z' = Mixer(LN(z)) + z
     z  = MLP(LN(z')) + z'
 and take and return token maps: [batch, h_t, w_t, d] tensors whose middle
-axes are the 2-D token lattice. The attention mixer carries a relative
-positional bias table plus an optional pad slot: one extra key whose value
+axes are the 2-D token lattice. Both attention mixers carry a relative
+positional bias table. Fresh attention adds q/k logits; a convolution
+rewritten as attention has none, but a pad slot: one extra key whose value
 vector is all zeros, standing in for every position outside the grid. The pad
 logit is the exact collapse (logsumexp) of the bias entries at the query's
 off-grid offsets, which is what makes a reparameterized convolution match
@@ -28,6 +29,7 @@ __all__ = [
     "PatchEmbed",
     "ConvMixer",
     "AttnMixer",
+    "PositionalMixer",
     "Mlp",
     "HybridBlock",
     "Model",
@@ -194,14 +196,15 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     return grid, pad.astype(flat.dtype), weights.astype(flat.dtype)
 
 
-def _table_grad(grid_grad: np.ndarray, pad_grad: np.ndarray, pad_weights: np.ndarray | None,
-                b_rel: np.ndarray) -> np.ndarray:
+def _table_grad(grid_grad: np.ndarray, b_rel: np.ndarray, pad_grad: np.ndarray | None = None,
+                pad_weights: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the [H, 2h-1, 2w-1] table from the batch-summed logit
-    gradients: key-major grid [H, N_keys, N_queries] and pad [H, N_queries].
+    gradients: key-major grid [H, N_keys, N_queries] and, with a pad slot,
+    pad [H, N_queries].
 
     Every grid entry lands on its offset's table entry, all heads in one
     pass over the key-major index; the pad-logit gradient reaches the table
-    through the off-grid logsumexp weights of :func:`_bias_logits`, if any.
+    through the off-grid logsumexp weights of :func:`_bias_logits`.
     """
     heads, rows, cols = b_rel.shape
     idx = _rel_geometry((rows + 1) // 2, (cols + 1) // 2)[0]
@@ -300,46 +303,53 @@ def attn_softmax_backward(p: np.ndarray, p_pad: np.ndarray, dp: np.ndarray):
 # Attention mixer
 
 
-class AttnMixer:
-    """Multi-head self-attention with a relative positional bias table.
+class _Heads:
+    """What both attention mixers hold, checked once: w_v [H, d, d_h], w_o
+    [H, d_h, d], b_rel [H, 2*h_t-1, 2*w_t-1] and the output bias."""
 
-    Per-head projections are stored stacked: w_q, w_k, w_v are [H, d, d_h]
-    and w_o is [H, d_h, d]; b_rel is [H, 2*h_t-1, 2*w_t-1]. The scale divisor
-    is sqrt(d) (the token width, not the head width).
-    """
-
-    def __init__(self, w_q: Tensor, w_k: Tensor, w_v: Tensor, w_o: Tensor,
-                 b_rel: Tensor, out_bias: Tensor, grid_hw: tuple[int, int],
-                 pad_token_enabled: bool = False):
-        heads, d, d_h = w_q.shape
-        if w_k.shape != (heads, d, d_h) or w_v.shape != (heads, d, d_h):
-            raise ShapeError("w_q/w_k/w_v shapes disagree")
+    def __init__(self, w_v: Tensor, w_o: Tensor, b_rel: Tensor, out_bias: Tensor, grid_hw: tuple[int, int]):
+        heads, d, d_h = w_v.shape
         if w_o.shape != (heads, d_h, d):
             raise ShapeError(f"w_o must be [H, d_h, d], got {w_o.shape}")
         h_t, w_t = grid_hw
         if b_rel.shape != (heads, 2 * h_t - 1, 2 * w_t - 1):
             raise ShapeError(f"b_rel {b_rel.shape} does not match {heads} heads on a {h_t}x{w_t} grid")
-        self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
-        self.b_rel = b_rel
-        self.out_bias = out_bias
-        self.grid_hw = grid_hw
-        self.pad_token_enabled = pad_token_enabled
+        self.w_v, self.w_o, self.b_rel, self.out_bias, self.grid_hw = w_v, w_o, b_rel, out_bias, grid_hw
 
     @property
     def n_heads(self) -> int:
-        return self.w_q.shape[0]
+        return self.w_v.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.w_q.shape[1]
+        return self.w_v.shape[1]
 
     @property
     def d_head(self) -> int:
-        return self.w_q.shape[2]
+        return self.w_v.shape[2]
+
+    def named_parameters(self):
+        yield "w_v", self.w_v
+        yield "w_o", self.w_o
+        yield "b_rel", self.b_rel
+        yield "out_bias", self.out_bias
+
+
+class AttnMixer(_Heads):
+    """Fresh multi-head self-attention: q/k logits ([H, d, d_h] w_q and w_k)
+    plus the bias table, no pad slot. The scale divisor is sqrt(d) (the
+    token width, not the head width)."""
+
+    def __init__(self, w_q: Tensor, w_k: Tensor, w_v: Tensor, w_o: Tensor,
+                 b_rel: Tensor, out_bias: Tensor, grid_hw: tuple[int, int]):
+        if w_q.shape != w_v.shape or w_k.shape != w_v.shape:
+            raise ShapeError("w_q/w_k/w_v shapes disagree")
+        super().__init__(w_v, w_o, b_rel, out_bias, grid_hw)
+        self.w_q, self.w_k = w_q, w_k
 
     @staticmethod
     def init(dim: int, n_heads: int, d_head: int, grid_hw: tuple[int, int],
-             rng: np.random.Generator, pad_token_enabled: bool = False) -> "AttnMixer":
+             rng: np.random.Generator) -> "AttnMixer":
         """Fresh trainable attention (zero bias table, no conv ancestry)."""
         def w(*shape):
             return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True)
@@ -349,17 +359,19 @@ class AttnMixer:
             w(n_heads, dim, d_head), w(n_heads, dim, d_head), w(n_heads, dim, d_head),
             w(n_heads, d_head, dim),
             Tensor(np.zeros((n_heads, 2 * h_t - 1, 2 * w_t - 1)), requires_grad=True),
-            Tensor(np.zeros(dim), requires_grad=True),
-            grid_hw, pad_token_enabled,
+            Tensor(np.zeros(dim), requires_grad=True), grid_hw,
         )
 
     def named_parameters(self):
         yield "w_q", self.w_q
         yield "w_k", self.w_k
-        yield "w_v", self.w_v
-        yield "w_o", self.w_o
-        yield "b_rel", self.b_rel
-        yield "out_bias", self.out_bias
+        yield from super().named_parameters()
+
+
+class PositionalMixer(_Heads):
+    """Attention whose logits are the bias table alone, with the pad slot and
+    no q or k: a convolution as :func:`convattn.reparam.reparameterize`
+    rewrites it. :func:`_positional_mix` is its forward."""
 
 
 def _attn_scale(d: int) -> float:
@@ -368,7 +380,7 @@ def _attn_scale(d: int) -> float:
     return 1.0 / math.sqrt(d)
 
 
-def _check_attn_input(x: Tensor, a: AttnMixer) -> None:
+def _check_attn_input(x: Tensor, a: _Heads) -> None:
     if x.ndim != 4:
         raise ShapeError(f"token maps must be [batch, h_t, w_t, d], got {x.shape}")
     if x.shape[1:3] != a.grid_hw:
@@ -389,32 +401,24 @@ def _batch_slices(batch: int, heads: int, n: int, dtype) -> list[slice]:
     return [slice(s, min(s + rows, batch)) for s in range(0, max(batch, 1), rows)]
 
 
-def _positional(a: AttnMixer) -> bool:
-    """Whether the logits are the bias table alone: w_q and w_k both exactly
-    zero, as in every reparameterized layer. Both must be zero, because
-    dW_q = x^T (dS k) needs the per-sample logit gradient dS unless k = 0."""
-    return not (a.w_q.data.any() or a.w_k.data.any())
-
-
-def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
-    """The attention mixer as one tape node: [B, h_t, w_t, d] in and out.
+def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
+    """Either attention mixer as one tape node: [B, h_t, w_t, d] in and out.
 
     Sum over heads of softmax(q k^T * scale + B) v W_o, plus the output
-    bias. When w_q and w_k are both exactly zero the logits are the same for
-    every sample, and :func:`_positional_mix` computes the node with one
-    softmax per call. Otherwise the node runs in token space: with A_h =
-    scale W_q,h W_k,h^T and Y = [x A_h]_h, rows (head, query), one gemm per
-    sample gives its logits, key-major [N_keys, H*N_queries], and one more
-    mixes every head's tokens, Z_b = P_b^T x_b; each Z_h W_v,h fills the
-    buffer the output projection reads. Both run per batch slice of about
-    _SLICE_BYTES of probabilities in one buffer, so no [B, H, N, N] tensor
-    is kept; the tape keeps Y, the projected mix and the softmax
-    statistics. The backward rebuilds the probabilities bitwise with
-    :func:`attn_probs_again` and takes dv per head as the positional path
-    does, so w_q = w_k = 0 gets that path's bits either way. The pad key,
-    whose value is zero, enters only the denominator.
+    bias. The mixer's type picks the path: a :class:`PositionalMixer`'s
+    logits are the same for every sample, so :func:`_positional_mix`
+    computes it with one softmax per call. An :class:`AttnMixer` runs in
+    token space: with A_h = scale W_q,h W_k,h^T and Y = [x A_h]_h, rows
+    (head, query), one gemm per sample gives its logits, key-major
+    [N_keys, H*N_queries], and one more mixes every head's tokens, Z_b =
+    P_b^T x_b; each Z_h W_v,h fills the buffer the output projection reads,
+    per batch slice of about _SLICE_BYTES of probabilities in one buffer,
+    so no [B, H, N, N] tensor is kept. The tape keeps Y, the projected mix
+    and the softmax statistics, from which the backward rebuilds the
+    probabilities bitwise (:func:`attn_probs_again`). Fresh attention has no
+    pad slot: its pad logit is _PAD_NEG, which takes no probability.
     """
-    if _positional(a):
+    if isinstance(a, PositionalMixer):
         return _positional_mix(x, a)
     batch, h_t, w_t, d = x.shape
     n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
@@ -427,7 +431,7 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
     x_flat = x.data.reshape(batch * n, d)
     x_b = x_flat.reshape(batch, n, d)
     y_b = np.matmul(x_b[:, None], a_h).reshape(batch, heads * n, d)
-    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
+    grid, pad, _ = _bias_logits(a.b_rel.data, h_t, w_t, pad_token=False)
     grid = np.ascontiguousarray(grid.swapaxes(0, 1)).reshape(1, n, heads * n)  # [1, keys, (head, query)]
     pad = pad.reshape(1, heads * n)
     slices = _batch_slices(batch, heads, n, y_b.dtype)
@@ -460,52 +464,48 @@ def attention_mix(x: Tensor, a: AttnMixer) -> Tensor:
         p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)
         dp = np.empty(p.shape, dtype=d_z.dtype)
         grid_sum = np.zeros((n, heads * n), dtype=dp.dtype)  # batch-summed logit gradient
-        pad_sum = np.zeros(heads * n, dtype=dp.dtype)
         for s, (p_pad, shift, total) in zip(slices, stats):
             ps, dps = p[: s.stop - s.start], dp[: s.stop - s.start]
             np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
             attn_probs_again(ps, grid, shift, total)  # bitwise the forward's probabilities
             np.matmul(ps.reshape(len(ps), n, heads, n).swapaxes(1, 2), d_o[s], out=dv_h[s])
             np.matmul(x_b[s], d_z[s].swapaxes(-1, -2), out=dps[:, 0])
-            dpad = attn_softmax_backward(ps, p_pad, dps)  # dps becomes the logit gradient
-            for row, row_pad in zip(dps, dpad):
+            attn_softmax_backward(ps, p_pad, dps)  # dps becomes the logit gradient; no pad slot
+            for row in dps:
                 grid_sum += row[0]
-                pad_sum += row_pad[0]
             np.matmul(dps[:, 0], y_b[s], out=dx_s[s])
             np.matmul(dps[:, 0].swapaxes(-1, -2), x_b[s], out=d_yb[s])
         d_y = np.ascontiguousarray(d_yb.reshape(batch, heads, n, d).swapaxes(1, 2)).reshape(batch * n, heads * d)
-        dx = dv @ w_v.swapaxes(0, 1).reshape(d, heads * d_h).T  # the positional path's bits
+        dx = dv @ w_v.swapaxes(0, 1).reshape(d, heads * d_h).T
         dx += dx_s.reshape(dx.shape)
         dx += d_y @ a_h.swapaxes(0, 1).reshape(d, heads * d).T
         d_a = (x_flat.T @ d_y).reshape(d, heads, d).swapaxes(0, 1) * scale
         d_wq, d_wk = np.matmul(d_a, w_k), np.matmul(d_a.swapaxes(-1, -2), w_q)
         d_wv = np.ascontiguousarray((x_flat.T @ dv).reshape(d, heads, d_h).swapaxes(0, 1))
-        d_rel = _table_grad(grid_sum.reshape(n, heads, n).swapaxes(0, 1), pad_sum.reshape(heads, n),
-                            pad_weights, a.b_rel.data)
+        d_rel = _table_grad(grid_sum.reshape(n, heads, n).swapaxes(0, 1), a.b_rel.data)
         return dx.reshape(x.shape), d_wq, d_wk, d_wv, d_w_o, d_rel, d_out_bias
 
     return record(out, inputs, bwd)
 
 
-def _positional_mix(x: Tensor, a: AttnMixer) -> Tensor:
-    """:func:`attention_mix` for q = k = 0, where the logits are the bias
-    table alone.
+def _positional_mix(x: Tensor, a: PositionalMixer) -> Tensor:
+    """:func:`attention_mix` for a :class:`PositionalMixer`, whose logits
+    are the bias table alone, with the pad slot.
 
     The probabilities [H, N_keys, N_queries] (plus the pad column) are built
     once per call, by the same :func:`attn_probs_inplace` arithmetic on a
     zero [1, H, N, N] score buffer, and applied to v as one gemm per head
     across the batch: each head's v is one token-major [N, B*d_h] matrix.
     The backward sums dP over the batch with one gemm per head and runs the
-    softmax backward once. w_q and w_k get no gradient, which is exact:
-    dq = dS k = 0 and dk = dS^T q = 0.
+    softmax backward once.
     """
     batch, h_t, w_t, d = x.shape
     n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
-    inputs = (x, a.w_q, a.w_k, a.w_v, a.w_o, a.b_rel, a.out_bias)
+    inputs = (x, a.w_v, a.w_o, a.b_rel, a.out_bias)
     x_flat = x.data.reshape(batch * n, d)
     x_tok = np.ascontiguousarray(x.data.reshape(batch, n, d).swapaxes(0, 1)).reshape(n * batch, d)
     v = np.matmul(x_tok, a.w_v.data).reshape(heads, n, batch * d_h)
-    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
+    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, pad_token=True)
     p = np.zeros((1, heads, n, n), dtype=v.dtype)
     p_pad, _, _ = attn_probs_inplace(p, grid, pad)
     merged = _batch_major(np.matmul(p[0].swapaxes(-1, -2), v), batch, d_h)
@@ -523,30 +523,29 @@ def _positional_mix(x: Tensor, a: AttnMixer) -> Tensor:
         dv = _batch_major(np.matmul(p[0], d_o), batch, d_h)
         dp = np.matmul(v, d_o.swapaxes(-1, -2))[None]  # batch-summed, key-major
         dpad = attn_softmax_backward(p, p_pad, dp)  # dp becomes the logit gradient
-        d_rel = _table_grad(dp[0], dpad[0], pad_weights, a.b_rel.data)
+        d_rel = _table_grad(dp[0], a.b_rel.data, dpad[0], pad_weights)
         w_v = a.w_v.data.transpose(1, 0, 2).reshape(d, heads * d_h)
         d_wv = np.ascontiguousarray((x_flat.T @ dv).reshape(d, heads, d_h).transpose(1, 0, 2))
         dx = (dv @ w_v.T).reshape(x.shape)
-        return dx, None, None, d_wv, d_w_o, d_rel, d_out_bias
+        return dx, d_wv, d_w_o, d_rel, d_out_bias
 
     return record(out, inputs, bwd)
 
 
 def _batch_major(per_head: np.ndarray, batch: int, d_h: int) -> np.ndarray:
-    """[H, N, B*d_h] per-head token-major rows as a flat [B*N, H*d_h] copy,
-    the layout the general path's projections read. The weight gradients
-    then reduce over rows in the general path's order, which keeps their
-    bits."""
+    """[H, N, B*d_h] per-head token-major rows as a flat [B*N, H*d_h] copy:
+    rows (sample, token), columns (head, channel), the layout the output
+    projection and the weight gradients read."""
     heads, n = per_head.shape[:2]
     return np.ascontiguousarray(per_head.reshape(heads, n, batch, d_h).transpose(2, 1, 0, 3)).reshape(
         batch * n, heads * d_h)
 
 
-def mhsa_forward(x: Tensor, a: AttnMixer) -> Tensor:
+def mhsa_forward(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     """Sum over heads of softmax(QK^T/sqrt(d) + B) V W_o, plus output bias.
 
-    The scale divisor is sqrt(d) as the block's token width, and the pad key
-    (when enabled) contributes a zero value vector.
+    The scale divisor is sqrt(d) as the block's token width. A positional
+    mixer has Q = K = 0 and a pad key with a zero value vector.
     """
     _check_attn_input(x, a)
     return attention_mix(x, a)
@@ -600,13 +599,13 @@ class HybridBlock:
     """One transformer block whose token mixer is a conv or self-attention.
 
     The block holds exactly one mixer: in ``conv`` or in ``attn``, with the
-    other attribute None. ``mode`` is read from the mixer. A switch
-    (:func:`convattn.reparam.switch_block`) replaces the conv with its
-    attention rewrite and keeps no conv.
+    other attribute None. ``attn`` holds fresh attention (:class:`AttnMixer`)
+    or a switched layer (:class:`PositionalMixer`). ``mode`` is read from
+    the mixer. A switch (:func:`convattn.reparam.switch_block`) replaces the
+    conv with its positional rewrite and keeps no conv.
     """
 
-    def __init__(self, mixer: ConvMixer | AttnMixer, ln1: LayerNormParams, ln2: LayerNormParams,
-                 mlp: Mlp):
+    def __init__(self, mixer: ConvMixer | _Heads, ln1: LayerNormParams, ln2: LayerNormParams, mlp: Mlp):
         self.conv, self.attn = (mixer, None) if isinstance(mixer, ConvMixer) else (None, mixer)
         self.ln1 = ln1
         self.ln2 = ln2

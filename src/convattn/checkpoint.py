@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .blocks import Model, build_model
+from .blocks import Model, PositionalMixer, build_model
 from .schedule import CONV, SA
 
 __all__ = [
@@ -136,7 +136,7 @@ def save_checkpoint(path: str, model: Model, config: dict, epoch: int,
         "config": config,
         "epoch": epoch,
         "modes": model.modes(),
-        "pad_tokens": [b.attn is not None and b.attn.pad_token_enabled for b in model.blocks],
+        "pad_tokens": [isinstance(b.attn, PositionalMixer) for b in model.blocks],  # marks positional layers
         "metric_history": metric_history,
     }
     tensors = {name: p.data for name, p in model.named_parameters()}
@@ -160,6 +160,9 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: checkpoint header epoch {epoch!r} is not an integer")
     if not isinstance(modes, list) or not all(m in (CONV, SA) for m in modes):
         raise CheckpointError(f"{path}: checkpoint header modes {modes!r} are not a list of {CONV!r}/{SA!r}")
+    pads = header.get("pad_tokens", [False] * len(modes))
+    if not isinstance(pads, list) or len(pads) != len(modes) or not all(isinstance(p, bool) for p in pads):
+        raise CheckpointError(f"{path}: checkpoint header pad_tokens {pads!r} are not one boolean per layer")
     return header, tensors
 
 
@@ -168,7 +171,9 @@ _ARCH_KEYS = ("dim", "num_layers", "kernel_size", "patch_size", "image_hw", "in_
 
 
 def model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Model:
-    """Rebuild the model: architecture from the header, weights from blobs."""
+    """Rebuild the model: architecture from the header, weights from blobs.
+    A layer ``pad_tokens`` marks is a :class:`PositionalMixer`; an older
+    file's all-zero ``w_q``/``w_k`` for it are dropped, non-zero ones refused."""
     cfg = header["config"]
     for key in _ARCH_KEYS:
         if key not in cfg:
@@ -190,9 +195,12 @@ def model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Model
         use_abs_pos=cfg.get("use_abs_pos", False),
         final_ln=cfg.get("final_ln", True),
     )
-    for blk, pad in zip(model.blocks, header.get("pad_tokens", [])):
-        if blk.attn is not None:
-            blk.attn.pad_token_enabled = bool(pad)
+    for i, (blk, positional) in enumerate(zip(model.blocks, header.get("pad_tokens", []))):
+        if positional and blk.attn is not None:
+            if any(tensors.get(f"blocks.{i}.attn.{w}", np.zeros(0)).any() for w in ("w_q", "w_k")):
+                raise CheckpointError(f"positional layer {i} holds a non-zero w_q or w_k")
+            a = blk.attn
+            blk.attn = PositionalMixer(a.w_v, a.w_o, a.b_rel, a.out_bias, a.grid_hw)
     for name, p in model.named_parameters():
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name!r}")

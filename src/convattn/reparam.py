@@ -1,24 +1,24 @@
 """Exact weight transfer from a conv mixer to an attention mixer.
 
 A KxK convolution becomes K^2 attention heads, one per receptive-field
-offset (the construction of Cordonnier et al. 2020). Each head gets zero
-query/key projections, an identity value projection, the conv tap as its
-output projection, and a bias spike that makes its attention row one-hot on
-the key at that offset (or on the all-zero pad slot when the offset leaves
-the grid, reproducing zero padding). Off the spike every logit gap is about
--beta; at the default beta=100 that is below log(tiny) of float32, so the
-softmax flushes the tail to exact zero, each head is exactly one-hot, and
-the output matches the convolution up to float32 rounding. A tail that stays
-above tiny (a small beta, or the float64 verification dtype) bounds the
-difference by ~N*exp(-beta).
+offset (the construction of Cordonnier et al. 2020), as a
+:class:`convattn.blocks.PositionalMixer`: no query/key projections, an
+identity value projection, the conv tap as each head's output projection,
+and a bias spike that makes its attention row one-hot on the key at that
+offset (or on the all-zero pad slot when the offset leaves the grid,
+reproducing zero padding). Off the spike every logit gap is about -beta; at
+the default beta=100 that is below log(tiny) of float32, so the softmax
+flushes the tail to exact zero, each head is exactly one-hot, and the output
+matches the convolution up to float32 rounding. A tail that stays above tiny
+(a small beta, or the float64 verification dtype) bounds the difference by
+~N*exp(-beta).
 
 The attention layer replaces the conv; a switched block keeps no conv.
 Every produced weight is trainable, but at the default beta the one-hot
-softmax passes no gradient to the bias table, w_q or w_k (which also sit at
-the q = k = 0 saddle), so only w_v, w_o and the output bias learn. With
-w_q and w_k exactly zero the logits are the bias table alone, so a switched
-layer runs the positional path of :func:`convattn.blocks.attention_mix`,
-which computes its probabilities once per call rather than once per sample.
+softmax passes no gradient to the bias table, so only w_v, w_o and the
+output bias learn. The layer's logits are the same for every sample, so
+:func:`convattn.blocks.attention_mix` computes its probabilities once per
+call rather than once per sample.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import AttnMixer, ConvMixer, HybridBlock, conv_mixer_forward, mhsa_forward
+from .blocks import AttnMixer, ConvMixer, HybridBlock, PositionalMixer, conv_mixer_forward, mhsa_forward
 from .schedule import SA
 from .tensor import ShapeError, Tensor
 
@@ -64,8 +64,9 @@ class ReparamReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def reparameterize(conv: ConvMixer, grid_hw: tuple[int, int], beta: float = DEFAULT_BETA) -> AttnMixer:
-    """Build the attention mixer that computes exactly what ``conv`` computes.
+def reparameterize(conv: ConvMixer, grid_hw: tuple[int, int], beta: float = DEFAULT_BETA) -> PositionalMixer:
+    """Build the positional mixer (pad slot, no q or k) that computes
+    exactly what ``conv`` computes.
 
     Heads are indexed row-major over the receptive field: head k = i*K + j
     handles offset (i - K//2, j - K//2). All produced weights are trainable
@@ -84,8 +85,6 @@ def reparameterize(conv: ConvMixer, grid_hw: tuple[int, int], beta: float = DEFA
         raise ShapeError(f"a K={k_size} kernel needs both grid sides above {half}, got {h_t}x{w_t}")
     dtype = conv.kernel.data.dtype
 
-    w_q = np.zeros((heads, d, d), dtype=dtype)
-    w_k = np.zeros((heads, d, d), dtype=dtype)
     w_v = np.broadcast_to(np.eye(d, dtype=dtype), (heads, d, d)).copy()
     w_o = np.empty((heads, d, d), dtype=dtype)
     b_rel = np.zeros((heads, 2 * h_t - 1, 2 * w_t - 1), dtype=dtype)
@@ -95,19 +94,11 @@ def reparameterize(conv: ConvMixer, grid_hw: tuple[int, int], beta: float = DEFA
             dr, dc = i - half, j - half
             w_o[head] = conv.kernel.data[i, j]
             b_rel[head, dr + h_t - 1, dc + w_t - 1] = beta
-    return AttnMixer(
-        Tensor(w_q, requires_grad=True),
-        Tensor(w_k, requires_grad=True),
-        Tensor(w_v, requires_grad=True),
-        Tensor(w_o, requires_grad=True),
-        Tensor(b_rel, requires_grad=True),
-        Tensor(conv.bias.data.copy(), requires_grad=True),
-        (h_t, w_t),
-        pad_token_enabled=True,
-    )
+    weights = (w_v, w_o, b_rel, conv.bias.data.copy())
+    return PositionalMixer(*(Tensor(w, requires_grad=True) for w in weights), (h_t, w_t))
 
 
-def verify_equivalence(conv: ConvMixer, attn: AttnMixer, num_samples: int = 100,
+def verify_equivalence(conv: ConvMixer, attn: AttnMixer | PositionalMixer, num_samples: int = 100,
                        tolerance: float = 1e-5, seed: int = 0,
                        batch: int = 25) -> ReparamReport:
     """Compare both mixers on random unit-normal token maps.

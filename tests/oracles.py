@@ -89,17 +89,31 @@ def mhsa_loops(x, w_q, w_k, w_v, w_o, b_rel, out_bias, h_t, w_t, pad_token):
     return out
 
 
+def query_key(a):
+    """(w_q, w_k, pad slot) of an attention mixer as :func:`mhsa_loops`
+    reads them: a positional mixer is q = k = 0 with the pad slot."""
+    if isinstance(a, blocks.PositionalMixer):
+        zeros = np.zeros(a.w_v.shape, dtype=a.w_v.data.dtype)
+        return zeros, zeros, True
+    return a.w_q.data, a.w_k.data, False
+
+
+def mixer_loops(x, a):
+    """:func:`mhsa_loops` on the weights of the mixer ``a``; x is [b, n, d]."""
+    w_q, w_k, pad = query_key(a)
+    return mhsa_loops(x, w_q, w_k, a.w_v.data, a.w_o.data, a.b_rel.data, a.out_bias.data, *a.grid_hw, pad)
+
+
 def attention_scores(x, head, a):
-    """Attention rows for one head of an AttnMixer on a single sample:
-    [N, N_keys], with the pad slot's probability as a last column when the
-    mixer has one.
+    """Attention rows for one head of an attention mixer on a single
+    sample: [N, N_keys], with the pad slot's probability as a last column
+    when the mixer has one (a positional mixer).
 
     Unlike the loop oracles this reuses the library's bias expansion and
     softmax kernel (``blocks.attn_probs_inplace``, read at call time so a
     test's spy on it sees the call), so the tests that read it exercise
     them. Its scores come from each head's own q and k, not from the
-    layer's token-space products. For w_q = w_k = 0 they are zero, the
-    positional path's logits.
+    layer's token-space products; a positional mixer's are zero.
     """
     blocks._check_attn_input(x, a)
     if x.shape[0] != 1:
@@ -109,13 +123,14 @@ def attention_scores(x, head, a):
     h_t, w_t = a.grid_hw
     n = h_t * w_t
     flat = x.data.reshape(n, a.dim)
-    q_s = flat @ a.w_q.data * blocks._attn_scale(a.dim)  # [H, N, d_h]
-    k = flat @ a.w_k.data
-    grid, pad, _ = blocks._bias_logits(a.b_rel.data, h_t, w_t, a.pad_token_enabled)
+    w_q, w_k, pad_slot = query_key(a)
+    q_s = flat @ w_q * blocks._attn_scale(a.dim)  # [H, N, d_h]
+    k = flat @ w_k
+    grid, pad, _ = blocks._bias_logits(a.b_rel.data, h_t, w_t, pad_slot)
     p = (k @ q_s.swapaxes(-1, -2))[None]  # key-major [1, H, N_keys, N_queries]
     p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
     rows = p[0, head].T
-    if a.pad_token_enabled:
+    if pad_slot:
         rows = np.concatenate([rows, p_pad[0, head][:, None]], axis=-1)
     return Tensor(rows)
 
@@ -146,10 +161,7 @@ def model_forward_straightline(images, model):
             mixed = conv2d_loops(normed, blk.conv.kernel.data.astype(np.float64),
                                  blk.conv.bias.data.astype(np.float64))
         else:
-            a = blk.attn
-            mixed = mhsa_loops(normed.reshape(b, n, d), a.w_q.data, a.w_k.data, a.w_v.data,
-                               a.w_o.data, a.b_rel.data, a.out_bias.data, ht, wt,
-                               a.pad_token_enabled).reshape(b, ht, wt, d)
+            mixed = mixer_loops(normed.reshape(b, n, d), blk.attn).reshape(b, ht, wt, d)
         x = x + mixed
         normed = layer_norm(x, blk.ln2.gamma.data, blk.ln2.beta.data)
         hidden = gelu(normed.reshape(-1, d) @ blk.mlp.w1.data + blk.mlp.b1.data)

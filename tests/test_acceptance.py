@@ -21,7 +21,7 @@ from convattn.blocks import ConvMixer, model_forward
 from convattn.checkpoint import load_checkpoint, model_from_checkpoint
 from convattn.config import build_train_config, load_preset
 from convattn.data import load_cifar, stratified_indices
-from convattn.reparam import reparameterize, verify_equivalence
+from convattn.reparam import reparameterize, switch_block, verify_equivalence
 from convattn.schedule import CONV, SA, SwitchSchedule, mode_at, switch_epochs
 from convattn.spectral import delta_log_amplitude, spectrum_of_maps
 from convattn.tensor import Tensor, finite_diff_check
@@ -95,10 +95,11 @@ def test_criterion_4_gradient_integrity_desk_block():
         rng = np.random.default_rng(7)
         d, h_t, w_t = 32, 4, 4  # desk-scale block geometry
         for mode in (CONV, SA):
-            blk = make_block(rng, d, mode, h_t, w_t)
+            blk = make_block(rng, d, CONV, h_t, w_t)
             if mode == SA:
-                # generic trained-like attention incl. the pad-slot path
-                blk.attn.pad_token_enabled = True
+                # a switched block (positional mixer, pad slot included) at a
+                # small spike, its table perturbed: an unsaturated softmax
+                switch_block(blk, (h_t, w_t), beta=2.0)
                 blk.attn.b_rel.data += rng.normal(0, 0.5, blk.attn.b_rel.shape)
             x = Tensor(rng.uniform(-1, 1, (2, h_t, w_t, d)))
             r = Tensor(rng.uniform(-1, 1, (2, h_t, w_t, d)))

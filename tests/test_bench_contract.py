@@ -84,7 +84,7 @@ def test_tracer_sees_the_attention_layer(mixer):
     # one forward and backward of a tiny attention block must reach every
     # span the benchmark reads for the attention layer; a fused node under
     # another name would otherwise report zero calls and no test would fail.
-    # A switched block (w_q = w_k = 0) runs the positional path
+    # A switched block runs the positional path
     for info in pkgutil.iter_modules(convattn.__path__):
         importlib.import_module(f"convattn.{info.name}")
     blocks, tensor = sys.modules["convattn.blocks"], sys.modules["convattn.tensor"]

@@ -12,6 +12,7 @@ from convattn.blocks import (
     LayerNormParams,
     Mlp,
     PatchEmbed,
+    PositionalMixer,
     _bias_logits,
     _rel_geometry,
     attention_mix,
@@ -26,11 +27,18 @@ from convattn.blocks import (
 from convattn.reparam import reparameterize
 from convattn.schedule import CONV, SA
 from convattn.tensor import ShapeError, Tensor, finite_diff_check
-from oracles import attention_scores, mhsa_loops, model_forward_straightline, mul, patch_embed_loops, sum_
+from oracles import attention_scores, mixer_loops, model_forward_straightline, mul, patch_embed_loops, sum_
 
 
 def grid_of(rng, b, h, w, d):
     return Tensor(rng.normal(size=(b, h, w, d)))
+
+
+def positional_init(dim, n_heads, d_head, grid_hw, rng):
+    """A PositionalMixer holding what AttnMixer.init draws for its value side
+    and table (the draws for w_q and w_k are made and dropped)."""
+    a = AttnMixer.init(dim, n_heads, d_head, grid_hw, rng)
+    return PositionalMixer(a.w_v, a.w_o, a.b_rel, a.out_bias, grid_hw)
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +188,7 @@ def test_attention_spike_is_one_hot(rng):
 
 def test_attention_rows_sum_to_one_with_pad(rng):
     d = 6
-    a = AttnMixer.init(d, 3, d, (3, 3), rng, pad_token_enabled=True)
+    a = positional_init(d, 3, d, (3, 3), rng)
     a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
     scores = attention_scores(grid_of(rng, 1, 3, 3, d), 1, a).data
     assert scores.shape == (9, 10)
@@ -218,9 +226,7 @@ def test_mhsa_zero_output_projection_gives_bias(rng):
 def test_mhsa_one_hot_offset_selection(rng):
     # single head, spike at offset (0,1), identity values: out[p] = x[p+(0,1)] @ w_o
     d, h_t, w_t = 3, 2, 3
-    a = AttnMixer.init(d, 1, d, (h_t, w_t), rng, pad_token_enabled=True)
-    a.w_q.data[:] = 0
-    a.w_k.data[:] = 0
+    a = positional_init(d, 1, d, (h_t, w_t), rng)
     a.w_v.data[0] = np.eye(d)
     a.b_rel.data[:] = 0
     a.b_rel.data[0, h_t - 1, w_t - 1 + 1] = 100.0
@@ -232,40 +238,42 @@ def test_mhsa_one_hot_offset_selection(rng):
     np.testing.assert_allclose(out, shifted @ a.w_o.data[0], atol=1e-5)
 
 
-@pytest.mark.parametrize("pad, zero_qk", [(False, False), (True, False), (False, True), (True, True)],
-                         ids=["False", "True", "zero_qk-False", "zero_qk-True"])
-def test_mhsa_matches_bruteforce(rng, pad, zero_qk):
-    # zero_qk: w_q = w_k = 0, the input-free logits the positional path takes
+@pytest.mark.parametrize("mixer", ["general", "zero_qk", "positional"],
+                         ids=["False", "zero_qk-False", "zero_qk-True"])
+def test_mhsa_matches_bruteforce(rng, mixer):
+    # general attention, general attention at w_q = w_k = 0 (the mixer's
+    # type picks the path, so this runs the general one), and a positional
+    # mixer, which the oracle reads as q = k = 0 with the pad slot
     with tt.using_dtype(np.float64):
         d, h_t, w_t = 4, 2, 2
-        a = AttnMixer.init(d, 2, d, (h_t, w_t), rng, pad_token_enabled=pad)
-        if zero_qk:
+        a = (positional_init if mixer == "positional" else AttnMixer.init)(d, 2, d, (h_t, w_t), rng)
+        if mixer == "zero_qk":
             a.w_q.data[:] = 0
             a.w_k.data[:] = 0
         a.b_rel.data = rng.normal(size=a.b_rel.shape)
         a.out_bias.data = rng.normal(size=d)
         x = rng.normal(size=(2, h_t, w_t, d))
         got = mhsa_forward(Tensor(x), a).data
-        expected = mhsa_loops(x.reshape(2, 4, d), a.w_q.data, a.w_k.data, a.w_v.data,
-                              a.w_o.data, a.b_rel.data, a.out_bias.data, h_t, w_t, pad)
+        expected = mixer_loops(x.reshape(2, 4, d), a)
         np.testing.assert_allclose(got, expected.reshape(2, h_t, w_t, d), atol=1e-6)
 
 
 @pytest.mark.parametrize("d_h", [2, 6])
 @pytest.mark.parametrize("pad", [False, True])
 def test_head_width_other_than_token_width(rng, monkeypatch, d_h, pad):
-    # the general path takes each head's forms as [d, d] matrices in token
-    # space, which holds for any head width: the loop oracle and float64
-    # finite differences through every input, in 2-row slices
+    # the general path (pad False) takes each head's forms as [d, d]
+    # matrices in token space, which holds for any head width; the
+    # positional mixer (pad True: the pad slot, no q or k) takes any head
+    # width too. The loop oracle and float64 finite differences through
+    # every input, in 2-row slices
     with tt.using_dtype(np.float64):
         b, heads, h_t, w_t, d = 5, 3, 3, 3, 4
         monkeypatch.setattr(blocks, "_SLICE_BYTES", 2 * heads * (h_t * w_t) ** 2 * 8)
-        a = AttnMixer.init(d, heads, d_h, (h_t, w_t), rng, pad_token_enabled=pad)
+        a = (positional_init if pad else AttnMixer.init)(d, heads, d_h, (h_t, w_t), rng)
         for _, param in a.named_parameters():
             param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
         x = Tensor(rng.normal(size=(b, h_t, w_t, d)))
-        expected = mhsa_loops(x.data.reshape(b, h_t * w_t, d), a.w_q.data, a.w_k.data, a.w_v.data,
-                              a.w_o.data, a.b_rel.data, a.out_bias.data, h_t, w_t, pad)
+        expected = mixer_loops(x.data.reshape(b, h_t * w_t, d), a)
         np.testing.assert_allclose(mhsa_forward(x, a).data, expected.reshape(x.shape), atol=1e-12)
         r = Tensor(rng.uniform(-1, 1, size=x.shape))
         for target in (x, *(param for _, param in a.named_parameters())):
@@ -274,27 +282,30 @@ def test_head_width_other_than_token_width(rng, monkeypatch, d_h, pad):
 
 
 def _gradient_cases():
-    # (q/k, pad, wrt) with ids; the random cases keep their original ids
-    pads = [False, True]
+    # (q/k, sliced, wrt) with ids; a general case's id starts with `sliced`
+    slicings = [False, True]
     wrts = ["x", "q", "k", "v", "o", "b_rel", "out_bias"]
-    cases = [pytest.param("random", pad, wrt, id=f"{pad}-{wrt}") for wrt in wrts for pad in pads]
-    cases += [pytest.param("zero", pad, wrt, id=f"zero-{pad}-{wrt}") for wrt in wrts for pad in pads]
-    cases += [pytest.param("q_zero", pad, "q", id=f"q_zero-{pad}-q") for pad in pads]
-    cases += [pytest.param("wide", pad, wrt, id=f"wide-{pad}-{wrt}") for wrt in wrts for pad in pads]
+    cases = [pytest.param("random", sliced, wrt, id=f"{sliced}-{wrt}") for wrt in wrts for sliced in slicings]
+    cases += [pytest.param("zero", sliced, wrt, id=f"zero-{sliced}-{wrt}") for wrt in wrts for sliced in slicings]
+    cases += [pytest.param("q_zero", sliced, "q", id=f"q_zero-{sliced}-q") for sliced in slicings]
+    cases += [pytest.param("wide", sliced, wrt, id=f"wide-{sliced}-{wrt}") for wrt in wrts for sliced in slicings]
+    cases += [pytest.param("positional", False, wrt, id=f"positional-{wrt}")
+              for wrt in wrts if wrt not in ("q", "k")]
     return cases
 
 
-@pytest.mark.parametrize("qk, pad, wrt", _gradient_cases())
-def test_attention_mix_gradient(rng, monkeypatch, qk, pad, wrt):
+@pytest.mark.parametrize("qk, sliced, wrt", _gradient_cases())
+def test_attention_mix_gradient(rng, monkeypatch, qk, sliced, wrt):
     # the fused node w.r.t. its input and every parameter (q, k, v and o are
-    # the projections w_q, w_k, w_v and w_o). Batch 5 in 2-row slices: two
-    # full slices and a remainder, so the bias gradient's batch-sum runs
-    # across slices; with the pad slot on, the pad logit's gradient also
-    # reaches the table through the off-grid logsumexp weights.
-    # qk "zero" (w_q = w_k = 0) runs the positional path, whose batch-sum is
-    # one gemm per head; float64 keeps the softmax tail, so the table
-    # gradient is not zero, and w_q and w_k get none, exactly. "q_zero" (w_q = 0 only) must stay on the general
-    # path: w_q's gradient x^T (dS k) needs the per-sample dS.
+    # the projections w_q, w_k, w_v and w_o). Batch 5, sliced in 2-row
+    # slices (two full slices and a remainder, so the bias gradient's
+    # batch-sum runs across slices) or whole in one slice.
+    # qk "zero" (w_q = w_k = 0) and "q_zero" (w_q = 0 only) run the general
+    # path, since the mixer's type picks it: w_q's gradient x^T (dS k) needs
+    # the per-sample dS. "positional" is a PositionalMixer: no q or k, its
+    # batch-sum one gemm per head, and the pad logit's gradient reaching the
+    # table through the off-grid logsumexp weights; float64 keeps the
+    # softmax tail, so the table gradient is not zero.
     # Every logit of these cases lies within +-_NARROW_RANGE, so the
     # softmax takes no shift, except in "wide": its channel 0 is about +1 or
     # -1 over each sample's tokens and w_k reads it 100 times over, so each
@@ -304,9 +315,11 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, pad, wrt):
     with tt.using_dtype(np.float64):
         b, heads, h_t, w_t, d = 5, 2, 3, 3, 3
         n = h_t * w_t
-        monkeypatch.setattr(blocks, "_SLICE_BYTES", 2 * heads * n * n * 8)
-        assert [s.stop - s.start for s in blocks._batch_slices(b, heads, n, np.float64)] == [2, 2, 1]
-        a = AttnMixer.init(d, heads, d, (h_t, w_t), rng, pad_token_enabled=pad)
+        if sliced:
+            monkeypatch.setattr(blocks, "_SLICE_BYTES", 2 * heads * n * n * 8)
+        rows = [s.stop - s.start for s in blocks._batch_slices(b, heads, n, np.float64)]
+        assert rows == ([2, 2, 1] if sliced else [5])
+        a = (positional_init if qk == "positional" else AttnMixer.init)(d, heads, d, (h_t, w_t), rng)
         for _, param in a.named_parameters():
             param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
         a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
@@ -320,8 +333,9 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, pad, wrt):
             a.w_k.data[:, 0] *= 100
         x = Tensor(xs)
         r = Tensor(rng.uniform(-1, 1, size=x.shape))
-        targets = {"x": x, "q": a.w_q, "k": a.w_k, "v": a.w_v, "o": a.w_o, "b_rel": a.b_rel,
-                   "out_bias": a.out_bias}
+        targets = {"x": x, "v": a.w_v, "o": a.w_o, "b_rel": a.b_rel, "out_bias": a.out_bias}
+        if qk != "positional":
+            targets.update(q=a.w_q, k=a.w_k)
         bounds = []
         probs_inplace = blocks.attn_probs_inplace
 
@@ -355,7 +369,7 @@ def test_attention_mix_tape_free_forward_matches_taped(rng, monkeypatch):
         return probs_inplace(p, grid, pad)
 
     monkeypatch.setattr(blocks, "attn_probs_inplace", keep_buffer)
-    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng, pad_token_enabled=True)
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
     a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
     x = Tensor(rng.normal(size=(b, h_t, w_t, d)))
     free = attention_mix(x, a)
@@ -369,8 +383,8 @@ def test_attention_mix_tape_free_forward_matches_taped(rng, monkeypatch):
     for run in (free_buffers, buffers):
         assert all(np.shares_memory(p, run[0]) for p in run)
 
-    # a switched mixer (w_q = w_k = 0) builds its probabilities once per
-    # call on a [1, H, N, N] buffer, whatever the batch, taped or not
+    # a switched (positional) mixer builds its probabilities once per call
+    # on a [1, H, N, N] buffer, whatever the batch, taped or not
     switched = reparameterize(ConvMixer.init(3, d, rng), (h_t, w_t))
     for batch in (1, b):
         x = Tensor(rng.normal(size=(batch, h_t, w_t, d)))
@@ -419,7 +433,7 @@ def test_attention_runs_in_tensor_dtype(rng, monkeypatch, dtype):
     probs, grads = capture_attention(monkeypatch)
     with tt.using_dtype(dtype):
         d = 8
-        a = AttnMixer.init(d, 9, d, (4, 4), rng, pad_token_enabled=True)
+        a = AttnMixer.init(d, 9, d, (4, 4), rng)
         g = tt.Graph()
         with g:
             out = mhsa_forward(grid_of(rng, 2, 4, 4, d), a)
@@ -450,7 +464,7 @@ def test_backward_recomputes_the_forward_probabilities_bitwise(rng, monkeypatch,
         recomputed.append(p.swapaxes(-1, -2).copy())
 
     monkeypatch.setattr(blocks, "attn_probs_again", capture_again)
-    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng, pad_token_enabled=True)
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
     a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
     if spike:
         a.b_rel.data[:, h_t - 1, w_t - 1] += 100.0
@@ -582,7 +596,7 @@ def test_each_sample_softmax_is_independent_of_its_batch(rng, monkeypatch):
             assert probs[j].tobytes() == alone[i].tobytes() and batch_pad[j].tobytes() == alone_pad[i].tobytes()
 
     d, h_t, w_t = 8, 4, 4
-    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng, pad_token_enabled=True)
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
     for _, param in a.named_parameters():
         param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
     a.w_k.data[:, 0] *= 100.0
@@ -610,7 +624,7 @@ def test_general_path_takes_an_empty_batch(rng):
     # one empty slice: forward and backward run, the output is empty and
     # every parameter gradient is zero
     d, h_t, w_t = 8, 4, 4
-    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng, pad_token_enabled=True)
+    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
     x = Tensor(np.zeros((0, h_t, w_t, d)), requires_grad=True)
     g = tt.Graph()
     with g:

@@ -2,8 +2,10 @@ import importlib
 import json
 import math
 import os
+import re
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from convattn import runtime
 from convattn import tensor as tt
 from convattn import train as train_module
-from convattn.blocks import build_model, model_forward
+from convattn.blocks import PositionalMixer, build_model, model_forward
 from convattn.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -21,8 +23,9 @@ from convattn.checkpoint import (
     write_container,
 )
 from convattn.cli import RunManifest, main
+from convattn.config import build_train_config, load_preset
 from convattn.optim import AdamW, lr_at
-from convattn.schedule import mode_at, switch_epochs
+from convattn.schedule import SA, mode_at, switch_epochs
 from convattn.spectral import write_csv
 from convattn.tensor import Tensor, finite_diff_check
 from convattn.train import (
@@ -263,36 +266,6 @@ def test_determinism_same_seed_same_history(tmp_path):
         np.testing.assert_array_equal(t1[name], t2[name])
 
 
-def test_positional_attention_trains_to_the_general_path_bits(tmp_path, monkeypatch):
-    # the benchmark's interp-switched run (8x8 grid, pad slot, +100 spikes,
-    # both layers switched after epoch 1) ends on the same bits whether its
-    # switched layers compute their probabilities once per call or per sample
-    blocks = importlib.import_module("convattn.blocks")
-    argv = ["train", "--preset", "interp", "--set", "schedule.kind=uniform", "--set", "schedule.e_switch=1",
-            "--set", "data.dataset=synthetic", "--set", "schedule.total_epochs=3"]
-    positional, selected = blocks._positional, []
-
-    def recording(a):
-        selected.append(positional(a))
-        return selected[-1]
-
-    def run(name, select):
-        monkeypatch.setattr(blocks, "_positional", select)
-        out = tmp_path / name
-        assert main([*argv, "--out", str(out)]) == 0
-        loss = _metrics_lines(out / "metrics.jsonl")[-1]["train_loss"]
-        return loss, load_checkpoint(str(out / "checkpoint_final.bin"))[1], (out / "depth_profile.csv").read_bytes()
-
-    loss, tensors, profile = run("positional", recording)
-    assert any(selected)
-    general_loss, general_tensors, general_profile = run("general", lambda a: False)
-    assert loss == general_loss
-    assert tensors.keys() == general_tensors.keys()
-    for name, value in tensors.items():
-        assert value.tobytes() == general_tensors[name].tobytes(), name
-    assert profile == general_profile
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr=1e6 overflows gelu on purpose
 def test_divergence_aborts_with_epoch():
     cfg = tiny_config(schedule_kind="all-conv", total_epochs=3, lr=1e6)
@@ -467,8 +440,11 @@ _MISSING = object()
     ("modes", _MISSING, "modes None are not a list"),
     ("modes", "conv", "modes 'conv' are not a list"),
     ("modes", ["conv", "attn"], "are not a list of 'conv'/'sa'"),
+    ("pad_tokens", "yes", "pad_tokens 'yes' are not one boolean per layer"),
+    ("pad_tokens", [0, 1], r"pad_tokens \[0, 1\] are not one boolean per layer"),
+    ("pad_tokens", [False], r"pad_tokens \[False\] are not one boolean per layer"),
 ], ids=["config-missing", "config-list", "epoch-missing", "epoch-str", "epoch-float", "epoch-bool",
-        "modes-missing", "modes-str", "modes-unknown"])
+        "modes-missing", "modes-str", "modes-unknown", "pad_tokens-str", "pad_tokens-ints", "pad_tokens-short"])
 def test_load_checkpoint_checks_header_keys(tmp_path, key, value, match):
     path = str(tmp_path / "c.bin")
     write_container(path, _HEADER, {})
@@ -568,6 +544,71 @@ def test_resume_reproduces_switches_and_state(tmp_path):
     _, t_res = load_checkpoint(resumed.checkpoint_path)
     for name in t_full:
         np.testing.assert_array_equal(t_full[name], t_res[name], err_msg=name)
+
+
+def test_switched_desk_run_keeps_no_query_key(tmp_path):
+    # a desk run whose four layers have all switched holds no w_q or w_k:
+    # each switched layer is a positional mixer, so neither the parameters,
+    # the optimizer's moments and step counts nor the checkpoint carry them
+    cfg = replace(build_train_config(load_preset("desk")), dataset="synthetic", total_epochs=6)
+    res = train(cfg, out_dir=str(tmp_path))
+    assert res.model.modes() == [SA] * 4
+    assert all(isinstance(blk.attn, PositionalMixer) for blk in res.model.blocks)
+    header, tensors = load_checkpoint(res.checkpoint_path)
+    assert header["pad_tokens"] == [True] * 4
+    query_key = re.compile(r"\.attn\.w_[qk]$")
+    for names in ([name for name, _ in res.model.named_parameters()], res.optimizer.state_tensors(),
+                  res.optimizer.steps, header["opt_steps"], tensors):
+        assert names and not any(query_key.search(name) for name in names)
+
+
+def _pre_split(path, out, fill=0.0):
+    """Rewrite the checkpoint at ``path`` to ``out`` in the layout from before
+    switched layers had a mixer of their own: every positional layer also
+    holds w_q and w_k (all ``fill``) with zero moments and the step count of
+    its w_v. Returns the header."""
+    header, tensors = load_checkpoint(path)
+    for i, positional in enumerate(header["pad_tokens"]):
+        if positional:
+            shape = tensors[f"blocks.{i}.attn.w_v"].shape
+            for w in ("w_q", "w_k"):
+                name = f"blocks.{i}.attn.{w}"
+                tensors[name] = np.full(shape, fill, dtype=np.float32)
+                tensors[f"opt.m.{name}"] = tensors[f"opt.v.{name}"] = np.zeros(shape, dtype=np.float32)
+                header["opt_steps"][name] = header["opt_steps"][f"blocks.{i}.attn.w_v"]
+    write_container(out, header, tensors)
+    return header
+
+
+def test_pre_split_checkpoint_resumes_bitwise(tmp_path):
+    # the zero w_q/w_k (and their moments) of a switched layer in an older
+    # checkpoint are dropped on load, and the resumed run ends on the
+    # uninterrupted run's tensors
+    cfg = tiny_config(schedule_kind="linear", total_epochs=6, checkpoint_every=3)
+    full = train(cfg, out_dir=str(tmp_path / "full"))
+    old = str(tmp_path / "pre_split.bin")
+    header = _pre_split(str(tmp_path / "full" / "checkpoint_epoch_3.bin"), old)
+    assert header["pad_tokens"] == [False, True]
+    resumed = train(cfg, out_dir=str(tmp_path / "resumed"), resume_from=old)
+    _, t_full = load_checkpoint(full.checkpoint_path)
+    _, t_res = load_checkpoint(resumed.checkpoint_path)
+    assert t_full.keys() == t_res.keys()
+    for name in t_full:
+        assert t_full[name].tobytes() == t_res[name].tobytes(), name
+
+
+def test_pre_split_checkpoint_with_query_key_is_refused(tmp_path):
+    # a switched layer cannot hold a non-zero w_q or w_k, so a checkpoint
+    # that gives it one is refused rather than silently dropped: exit 3
+    cfg = tiny_config(schedule_kind="linear", total_epochs=3)
+    res = train(cfg, out_dir=str(tmp_path / "run"))
+    bad = str(tmp_path / "bad.bin")
+    _pre_split(res.checkpoint_path, bad, fill=1e-3)
+    with pytest.raises(CheckpointError, match="positional layer 0 holds a non-zero w_q or w_k"):
+        model_from_checkpoint(*load_checkpoint(bad))
+    with pytest.raises(CheckpointError, match="non-zero"):
+        train(cfg, out_dir=str(tmp_path / "resumed"), resume_from=bad)
+    assert main(["fourier", "--checkpoint", bad, "--random-batch", "4", "--out", str(tmp_path / "f")]) == 3
 
 
 # --------------------------------------------------------------------------
