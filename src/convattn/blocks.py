@@ -408,59 +408,59 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     bias. The mixer's type picks the path: a :class:`PositionalMixer`'s
     logits are the same for every sample, so :func:`_positional_mix`
     computes it with one softmax per call. An :class:`AttnMixer` runs in
-    token space: with A_h = scale W_q,h W_k,h^T and Y = [x A_h]_h, rows
-    (head, query), one gemm per sample gives its logits, key-major
-    [N_keys, H*N_queries], and one more mixes every head's tokens, Z_b =
-    P_b^T x_b; each Z_h W_v,h fills the buffer the output projection reads,
-    per batch slice of about _SLICE_BYTES of probabilities in one buffer,
-    so no [B, H, N, N] tensor is kept. The tape keeps Y, the projected mix
-    and the softmax statistics, from which the backward rebuilds the
-    probabilities bitwise (:func:`attn_probs_again`). Fresh attention has no
-    pad slot: its pad logit is _PAD_NEG, which takes no probability.
+    token space, both sides folded per head: A_h = scale W_q,h W_k,h^T and
+    M_h = W_v,h W_o,h. With Y = [x A_h]_h, rows (head, query), one gemm per
+    sample gives its logits, key-major [N_keys, H*N_queries], and each
+    head's mix Z_h = P_h^T x is written token-major into one [B*N, H*d]
+    buffer, per batch slice of about _SLICE_BYTES of probabilities in one
+    buffer, so no [B, H, N, N] tensor is kept. The output is y = Z M, one
+    gemm. The tape keeps Y, Z and the softmax statistics, from which the
+    backward rebuilds the probabilities bitwise (:func:`attn_probs_again`);
+    it takes dM = Z^T dy, then dW_v,h and dW_o,h from dM_h, and the value
+    side's dx = P dZ as one gemm per sample. The fold is exact for any d_h
+    and costs more flops than the per-head form only when d_h < d/2, which
+    :func:`build_model` never builds (d_h = d). Fresh attention has no pad
+    slot: its pad logit is _PAD_NEG, which takes no probability.
     """
     if isinstance(a, PositionalMixer):
         return _positional_mix(x, a)
     batch, h_t, w_t, d = x.shape
-    n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
+    n, heads = h_t * w_t, a.n_heads
     inputs = (x, a.w_q, a.w_k, a.w_v, a.w_o, a.b_rel, a.out_bias)
     taped = tt.recording(inputs)
-    w_q, w_k, w_v = a.w_q.data, a.w_k.data, a.w_v.data
+    w_q, w_k, w_v, w_o = a.w_q.data, a.w_k.data, a.w_v.data, a.w_o.data
     scale = _attn_scale(d)
     a_h = np.matmul(w_q, w_k.swapaxes(-1, -2)) * scale  # [H, d, d]
-    w_o = a.w_o.data.reshape(heads * d_h, d)
     x_flat = x.data.reshape(batch * n, d)
     x_b = x_flat.reshape(batch, n, d)
     y_b = np.matmul(x_b[:, None], a_h).reshape(batch, heads * n, d)
     grid, pad, _ = _bias_logits(a.b_rel.data, h_t, w_t, pad_token=False)
     grid = np.ascontiguousarray(grid.swapaxes(0, 1)).reshape(1, n, heads * n)  # [1, keys, (head, query)]
     pad = pad.reshape(1, heads * n)
+    m_h = np.matmul(w_v, w_o)  # [H, d, d]
     slices = _batch_slices(batch, heads, n, y_b.dtype)
     p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)  # one slice's probabilities
-    z = np.empty((slices[0].stop, heads, n, d), dtype=y_b.dtype)
     stats = []  # per slice: pad probabilities, shift and column totals
-    merged = np.empty((batch * n, heads * d_h), dtype=y_b.dtype)
-    o = merged.reshape(batch, n, heads, d_h).swapaxes(1, 2)
+    z = np.empty((batch * n, heads * d), dtype=y_b.dtype)  # rows (sample, query), columns (head, channel)
+    z_h = z.reshape(batch, n, heads, d).swapaxes(1, 2)
     for s in slices:
-        ps, zs = p[: s.stop - s.start], z[: s.stop - s.start]
+        ps = p[: s.stop - s.start]
         np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
         slice_stats = attn_probs_inplace(ps, grid, pad)
         if taped:
             stats.append(slice_stats)
-        np.matmul(ps[:, 0].swapaxes(-1, -2), x_b[s], out=zs.reshape(len(zs), heads * n, d))
-        np.matmul(zs, w_v, out=o[s])
-    y = merged @ w_o
+        np.matmul(ps.reshape(len(ps), n, heads, n).transpose(0, 2, 3, 1), x_b[s, None], out=z_h[s])
+    y = z @ m_h.reshape(heads * d, d)
     y += a.out_bias.data
     out = Tensor(y.reshape(x.shape))
 
     def bwd(g):
         g_flat = g.reshape(batch * n, d)
         d_out_bias = g_flat.sum(axis=0)
-        d_w_o = (merged.T @ g_flat).reshape(a.w_o.shape)
-        d_o = (g_flat @ w_o.T).reshape(batch, n, heads, d_h).swapaxes(1, 2)
-        d_z = np.matmul(g.reshape(batch, 1, n, d), np.matmul(w_v, a.w_o.data).swapaxes(1, 2)).reshape(y_b.shape)
-        dv = np.empty(merged.shape, dtype=d_o.dtype)
-        dv_h = dv.reshape(batch, n, heads, d_h).swapaxes(1, 2)
-        d_yb, dx_s = np.empty(y_b.shape, dtype=d_z.dtype), np.empty(x_b.shape, dtype=d_z.dtype)
+        d_m = (z.T @ g_flat).reshape(heads, d, d)
+        d_wv, d_w_o = np.matmul(d_m, w_o.swapaxes(-1, -2)), np.matmul(w_v.swapaxes(-1, -2), d_m)
+        d_z = np.matmul(g.reshape(batch, 1, n, d), m_h.swapaxes(1, 2)).reshape(y_b.shape)
+        d_yb, dx = np.empty(y_b.shape, dtype=d_z.dtype), np.empty(x_b.shape, dtype=d_z.dtype)
         p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)
         dp = np.empty(p.shape, dtype=d_z.dtype)
         grid_sum = np.zeros((n, heads * n), dtype=dp.dtype)  # batch-summed logit gradient
@@ -468,20 +468,17 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
             ps, dps = p[: s.stop - s.start], dp[: s.stop - s.start]
             np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
             attn_probs_again(ps, grid, shift, total)  # bitwise the forward's probabilities
-            np.matmul(ps.reshape(len(ps), n, heads, n).swapaxes(1, 2), d_o[s], out=dv_h[s])
+            np.matmul(ps[:, 0], d_z[s], out=dx[s])
             np.matmul(x_b[s], d_z[s].swapaxes(-1, -2), out=dps[:, 0])
             attn_softmax_backward(ps, p_pad, dps)  # dps becomes the logit gradient; no pad slot
             for row in dps:
                 grid_sum += row[0]
-            np.matmul(dps[:, 0], y_b[s], out=dx_s[s])
+            dx[s] += np.matmul(dps[:, 0], y_b[s])
             np.matmul(dps[:, 0].swapaxes(-1, -2), x_b[s], out=d_yb[s])
         d_y = np.ascontiguousarray(d_yb.reshape(batch, heads, n, d).swapaxes(1, 2)).reshape(batch * n, heads * d)
-        dx = dv @ w_v.swapaxes(0, 1).reshape(d, heads * d_h).T
-        dx += dx_s.reshape(dx.shape)
-        dx += d_y @ a_h.swapaxes(0, 1).reshape(d, heads * d).T
+        dx += (d_y @ a_h.swapaxes(0, 1).reshape(d, heads * d).T).reshape(x_b.shape)
         d_a = (x_flat.T @ d_y).reshape(d, heads, d).swapaxes(0, 1) * scale
         d_wq, d_wk = np.matmul(d_a, w_k), np.matmul(d_a.swapaxes(-1, -2), w_q)
-        d_wv = np.ascontiguousarray((x_flat.T @ dv).reshape(d, heads, d_h).swapaxes(0, 1))
         d_rel = _table_grad(grid_sum.reshape(n, heads, n).swapaxes(0, 1), a.b_rel.data)
         return dx.reshape(x.shape), d_wq, d_wk, d_wv, d_w_o, d_rel, d_out_bias
 
@@ -545,7 +542,8 @@ def mhsa_forward(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     """Sum over heads of softmax(QK^T/sqrt(d) + B) V W_o, plus output bias.
 
     The scale divisor is sqrt(d) as the block's token width. A positional
-    mixer has Q = K = 0 and a pad key with a zero value vector.
+    mixer has no Q or K: its logits are the bias table alone, plus a pad key
+    with a zero value vector.
     """
     _check_attn_input(x, a)
     return attention_mix(x, a)

@@ -20,7 +20,7 @@ missing, the shards run one after another on the caller.
 Importing the package also sets two process-wide glibc malloc thresholds:
 ``M_TRIM_THRESHOLD`` to 256 MiB and ``M_MMAP_THRESHOLD`` to 64 MiB. A
 training step lives on multi-MiB temporaries (the attention mixer's Y and
-projected mix, the MLP activations); under glibc's dynamic mmap threshold
+mix Z, the MLP activations); under glibc's dynamic mmap threshold
 each of them is a fresh mapping that pays its page faults again every step,
 while with the thresholds set freed pages stay in the heap for the next
 step to reuse. The settings hold for every later allocation in the

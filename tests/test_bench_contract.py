@@ -140,8 +140,9 @@ def test_bench_analyze_operation_runs(child, tmp_path):
 
 
 def test_bench_sweep_operation_runs(child):
-    # backward(..., params=, free_intermediates=), AdamW.step()/zero_grad()
-    # and blk.attn.pad_token_enabled
+    # backward(..., params=, free_intermediates=) and AdamW.step()/zero_grad();
+    # the sweep also sets a stray blk.attn.pad_token_enabled that no code
+    # reads, so AttnMixer must keep a __dict__ (no __slots__)
     result = child.sweep(7, rounds=1)
     names = {f"{g}.{k}" for g in child.SWEEP_GEOMETRY for k in child.SWEEP_MODELS}
     assert set(result["losses"]) == names

@@ -480,12 +480,10 @@ def test_backward_recomputes_the_forward_probabilities_bitwise(rng, monkeypatch,
         assert all(p.max() == 1.0 for p, _ in probs)
 
 
-def test_general_path_keeps_no_probability_block_per_sample(rng):
-    # a taped forward and backward keeps no [B, H, N, N] tensor: between two
-    # batch sizes its traced peak grows by less than one float32 [H, N, N]
-    # block (147 KB at 9 heads on an 8x8 grid) per sample. Keeping every
-    # slice's probabilities for the backward grows it by about 227 KB
-    d, h_t, w_t = 4, 8, 8
+def _taped_peak_per_sample(rng, d):
+    """Growth of the tracemalloc peak of a taped fresh-attention forward and
+    backward (9 heads, 8x8 grid) per sample, between batches of 18 and 6."""
+    h_t, w_t = 8, 8
     a = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
 
     def traced_peak(batch):
@@ -501,8 +499,24 @@ def test_general_path_keeps_no_probability_block_per_sample(rng):
             tracemalloc.stop()
 
     traced_peak(3)  # fill the geometry cache first
-    per_sample = (traced_peak(18) - traced_peak(6)) / 12
-    assert per_sample < 9 * (h_t * w_t) ** 2 * 4
+    return (traced_peak(18) - traced_peak(6)) / 12
+
+
+def test_general_path_keeps_no_probability_block_per_sample(rng):
+    # a taped forward and backward keeps no [B, H, N, N] tensor: between two
+    # batch sizes its traced peak grows by less than one float32 [H, N, N]
+    # block (147 KB at 9 heads on an 8x8 grid) per sample. Keeping every
+    # slice's probabilities for the backward grows it by about 227 KB
+    assert _taped_peak_per_sample(rng, 4) < 9 * (8 * 8) ** 2 * 4
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_general_path_keeps_few_token_arrays_per_sample(rng, d):
+    # the value side is folded into one W_v W_o per head, so a taped forward
+    # and backward keeps Y, the mix Z and their gradients, and no per-head
+    # value buffer: fewer than 7 float32 [H*N, d] arrays per sample. Mixing
+    # the values per head reads about 7.6-8.0
+    assert _taped_peak_per_sample(rng, d) < 7 * 9 * (8 * 8) * d * 4
 
 
 def _column_softmax(p, grid, pad):
