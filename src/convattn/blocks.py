@@ -145,17 +145,17 @@ def conv_mixer_forward(x: Tensor, m: ConvMixer) -> Tensor:
 
 @lru_cache(maxsize=32)
 def _rel_geometry(h_t: int, w_t: int):
+    """(idx [N_keys, N_queries], offgrid [R, N_queries]) for R =
+    (2h-1)(2w-1) table offsets: each query reads N of them on the grid, one
+    per key; ``offgrid`` is 0 at the other R - N, off the grid, and -inf on
+    it."""
     n = h_t * w_t
     rows, cols = np.divmod(np.arange(n), w_t)
     drow = rows[:, None] - rows[None, :]  # key minus query
     dcol = cols[:, None] - cols[None, :]
     idx = (drow + h_t - 1) * (2 * w_t - 1) + (dcol + w_t - 1)  # [N_keys, N_queries]
-
-    all_dr = np.arange(-(h_t - 1), h_t)
-    all_dc = np.arange(-(w_t - 1), w_t)
-    tr = rows[:, None, None] + all_dr[None, :, None]  # [N, 2h-1, 2w-1]
-    tc = cols[:, None, None] + all_dc[None, None, :]
-    offgrid = ((tr < 0) | (tr >= h_t) | (tc < 0) | (tc >= w_t)).reshape(n, -1)  # [N, R]
+    offgrid = np.zeros(((2 * h_t - 1) * (2 * w_t - 1), n), dtype=np.float32)
+    offgrid[idx, np.arange(n)] = -np.inf  # column q: every idx[k, q]
     idx.setflags(write=False)
     offgrid.setflags(write=False)
     return idx, offgrid
@@ -166,15 +166,17 @@ _PAD_NEG = -1e30  # logit for an empty pad slot; never survives the softmax
 
 def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     """Expand a [H, 2h-1, 2w-1] table into (grid [H, N_keys, N_queries],
-    pad [H, N_queries], pad weights [H, N_queries, R]).
+    pad [H, N_queries], pad weights [H, R, N_queries]).
 
     Grid part: B[h, k, q] = table entry at the key-minus-query offset, so
     equal relative offsets always read the same entry. Pad logit: stable
-    masked logsumexp of the table over the query's off-grid offsets. The
-    weights are the softmax over that masked subset, i.e. the pad logit's
-    gradient w.r.t. the flat table. Without a pad slot (and for a query with
-    no off-grid offset) the pad logit is _PAD_NEG, so the slot takes no
-    probability and routes no gradient; its weights are zero, or None.
+    logsumexp of the table over the query's off-grid offsets, the table
+    masked by :func:`_rel_geometry`'s ``offgrid`` and exponentiated by
+    :func:`_exp_shifted`. The weights are the softmax over those offsets
+    (zero on the grid), i.e. the pad logit's gradient w.r.t. the table.
+    Without a pad slot (and on a 1x1 grid, where no offset is off-grid) the
+    pad logit is _PAD_NEG, so the slot takes no probability and routes no
+    gradient; its weights are None.
     """
     heads = b_rel.shape[0]
     if b_rel.shape[1] != 2 * h_t - 1 or b_rel.shape[2] != 2 * w_t - 1:
@@ -182,18 +184,16 @@ def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
     idx, offgrid = _rel_geometry(h_t, w_t)
     flat = b_rel.reshape(heads, -1)
     grid = np.take(flat, idx, axis=1)  # contiguous; flat[:, idx] would put the heads innermost
-    if not pad_token:
-        return grid, np.full((heads, idx.shape[0]), _PAD_NEG, dtype=flat.dtype), None
-    masked = np.where(offgrid[None, :, :], flat[:, None, :], -np.inf)
-    m = masked.max(axis=-1)  # [H, N]
-    have_any = np.isfinite(m)
-    m_safe = np.where(have_any, m, 0.0)
-    e = np.exp(masked - m_safe[:, :, None])
-    e = np.where(offgrid[None, :, :], e, 0.0)
-    s = np.where(have_any, e.sum(axis=-1), 1.0)  # >= 1 where any offset is off-grid
-    pad = np.where(have_any, m_safe + np.log(s), _PAD_NEG)
-    weights = e / s[:, :, None]
-    return grid, pad.astype(flat.dtype), weights.astype(flat.dtype)
+    pad = np.full((heads, idx.shape[0]), _PAD_NEG, dtype=flat.dtype)
+    if not pad_token or h_t * w_t == 1:
+        return grid, pad, None
+    weights = flat[:, :, None] + offgrid  # [H, R, N_queries], offset-major like the grid
+    m = weights.max(axis=-2)
+    _exp_shifted(weights, m)
+    s = weights.sum(axis=-2)
+    pad = m + np.log(s)
+    weights /= s[..., None, :]
+    return grid, pad, weights
 
 
 def _table_grad(grid_grad: np.ndarray, b_rel: np.ndarray, pad_grad: np.ndarray | None = None,
@@ -213,7 +213,7 @@ def _table_grad(grid_grad: np.ndarray, b_rel: np.ndarray, pad_grad: np.ndarray |
     d_flat = np.bincount(bins, weights=grid_grad.reshape(-1).astype(np.float64),
                          minlength=heads * r).reshape(heads, r)
     if pad_weights is not None:
-        d_flat += np.einsum("hq,hqr->hr", pad_grad, pad_weights)
+        d_flat += np.einsum("hq,hrq->hr", pad_grad, pad_weights)
     return d_flat.reshape(b_rel.shape).astype(b_rel.dtype)
 
 
@@ -554,7 +554,8 @@ def mhsa_forward(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
 
 
 class Mlp:
-    """Two linear layers with smooth-GELU in between; hidden = ratio * d."""
+    """Two linear layers with smooth-GELU in between; hidden = ratio * d.
+    :meth:`forward` runs the block's second LayerNorm too, all in one node."""
 
     def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
@@ -575,9 +576,10 @@ class Mlp:
         yield "w2", self.w2
         yield "b2", self.b2
 
-    def forward(self, tokens_flat: Tensor) -> Tensor:
-        h = tt.gelu(tt.add(tt.matmul(tokens_flat, self.w1), self.b1))
-        return tt.add(tt.matmul(h, self.w2), self.b2)
+    def forward(self, z: Tensor, ln: "LayerNormParams") -> Tensor:
+        """MLP(LN(z)) for token maps ``z`` [..., d], the LayerNorm ``ln``
+        included: one tape node (:func:`convattn.tensor.norm_mlp`)."""
+        return tt.norm_mlp(z, ln.gamma, ln.beta, self.w1, self.b1, self.w2, self.b2)
 
 
 class LayerNormParams:
@@ -625,12 +627,13 @@ def block_forward(z: Tensor, b: HybridBlock) -> Tensor:
 
 
 def _block_outputs(z: Tensor, b: HybridBlock) -> tuple[Tensor, Tensor]:
-    """(z_l, pre-residual MLP branch); the branch feeds the spectral tap option."""
+    """(z_l, pre-residual MLP branch); the branch feeds the spectral tap
+    option. The branch is the output of the tail's one node, LN2 and the
+    MLP (:meth:`Mlp.forward`); its residual add is a node of its own."""
     normed = b.ln1.forward(z)
     mixed = conv_mixer_forward(normed, b.conv) if b.conv is not None else mhsa_forward(normed, b.attn)
     z1 = tt.add(mixed, z)
-    flat = tt.reshape(b.ln2.forward(z1), (-1, z1.shape[3]))
-    branch = tt.reshape(b.mlp.forward(flat), z1.shape)
+    branch = b.mlp.forward(z1, b.ln2)
     return tt.add(branch, z1), branch
 
 

@@ -107,6 +107,30 @@ def test_tracer_sees_the_attention_layer(mixer):
         assert tracer.calls[key] >= 1, f"{key} recorded no call"
 
 
+def test_tracer_sees_the_block_tail():
+    # the tail (LN2 and the MLP) is one node recorded inside Mlp.forward, and
+    # LN1 inside LayerNormParams.forward: a tail recorded under any other
+    # name would leave blocks.mlp or blocks.layer_norm at zero calls
+    for info in pkgutil.iter_modules(convattn.__path__):
+        importlib.import_module(f"convattn.{info.name}")
+    blocks, tensor = sys.modules["convattn.blocks"], sys.modules["convattn.tensor"]
+    rng = np.random.default_rng(0)
+    d = 4
+    blk = blocks.HybridBlock(blocks.ConvMixer.init(3, d, rng), blocks.LayerNormParams(d), blocks.LayerNormParams(d),
+                             blocks.Mlp.init(d, 2, rng))
+    x = tensor.Tensor(rng.normal(size=(2, 3, 3, d)))
+
+    with _load_tracer().Tracer() as tracer:
+        g = tensor.Graph()
+        with g:
+            loss = sum_(blocks.block_forward(x, blk))
+        tensor.backward(loss, g)
+
+    for key in (("blocks.mlp", "fwd"), ("blocks.mlp", "bwd"), ("blocks.layer_norm", "fwd"),
+                ("blocks.layer_norm", "bwd")):
+        assert tracer.calls[key] == 1, f"{key} recorded {tracer.calls[key]} calls, not one"
+
+
 @pytest.fixture
 def child(monkeypatch):
     # child.py imports its tracer as a top-level module from perfbench/

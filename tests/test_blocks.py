@@ -24,7 +24,7 @@ from convattn.blocks import (
     model_forward_features,
     patch_embed_forward,
 )
-from convattn.reparam import reparameterize
+from convattn.reparam import reparameterize, switch_block
 from convattn.schedule import CONV, SA
 from convattn.tensor import ShapeError, Tensor, finite_diff_check
 from oracles import attention_scores, mixer_loops, model_forward_straightline, mul, patch_embed_loops, sum_
@@ -148,6 +148,24 @@ def test_rel_bias_pad_collapses_offgrid_mass(rng):
                     offgrid.append(b_rel[0, dr + 2, dc + 2])
         expected = np.log(np.exp(np.asarray(offgrid)).sum())
         np.testing.assert_allclose(pad[0, q], expected, rtol=1e-5)
+
+
+def test_one_token_grid_has_no_pad_mass(rng):
+    # on a 1x1 grid no table offset is off the grid: the pad slot keeps
+    # _PAD_NEG, so a positional layer puts all mass on its one token
+    d = 3
+    a = positional_init(d, 2, d, (1, 1), rng)
+    _, pad, weights = _bias_logits(a.b_rel.data, 1, 1, pad_token=True)
+    assert weights is None and np.all(pad == blocks._PAD_NEG)
+    x = Tensor(rng.normal(size=(2, 1, 1, d)), requires_grad=True)
+    g = tt.Graph()
+    with g:
+        out = attention_mix(x, a)
+        loss = sum_(out)
+    grads = tt.backward(loss, g)
+    expected = sum(x.data @ a.w_v.data[h] @ a.w_o.data[h] for h in range(2)) + a.out_bias.data
+    np.testing.assert_allclose(out.data, expected, atol=1e-6)
+    assert not grads[a.b_rel].any()
 
 
 def test_rel_geometry_cache_is_read_only():
@@ -722,6 +740,27 @@ def test_model_matches_straightline_reference(rng):
         model = small_model(rng, [CONV, SA], d=8)
         model.blocks[1].attn.b_rel.data = rng.normal(size=model.blocks[1].attn.b_rel.shape)
         images = rng.normal(size=(2, 16, 16, 3))
+        got = model_forward(Tensor(images), model).data
+        expected = model_forward_straightline(images, model)
+        np.testing.assert_allclose(got, expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("geometry", ["desk", "interp"])
+def test_fused_tail_matches_straightline_reference(rng, geometry):
+    # the preset shapes, with LayerNorm affines away from 1 and 0 (so the
+    # fold of gamma and beta into W1 shows) and first-layer weights wide
+    # enough that the GELU bends; the last block is switched (pad slot)
+    dim, patch, modes, batch = {"desk": (32, 8, [CONV, SA, CONV, CONV], 2), "interp": (16, 4, [CONV, CONV], 1)}[geometry]
+    with tt.using_dtype(np.float64):
+        model = build_model(dim, len(modes), 3, patch, (32, 32), 3, 10, modes, rng)
+        switch_block(model.blocks[-1], model.patch_embed.grid_hw)
+        for blk in model.blocks:
+            for ln in (blk.ln1, blk.ln2):
+                ln.gamma.data = rng.uniform(0.5, 1.5, size=dim)
+                ln.beta.data = rng.uniform(-0.5, 0.5, size=dim)
+            blk.mlp.w1.data = rng.normal(0.0, 0.5, size=blk.mlp.w1.shape)
+            blk.mlp.b1.data = rng.normal(0.0, 0.5, size=blk.mlp.b1.shape)
+        images = rng.normal(size=(batch, 32, 32, 3))
         got = model_forward(Tensor(images), model).data
         expected = model_forward_straightline(images, model)
         np.testing.assert_allclose(got, expected, atol=1e-6)

@@ -13,10 +13,10 @@ from convattn.tensor import (
     backward,
     conv2d_same,
     finite_diff_check,
-    gelu,
     layer_norm,
     matmul,
     mean_,
+    norm_mlp,
 )
 from oracles import conv2d_loops, mul, relu, sin, sum_
 
@@ -68,6 +68,46 @@ def test_layer_norm_gradient(rng):
         x = Tensor(rng.uniform(-1, 1, size=(3, 7)), requires_grad=True)
         report = finite_diff_check(lambda t: sum_(mul(layer_norm(t, gamma, beta), r)), x)
         assert report.passed, report
+
+
+@pytest.mark.parametrize("wrt", ["gamma", "beta"])
+def test_layer_norm_gradient_over_affine_params(rng, wrt):
+    # the row statistics are gemvs; x itself is checked above
+    with tt.using_dtype(np.float64):
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3, 7)))
+        r = Tensor(rng.uniform(-1, 1, size=x.shape))
+        affine = {"gamma": Tensor(rng.uniform(0.5, 1.5, size=7)), "beta": Tensor(rng.uniform(-1, 1, size=7))}
+        report = finite_diff_check(lambda _: sum_(mul(layer_norm(x, affine["gamma"], affine["beta"]), r)),
+                                   affine[wrt])
+        assert report.passed, report
+
+
+def _norm_mlp_params(rng, d, hidden):
+    """gamma, beta, w1, b1, w2, b2 of a LayerNorm -> MLP tail, drawn wide
+    enough that the GELU sees both of its tails and its bend."""
+    return [Tensor(rng.uniform(0.5, 1.5, size=d)), Tensor(rng.uniform(-0.5, 0.5, size=d)),
+            Tensor(rng.uniform(-1, 1, size=(d, hidden))), Tensor(rng.uniform(-1, 1, size=hidden)),
+            Tensor(rng.uniform(-1, 1, size=(hidden, d))), Tensor(rng.uniform(-1, 1, size=d))]
+
+
+@pytest.mark.parametrize("wrt", ["x", "gamma", "beta", "w1", "b1", "w2", "b2"])
+def test_norm_mlp_gradient(rng, wrt):
+    with tt.using_dtype(np.float64):
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)))
+        params = _norm_mlp_params(rng, 4, 6)
+        r = Tensor(rng.uniform(-1, 1, size=x.shape))
+        inputs = dict(zip(["x", "gamma", "beta", "w1", "b1", "w2", "b2"], [x, *params]))
+        report = finite_diff_check(lambda _: sum_(mul(norm_mlp(*inputs.values()), r)), inputs[wrt])
+        assert report.passed, (wrt, report)
+        assert report.n_checked == inputs[wrt].size
+
+
+def test_norm_mlp_shape_errors(rng):
+    params = _norm_mlp_params(rng, 4, 6)
+    with pytest.raises(ShapeError, match="4 channels"):
+        norm_mlp(Tensor(rng.normal(size=(2, 5))), *params)
+    with pytest.raises(ShapeError, match="disagree"):
+        norm_mlp(Tensor(rng.normal(size=(2, 4))), *params[:3], Tensor(np.zeros(5)), *params[4:])
 
 
 def test_conv2d_k1_is_pointwise_matmul(rng):
@@ -198,8 +238,9 @@ def test_finite_diff_flags_relu_kink():
 def test_gradients_on_random_inputs(op, rng):
     with tt.using_dtype(np.float64):
         x = Tensor(rng.uniform(-1, 1, size=(3, 5)), requires_grad=True)
+        tail = _norm_mlp_params(rng, 5, 4)
         f = {
-            "gelu": lambda t: sum_(gelu(t)),
+            "gelu": lambda t: sum_(norm_mlp(t, *tail)),  # the GELU lives in the fused tail node
             "mean": lambda t: sum_(mean_(t, axis=1)),
             "square": lambda t: sum_(mul(t, t)),
         }[op]
