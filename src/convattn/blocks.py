@@ -371,7 +371,8 @@ class AttnMixer(_Heads):
 class PositionalMixer(_Heads):
     """Attention whose logits are the bias table alone, with the pad slot and
     no q or k: a convolution as :func:`convattn.reparam.reparameterize`
-    rewrites it. :func:`_positional_mix` is its forward."""
+    rewrites it. :func:`_positional_mix` is its forward; at the switch
+    W_v,h = I, so its folded M_h = W_v,h W_o,h is the conv tap itself."""
 
 
 def _attn_scale(d: int) -> float:
@@ -405,22 +406,23 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     """Either attention mixer as one tape node: [B, h_t, w_t, d] in and out.
 
     Sum over heads of softmax(q k^T * scale + B) v W_o, plus the output
-    bias. The mixer's type picks the path: a :class:`PositionalMixer`'s
-    logits are the same for every sample, so :func:`_positional_mix`
-    computes it with one softmax per call. An :class:`AttnMixer` runs in
-    token space, both sides folded per head: A_h = scale W_q,h W_k,h^T and
-    M_h = W_v,h W_o,h. With Y = [x A_h]_h, rows (head, query), one gemm per
-    sample gives its logits, key-major [N_keys, H*N_queries], and each
-    head's mix Z_h = P_h^T x is written token-major into one [B*N, H*d]
-    buffer, per batch slice of about _SLICE_BYTES of probabilities in one
-    buffer, so no [B, H, N, N] tensor is kept. The output is y = Z M, one
-    gemm. The tape keeps Y, Z and the softmax statistics, from which the
-    backward rebuilds the probabilities bitwise (:func:`attn_probs_again`);
-    it takes dM = Z^T dy, then dW_v,h and dW_o,h from dM_h, and the value
-    side's dx = P dZ as one gemm per sample. The fold is exact for any d_h
-    and costs more flops than the per-head form only when d_h < d/2, which
-    :func:`build_model` never builds (d_h = d). Fresh attention has no pad
-    slot: its pad logit is _PAD_NEG, which takes no probability.
+    bias. Both paths fold each head's value side, M_h = W_v,h W_o,h, which
+    is exact for any d_h and costs more flops than the per-head form only
+    when d_h < d/2, which :func:`build_model` never builds (d_h = d). The
+    mixer's type picks the path: a :class:`PositionalMixer`'s logits are
+    the same for every sample, so :func:`_positional_mix` computes them with
+    one softmax per call and mixes every head's keys in one gemm. An
+    :class:`AttnMixer` runs in token space, its logit side folded per head
+    too, A_h = scale W_q,h W_k,h^T. With Y = [x A_h]_h, rows (head, query),
+    one gemm per sample gives its logits, key-major [N_keys, H*N_queries],
+    and each head's mix Z_h = P_h^T x is written token-major into one
+    [B*N, H*d] buffer, per batch slice of about _SLICE_BYTES of
+    probabilities in one buffer, so no [B, H, N, N] tensor is kept. The
+    output is y = Z M, one gemm. The tape keeps Y, Z and the softmax
+    statistics, from which the backward rebuilds the probabilities bitwise
+    (:func:`attn_probs_again`); it takes dM = Z^T dy, then dW_v,h and dW_o,h
+    from dM_h, and dx = P dZ as one gemm per sample. Fresh attention has no
+    pad slot: its pad logit is _PAD_NEG, which takes no probability.
     """
     if isinstance(a, PositionalMixer):
         return _positional_mix(x, a)
@@ -491,51 +493,45 @@ def _positional_mix(x: Tensor, a: PositionalMixer) -> Tensor:
 
     The probabilities [H, N_keys, N_queries] (plus the pad column) are built
     once per call, by the same :func:`attn_probs_inplace` arithmetic on a
-    zero [1, H, N, N] score buffer, and applied to v as one gemm per head
-    across the batch: each head's v is one token-major [N, B*d_h] matrix.
-    The backward sums dP over the batch with one gemm per head and runs the
-    softmax backward once.
+    zero [1, H, N, N] score buffer. With x token-major, [N*B, d] rows (token,
+    sample), u = x M is one batched gemm, [H, N*B, d], which the tape keeps,
+    and y = [P_h^T]_h u one [N, H*N] by [H*N, B*d] gemm. The backward takes
+    the batch-summed dP_h = u_h g^T in one batched gemm, runs the softmax
+    backward once, and goes through du_h = P_h g: dM_h = x^T du_h, then
+    dW_v,h and dW_o,h, and dx = sum_h du_h M_h^T.
     """
     batch, h_t, w_t, d = x.shape
-    n, heads, d_h = h_t * w_t, a.n_heads, a.d_head
+    n, heads = h_t * w_t, a.n_heads
     inputs = (x, a.w_v, a.w_o, a.b_rel, a.out_bias)
-    x_flat = x.data.reshape(batch * n, d)
+    w_v, w_o = a.w_v.data, a.w_o.data
     x_tok = np.ascontiguousarray(x.data.reshape(batch, n, d).swapaxes(0, 1)).reshape(n * batch, d)
-    v = np.matmul(x_tok, a.w_v.data).reshape(heads, n, batch * d_h)
+    m_h = np.matmul(w_v, w_o)  # [H, d, d]
+    u = np.matmul(x_tok, m_h)  # [H, N*B, d]: rows (token, sample) per head
     grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, pad_token=True)
-    p = np.zeros((1, heads, n, n), dtype=v.dtype)
+    p = np.zeros((1, heads, n, n), dtype=u.dtype)
     p_pad, _, _ = attn_probs_inplace(p, grid, pad)
-    merged = _batch_major(np.matmul(p[0].swapaxes(-1, -2), v), batch, d_h)
-    w_o = a.w_o.data.reshape(heads * d_h, d)
-    y = merged @ w_o
-    y += a.out_bias.data
+    p_cat = p[0].transpose(2, 0, 1).reshape(n, heads * n)  # [N_queries, (head, key)]
+    y_tok = (p_cat @ u.reshape(heads * n, batch * d)).reshape(n, batch, d)
+    y = np.empty((batch, n, d), dtype=y_tok.dtype)
+    np.add(y_tok.swapaxes(0, 1), a.out_bias.data, out=y)  # back to batch-major
     out = Tensor(y.reshape(x.shape))
 
     def bwd(g):
-        g_flat = g.reshape(batch * n, d)
-        d_out_bias = g_flat.sum(axis=0)
-        d_w_o = (merged.T @ g_flat).reshape(a.w_o.shape)
-        g_tok = np.ascontiguousarray(g.reshape(batch, n, d).swapaxes(0, 1)).reshape(n * batch, d)
-        d_o = np.matmul(g_tok, a.w_o.data.swapaxes(-1, -2)).reshape(heads, n, batch * d_h)
-        dv = _batch_major(np.matmul(p[0], d_o), batch, d_h)
-        dp = np.matmul(v, d_o.swapaxes(-1, -2))[None]  # batch-summed, key-major
+        d_out_bias = g.reshape(batch * n, d).sum(axis=0)
+        g_tok = np.ascontiguousarray(g.reshape(batch, n, d).swapaxes(0, 1)).reshape(n, batch * d)
+        dp = np.matmul(u.reshape(heads, n, batch * d), g_tok.T)[None]  # batch-summed, key-major
+        du = np.matmul(p[0], g_tok).reshape(heads, n * batch, d)
         dpad = attn_softmax_backward(p, p_pad, dp)  # dp becomes the logit gradient
         d_rel = _table_grad(dp[0], a.b_rel.data, dpad[0], pad_weights)
-        w_v = a.w_v.data.transpose(1, 0, 2).reshape(d, heads * d_h)
-        d_wv = np.ascontiguousarray((x_flat.T @ dv).reshape(d, heads, d_h).transpose(1, 0, 2))
-        dx = (dv @ w_v.T).reshape(x.shape)
+        d_m = np.matmul(x_tok.T, du)  # [H, d, d]
+        d_wv, d_w_o = np.matmul(d_m, w_o.swapaxes(-1, -2)), np.matmul(w_v.swapaxes(-1, -2), d_m)
+        dx_tok = du[0] @ m_h[0].T
+        for du_h, m in zip(du[1:], m_h[1:]):
+            dx_tok += du_h @ m.T
+        dx = np.ascontiguousarray(dx_tok.reshape(n, batch, d).swapaxes(0, 1)).reshape(x.shape)
         return dx, d_wv, d_w_o, d_rel, d_out_bias
 
     return record(out, inputs, bwd)
-
-
-def _batch_major(per_head: np.ndarray, batch: int, d_h: int) -> np.ndarray:
-    """[H, N, B*d_h] per-head token-major rows as a flat [B*N, H*d_h] copy:
-    rows (sample, token), columns (head, channel), the layout the output
-    projection and the weight gradients read."""
-    heads, n = per_head.shape[:2]
-    return np.ascontiguousarray(per_head.reshape(heads, n, batch, d_h).transpose(2, 1, 0, 3)).reshape(
-        batch * n, heads * d_h)
 
 
 def mhsa_forward(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:

@@ -3,15 +3,16 @@
 A KxK convolution becomes K^2 attention heads, one per receptive-field
 offset (the construction of Cordonnier et al. 2020), as a
 :class:`convattn.blocks.PositionalMixer`: no query/key projections, an
-identity value projection, the conv tap as each head's output projection,
-and a bias spike that makes its attention row one-hot on the key at that
-offset (or on the all-zero pad slot when the offset leaves the grid,
-reproducing zero padding). Off the spike every logit gap is about -beta; at
-the default beta=100 that is below log(tiny) of float32, so the softmax
-flushes the tail to exact zero, each head is exactly one-hot, and the output
-matches the convolution up to float32 rounding. A tail that stays above tiny
-(a small beta, or the float64 verification dtype) bounds the difference by
-~N*exp(-beta).
+identity value projection, the conv tap as each head's output projection
+(so the forward's folded M_h = W_v,h W_o,h is exactly the tap), and a bias
+spike that makes its attention row one-hot on the key at that offset (or on
+the all-zero pad slot when the offset leaves the grid, reproducing zero
+padding). Exactness rests on that softmax: off the spike every logit gap is
+about -beta; at the default beta=100 that is below log(tiny) of float32, so
+the softmax flushes the tail to exact zero, each head is exactly one-hot,
+and the output matches the convolution up to float32 rounding. A tail that
+stays above tiny (a small beta, or the float64 verification dtype) bounds
+the difference by ~N*exp(-beta).
 
 The attention layer replaces the conv; a switched block keeps no conv.
 Every produced weight is trainable, but at the default beta the one-hot

@@ -300,20 +300,25 @@ def test_head_width_other_than_token_width(rng, monkeypatch, d_h, pad):
 
 
 def _gradient_cases():
-    # (q/k, sliced, wrt) with ids; a general case's id starts with `sliced`
+    # (q/k, sliced, wrt, head width) with ids; a general case's id starts
+    # with `sliced`. A head width of None is the token width
     slicings = [False, True]
     wrts = ["x", "q", "k", "v", "o", "b_rel", "out_bias"]
-    cases = [pytest.param("random", sliced, wrt, id=f"{sliced}-{wrt}") for wrt in wrts for sliced in slicings]
-    cases += [pytest.param("zero", sliced, wrt, id=f"zero-{sliced}-{wrt}") for wrt in wrts for sliced in slicings]
-    cases += [pytest.param("q_zero", sliced, "q", id=f"q_zero-{sliced}-q") for sliced in slicings]
-    cases += [pytest.param("wide", sliced, wrt, id=f"wide-{sliced}-{wrt}") for wrt in wrts for sliced in slicings]
-    cases += [pytest.param("positional", False, wrt, id=f"positional-{wrt}")
-              for wrt in wrts if wrt not in ("q", "k")]
+    cases = [pytest.param("random", sliced, wrt, None, id=f"{sliced}-{wrt}") for wrt in wrts for sliced in slicings]
+    cases += [pytest.param("zero", sliced, wrt, None, id=f"zero-{sliced}-{wrt}")
+              for wrt in wrts for sliced in slicings]
+    cases += [pytest.param("q_zero", sliced, "q", None, id=f"q_zero-{sliced}-q") for sliced in slicings]
+    cases += [pytest.param("wide", sliced, wrt, None, id=f"wide-{sliced}-{wrt}")
+              for wrt in wrts for sliced in slicings]
+    positional_wrts = [wrt for wrt in wrts if wrt not in ("q", "k")]
+    cases += [pytest.param("positional", False, wrt, None, id=f"positional-{wrt}") for wrt in positional_wrts]
+    cases += [pytest.param("positional", False, wrt, d_h, id=f"positional-dh{d_h}-{wrt}")
+              for d_h in (2, 5) for wrt in positional_wrts]
     return cases
 
 
-@pytest.mark.parametrize("qk, sliced, wrt", _gradient_cases())
-def test_attention_mix_gradient(rng, monkeypatch, qk, sliced, wrt):
+@pytest.mark.parametrize("qk, sliced, wrt, d_h", _gradient_cases())
+def test_attention_mix_gradient(rng, monkeypatch, qk, sliced, wrt, d_h):
     # the fused node w.r.t. its input and every parameter (q, k, v and o are
     # the projections w_q, w_k, w_v and w_o). Batch 5, sliced in 2-row
     # slices (two full slices and a remainder, so the bias gradient's
@@ -323,7 +328,9 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, sliced, wrt):
     # the per-sample dS. "positional" is a PositionalMixer: no q or k, its
     # batch-sum one gemm per head, and the pad logit's gradient reaching the
     # table through the off-grid logsumexp weights; float64 keeps the
-    # softmax tail, so the table gradient is not zero.
+    # softmax tail, so the table gradient is not zero; it also runs with
+    # heads 2 or 5 wide against d = 3, since the folded W_v W_o is [d, d]
+    # whatever the head width.
     # Every logit of these cases lies within +-_NARROW_RANGE, so the
     # softmax takes no shift, except in "wide": its channel 0 is about +1 or
     # -1 over each sample's tokens and w_k reads it 100 times over, so each
@@ -337,7 +344,7 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, sliced, wrt):
             monkeypatch.setattr(blocks, "_SLICE_BYTES", 2 * heads * n * n * 8)
         rows = [s.stop - s.start for s in blocks._batch_slices(b, heads, n, np.float64)]
         assert rows == ([2, 2, 1] if sliced else [5])
-        a = (positional_init if qk == "positional" else AttnMixer.init)(d, heads, d, (h_t, w_t), rng)
+        a = (positional_init if qk == "positional" else AttnMixer.init)(d, heads, d_h or d, (h_t, w_t), rng)
         for _, param in a.named_parameters():
             param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
         a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
@@ -498,20 +505,24 @@ def test_backward_recomputes_the_forward_probabilities_bitwise(rng, monkeypatch,
         assert all(p.max() == 1.0 for p, _ in probs)
 
 
-def _taped_peak_per_sample(rng, d):
-    """Growth of the tracemalloc peak of a taped fresh-attention forward and
-    backward (9 heads, 8x8 grid) per sample, between batches of 18 and 6."""
+def _taped_peak_per_sample(rng, d, init=AttnMixer.init, taped=True):
+    """Growth of the tracemalloc peak of a taped forward and backward (or,
+    with ``taped`` False, of a tape-free forward) of the mixer ``init``
+    builds (9 heads, 8x8 grid) per sample, between batches of 18 and 6."""
     h_t, w_t = 8, 8
-    a = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
+    a = init(d, 9, d, (h_t, w_t), rng)
 
     def traced_peak(batch):
         x = grid_of(rng, batch, h_t, w_t, d)
         tracemalloc.start()
         try:
-            g = tt.Graph()
-            with g:
-                loss = sum_(attention_mix(x, a))
-            tt.backward(loss, g)
+            if taped:
+                g = tt.Graph()
+                with g:
+                    loss = sum_(attention_mix(x, a))
+                tt.backward(loss, g)
+            else:
+                attention_mix(x, a)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,6 +546,19 @@ def test_general_path_keeps_few_token_arrays_per_sample(rng, d):
     # value buffer: fewer than 7 float32 [H*N, d] arrays per sample. Mixing
     # the values per head reads about 7.6-8.0
     assert _taped_peak_per_sample(rng, d) < 7 * 9 * (8 * 8) * d * 4
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_positional_path_keeps_few_token_arrays_per_sample(rng, d):
+    # the value side is folded into one W_v W_o per head and every head's
+    # keys are mixed in one gemm, so a taped forward and backward keeps u =
+    # x M and its gradient, and no per-head value buffer or batch-major
+    # copy of one: fewer than 3.5 float32 [H*N, d] arrays per sample, and a
+    # tape-free forward fewer than 2. Projecting v and mixing it per head
+    # reads about 4.3 and 3.1
+    per_sample = 9 * (8 * 8) * d * 4
+    assert _taped_peak_per_sample(rng, d, positional_init) < 3.5 * per_sample
+    assert _taped_peak_per_sample(rng, d, positional_init, taped=False) < 2.0 * per_sample
 
 
 def _column_softmax(p, grid, pad):
