@@ -6,10 +6,10 @@ Both mixers share the residual block skeleton
 and take and return token maps: [batch, h_t, w_t, d] tensors whose middle
 axes are the 2-D token lattice. Both attention mixers carry a relative
 positional bias table. Fresh attention adds q/k logits; a convolution
-rewritten as attention has none, but a pad slot: one extra key whose value
-vector is all zeros, standing in for every position outside the grid. The pad
-logit is the exact collapse (logsumexp) of the bias entries at the query's
-off-grid offsets, which is what makes a reparameterized convolution match
+rewritten as attention has none: its attention is one softmax over each
+head's table, whose entries are all (2h-1)(2w-1) offsets a query can see.
+A query reads the N that land on the grid; the mass of the rest, off the
+grid, mixes nothing, which is what makes a reparameterized convolution match
 zero padding on border tokens.
 """
 
@@ -137,107 +137,67 @@ def conv_mixer_forward(x: Tensor, m: ConvMixer) -> Tensor:
 # --------------------------------------------------------------------------
 # Relative-bias geometry
 
-# Cached per lattice: flat relative-offset index for every (key, query) pair,
-# key-major like the probabilities, and the per-query mask of table offsets
-# that step outside the grid. Every caller shares the cached arrays, so they
-# are read-only.
+# Cached per lattice: the flat relative-offset index for every (key, query)
+# pair, key-major like the probabilities. Every caller shares the cached
+# array, so it is read-only.
 
 
 @lru_cache(maxsize=32)
-def _rel_geometry(h_t: int, w_t: int):
-    """(idx [N_keys, N_queries], offgrid [R, N_queries]) for R =
-    (2h-1)(2w-1) table offsets: each query reads N of them on the grid, one
-    per key; ``offgrid`` is 0 at the other R - N, off the grid, and -inf on
-    it."""
+def _rel_geometry(h_t: int, w_t: int) -> np.ndarray:
+    """idx [N_keys, N_queries] into the R = (2h-1)(2w-1) table offsets:
+    each query reads N of them, one per key, and the other R - N step off
+    the grid."""
     n = h_t * w_t
     rows, cols = np.divmod(np.arange(n), w_t)
     drow = rows[:, None] - rows[None, :]  # key minus query
     dcol = cols[:, None] - cols[None, :]
-    idx = (drow + h_t - 1) * (2 * w_t - 1) + (dcol + w_t - 1)  # [N_keys, N_queries]
-    offgrid = np.zeros(((2 * h_t - 1) * (2 * w_t - 1), n), dtype=np.float32)
-    offgrid[idx, np.arange(n)] = -np.inf  # column q: every idx[k, q]
+    idx = (drow + h_t - 1) * (2 * w_t - 1) + (dcol + w_t - 1)
     idx.setflags(write=False)
-    offgrid.setflags(write=False)
-    return idx, offgrid
+    return idx
 
 
-_PAD_NEG = -1e30  # logit for an empty pad slot; never survives the softmax
-
-
-def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int, pad_token: bool):
-    """Expand a [H, 2h-1, 2w-1] table into (grid [H, N_keys, N_queries],
-    pad [H, N_queries], pad weights [H, R, N_queries]).
-
-    Grid part: B[h, k, q] = table entry at the key-minus-query offset, so
-    equal relative offsets always read the same entry. Pad logit: stable
-    logsumexp of the table over the query's off-grid offsets, the table
-    masked by :func:`_rel_geometry`'s ``offgrid`` and exponentiated by
-    :func:`_exp_shifted`. The weights are the softmax over those offsets
-    (zero on the grid), i.e. the pad logit's gradient w.r.t. the table.
-    Without a pad slot (and on a 1x1 grid, where no offset is off-grid) the
-    pad logit is _PAD_NEG, so the slot takes no probability and routes no
-    gradient; its weights are None.
-    """
+def _bias_logits(b_rel: np.ndarray, h_t: int, w_t: int) -> np.ndarray:
+    """Expand a [H, 2h-1, 2w-1] table into grid [H, N_keys, N_queries]:
+    B[h, k, q] = table entry at the key-minus-query offset, so equal
+    relative offsets always read the same entry. The positional path
+    expands its table's probabilities the same way."""
     heads = b_rel.shape[0]
     if b_rel.shape[1] != 2 * h_t - 1 or b_rel.shape[2] != 2 * w_t - 1:
         raise ShapeError(f"bias table {b_rel.shape} does not match lattice {h_t}x{w_t}")
-    idx, offgrid = _rel_geometry(h_t, w_t)
-    flat = b_rel.reshape(heads, -1)
-    grid = np.take(flat, idx, axis=1)  # contiguous; flat[:, idx] would put the heads innermost
-    pad = np.full((heads, idx.shape[0]), _PAD_NEG, dtype=flat.dtype)
-    if not pad_token or h_t * w_t == 1:
-        return grid, pad, None
-    weights = flat[:, :, None] + offgrid  # [H, R, N_queries], offset-major like the grid
-    m = weights.max(axis=-2)
-    _exp_shifted(weights, m)
-    s = weights.sum(axis=-2)
-    pad = m + np.log(s)
-    weights /= s[..., None, :]
-    return grid, pad, weights
+    # contiguous; flat[:, idx] would put the heads innermost
+    return np.take(b_rel.reshape(heads, -1), _rel_geometry(h_t, w_t), axis=1)
 
 
-def _table_grad(grid_grad: np.ndarray, b_rel: np.ndarray, pad_grad: np.ndarray | None = None,
-                pad_weights: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the [H, 2h-1, 2w-1] table from the batch-summed logit
-    gradients: key-major grid [H, N_keys, N_queries] and, with a pad slot,
-    pad [H, N_queries].
-
-    Every grid entry lands on its offset's table entry, all heads in one
-    pass over the key-major index; the pad-logit gradient reaches the table
-    through the off-grid logsumexp weights of :func:`_bias_logits`.
-    """
+def _table_grad(grid_grad: np.ndarray, b_rel: np.ndarray) -> np.ndarray:
+    """Gradient of the [H, 2h-1, 2w-1] table from the batch-summed
+    key-major grid gradient [H, N_keys, N_queries]: every grid entry lands
+    on its offset's table entry, all heads in one pass over the index."""
     heads, rows, cols = b_rel.shape
-    idx = _rel_geometry((rows + 1) // 2, (cols + 1) // 2)[0]
+    idx = _rel_geometry((rows + 1) // 2, (cols + 1) // 2)
     r = rows * cols
     bins = (np.arange(heads)[:, None] * r + idx.reshape(1, -1)).reshape(-1)
-    d_flat = np.bincount(bins, weights=grid_grad.reshape(-1).astype(np.float64),
-                         minlength=heads * r).reshape(heads, r)
-    if pad_weights is not None:
-        d_flat += np.einsum("hq,hrq->hr", pad_grad, pad_weights)
+    d_flat = np.bincount(bins, weights=grid_grad.reshape(-1).astype(np.float64), minlength=heads * r)
     return d_flat.reshape(b_rel.shape).astype(b_rel.dtype)
 
 
 # Probabilities are key-major, [.., N_keys, N_queries], so the softmax's max
-# and sum run over axis -2, across contiguous rows. The pad probability is a
-# separate [.., N_queries] array, so every gemm reads the rest contiguous.
+# and sum run over axis -2, across contiguous rows.
 
 
-# A sample whose logits lie within this bound of zero (pad logits at most
-# this) is not shifted: each exponent is a normal float32 and the sum finite.
+# A sample whose logits lie within this bound of zero is not shifted: each
+# exponent is a normal float32 and the sum finite.
 _NARROW_RANGE = 64.0
 
 
-def _softmax_shift(p: np.ndarray, pad: np.ndarray) -> np.ndarray | None:
+def _softmax_shift(p: np.ndarray) -> np.ndarray | None:
     """Each query column's shift, or None if no sample needs one: 0 in a
-    sample within _NARROW_RANGE, else the column's maximum, pad included
-    (a +100 spike, a wide or non-finite range). It depends on the sample's
-    own logits alone, not on the batch it is sliced with."""
+    sample within _NARROW_RANGE, else the column's maximum (a +100 spike, a
+    wide or non-finite range). It depends on the sample's own logits alone,
+    not on the batch it is sliced with."""
     inside = (p.min(axis=(1, 2, 3)) >= -_NARROW_RANGE) & (p.max(axis=(1, 2, 3)) <= _NARROW_RANGE)
-    inside &= pad.max() <= _NARROW_RANGE  # False for a non-finite range
     if inside.all():
         return None
     m = p.max(axis=-2)
-    np.maximum(m, pad, out=m)
     m[inside] = 0.0
     return m
 
@@ -257,28 +217,24 @@ def _exp_shifted(p: np.ndarray, shift: np.ndarray | None):
     np.exp(p, out=p)
 
 
-def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: np.ndarray):
+def attn_probs_inplace(p: np.ndarray, grid: np.ndarray, pad: None):
     """Turn key-major raw scores into probabilities in place; returns the
-    pad probabilities, the shift and the column totals.
+    shift and the column totals.
 
-    ``p`` is [B, G, N_keys, Q], ``grid`` the bias [G, N_keys, Q] and
-    ``pad`` the pad logit [G, Q]: heads as groups on the positional path,
-    one group of (head, query) columns on the general path. The logits are
-    shifted by :func:`_softmax_shift` and exponentiated by
-    :func:`_exp_shifted`; the pad logit is flushed on its own. The shift
-    and the totals [B, G, Q] (pad included) are the statistics from which
-    :func:`attn_probs_again` rebuilds the same probabilities, bitwise.
+    ``p`` is [B, G, N_keys, Q] and ``grid`` the bias [G, N_keys, Q]: one
+    column per head over its whole table on the positional path, one group
+    of (head, query) columns on the general path. ``pad`` is always None.
+    The logits are shifted by :func:`_softmax_shift` and exponentiated by
+    :func:`_exp_shifted`. The shift and the totals [B, G, Q] are the
+    statistics from which :func:`attn_probs_again` rebuilds the same
+    probabilities, bitwise.
     """
     p += grid
-    shift = _softmax_shift(p, pad)
+    shift = _softmax_shift(p)
     _exp_shifted(p, shift)
-    e_pad = pad - (0.0 if shift is None else shift)
-    np.copyto(e_pad, -np.inf, where=e_pad < np.log(np.finfo(p.dtype).tiny))
-    np.exp(e_pad, out=e_pad)
-    total = np.einsum("...kq->...q", p)  # bitwise p.sum(axis=-2), in under half its time
-    total += e_pad
+    total = np.einsum("...kq->...q", p)  # bitwise p.sum(axis=-2) on [keys, queries] blocks, in under half its time
     p /= total[..., None, :]
-    return e_pad / total, shift, total
+    return shift, total
 
 
 def attn_probs_again(p: np.ndarray, grid: np.ndarray, shift: np.ndarray, total: np.ndarray):
@@ -290,13 +246,11 @@ def attn_probs_again(p: np.ndarray, grid: np.ndarray, shift: np.ndarray, total: 
     p /= total[..., None, :]
 
 
-def attn_softmax_backward(p: np.ndarray, p_pad: np.ndarray, dp: np.ndarray):
-    """Softmax-input gradient in place on the key-major ``dp``; returns the
-    pad-logit gradient."""
+def attn_softmax_backward(p: np.ndarray, dp: np.ndarray):
+    """Softmax-input gradient in place on the key-major ``dp``."""
     dot = np.einsum("bhkq,bhkq->bhq", p, dp)
     dp -= dot[..., None, :]
     dp *= p
-    return p_pad * -dot
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +291,7 @@ class _Heads:
 
 class AttnMixer(_Heads):
     """Fresh multi-head self-attention: q/k logits ([H, d, d_h] w_q and w_k)
-    plus the bias table, no pad slot. The scale divisor is sqrt(d) (the
+    plus the bias table. The scale divisor is sqrt(d) (the
     token width, not the head width)."""
 
     def __init__(self, w_q: Tensor, w_k: Tensor, w_v: Tensor, w_o: Tensor,
@@ -369,10 +323,10 @@ class AttnMixer(_Heads):
 
 
 class PositionalMixer(_Heads):
-    """Attention whose logits are the bias table alone, with the pad slot and
-    no q or k: a convolution as :func:`convattn.reparam.reparameterize`
-    rewrites it. :func:`_positional_mix` is its forward; at the switch
-    W_v,h = I, so its folded M_h = W_v,h W_o,h is the conv tap itself."""
+    """Attention whose logits are the bias table alone, with no q or k: a
+    convolution as :func:`convattn.reparam.reparameterize` rewrites it.
+    :func:`_positional_mix` is its forward; at the switch W_v,h = I, so its
+    folded M_h = W_v,h W_o,h is the conv tap itself."""
 
 
 def _attn_scale(d: int) -> float:
@@ -421,8 +375,7 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     output is y = Z M, one gemm. The tape keeps Y, Z and the softmax
     statistics, from which the backward rebuilds the probabilities bitwise
     (:func:`attn_probs_again`); it takes dM = Z^T dy, then dW_v,h and dW_o,h
-    from dM_h, and dx = P dZ as one gemm per sample. Fresh attention has no
-    pad slot: its pad logit is _PAD_NEG, which takes no probability.
+    from dM_h, and dx = P dZ as one gemm per sample.
     """
     if isinstance(a, PositionalMixer):
         return _positional_mix(x, a)
@@ -436,19 +389,18 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     x_flat = x.data.reshape(batch * n, d)
     x_b = x_flat.reshape(batch, n, d)
     y_b = np.matmul(x_b[:, None], a_h).reshape(batch, heads * n, d)
-    grid, pad, _ = _bias_logits(a.b_rel.data, h_t, w_t, pad_token=False)
+    grid = _bias_logits(a.b_rel.data, h_t, w_t)
     grid = np.ascontiguousarray(grid.swapaxes(0, 1)).reshape(1, n, heads * n)  # [1, keys, (head, query)]
-    pad = pad.reshape(1, heads * n)
     m_h = np.matmul(w_v, w_o)  # [H, d, d]
     slices = _batch_slices(batch, heads, n, y_b.dtype)
     p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)  # one slice's probabilities
-    stats = []  # per slice: pad probabilities, shift and column totals
+    stats = []  # per slice: shift and column totals
     z = np.empty((batch * n, heads * d), dtype=y_b.dtype)  # rows (sample, query), columns (head, channel)
     z_h = z.reshape(batch, n, heads, d).swapaxes(1, 2)
     for s in slices:
         ps = p[: s.stop - s.start]
         np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
-        slice_stats = attn_probs_inplace(ps, grid, pad)
+        slice_stats = attn_probs_inplace(ps, grid, None)
         if taped:
             stats.append(slice_stats)
         np.matmul(ps.reshape(len(ps), n, heads, n).transpose(0, 2, 3, 1), x_b[s, None], out=z_h[s])
@@ -466,13 +418,13 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
         p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)
         dp = np.empty(p.shape, dtype=d_z.dtype)
         grid_sum = np.zeros((n, heads * n), dtype=dp.dtype)  # batch-summed logit gradient
-        for s, (p_pad, shift, total) in zip(slices, stats):
+        for s, (shift, total) in zip(slices, stats):
             ps, dps = p[: s.stop - s.start], dp[: s.stop - s.start]
             np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
             attn_probs_again(ps, grid, shift, total)  # bitwise the forward's probabilities
             np.matmul(ps[:, 0], d_z[s], out=dx[s])
             np.matmul(x_b[s], d_z[s].swapaxes(-1, -2), out=dps[:, 0])
-            attn_softmax_backward(ps, p_pad, dps)  # dps becomes the logit gradient; no pad slot
+            attn_softmax_backward(ps, dps)  # dps becomes the logit gradient
             for row in dps:
                 grid_sum += row[0]
             dx[s] += np.matmul(dps[:, 0], y_b[s])
@@ -489,40 +441,44 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
 
 def _positional_mix(x: Tensor, a: PositionalMixer) -> Tensor:
     """:func:`attention_mix` for a :class:`PositionalMixer`, whose logits
-    are the bias table alone, with the pad slot.
+    are the bias table alone.
 
-    The probabilities [H, N_keys, N_queries] (plus the pad column) are built
-    once per call, by the same :func:`attn_probs_inplace` arithmetic on a
-    zero [1, H, N, N] score buffer. With x token-major, [N*B, d] rows (token,
-    sample), u = x M is one batched gemm, [H, N*B, d], which the tape keeps,
-    and y = [P_h^T]_h u one [N, H*N] by [H*N, B*d] gemm. The backward takes
-    the batch-summed dP_h = u_h g^T in one batched gemm, runs the softmax
-    backward once, and goes through du_h = P_h g: dM_h = x^T du_h, then
-    dW_v,h and dW_o,h, and dx = sum_h du_h M_h^T.
+    A query's N keys and its off-grid offsets are exactly the R table
+    entries, so every query's softmax is one softmax over its head's table,
+    built once per call by :func:`attn_probs_inplace` on a zero [1, H, R, 1]
+    buffer and expanded to P [H, N_keys, N_queries] as the general path
+    expands the logits. The mass left off the grid mixes nothing, which is
+    zero padding. With x token-major, [N*B, d] rows (token, sample), u = x M
+    is one batched gemm, [H, N*B, d], which the tape keeps, and y = [P_h^T]_h
+    u one [N, H*N] by [H*N, B*d] gemm. The backward takes the batch-summed
+    dP_h = u_h g^T in one batched gemm, folds it onto the table and runs the
+    softmax backward once, and goes through du_h = P_h g: dM_h = x^T du_h,
+    then dW_v,h and dW_o,h, and dx = sum_h du_h M_h^T.
     """
     batch, h_t, w_t, d = x.shape
     n, heads = h_t * w_t, a.n_heads
     inputs = (x, a.w_v, a.w_o, a.b_rel, a.out_bias)
     w_v, w_o = a.w_v.data, a.w_o.data
+    y = np.empty((batch, n, d), dtype=x.data.dtype)  # before the temporaries: see tensor._ln_stats
     x_tok = np.ascontiguousarray(x.data.reshape(batch, n, d).swapaxes(0, 1)).reshape(n * batch, d)
     m_h = np.matmul(w_v, w_o)  # [H, d, d]
     u = np.matmul(x_tok, m_h)  # [H, N*B, d]: rows (token, sample) per head
-    grid, pad, pad_weights = _bias_logits(a.b_rel.data, h_t, w_t, pad_token=True)
-    p = np.zeros((1, heads, n, n), dtype=u.dtype)
-    p_pad, _, _ = attn_probs_inplace(p, grid, pad)
-    p_cat = p[0].transpose(2, 0, 1).reshape(n, heads * n)  # [N_queries, (head, key)]
+    table = a.b_rel.data
+    s = np.zeros((1, heads, table[0].size, 1), dtype=u.dtype)
+    attn_probs_inplace(s, table.reshape(heads, -1, 1), None)
+    p = _bias_logits(s.reshape(table.shape), h_t, w_t)  # [H, N_keys, N_queries]
+    p_cat = p.transpose(2, 0, 1).reshape(n, heads * n)  # [N_queries, (head, key)]
     y_tok = (p_cat @ u.reshape(heads * n, batch * d)).reshape(n, batch, d)
-    y = np.empty((batch, n, d), dtype=y_tok.dtype)
     np.add(y_tok.swapaxes(0, 1), a.out_bias.data, out=y)  # back to batch-major
     out = Tensor(y.reshape(x.shape))
 
     def bwd(g):
         d_out_bias = g.reshape(batch * n, d).sum(axis=0)
         g_tok = np.ascontiguousarray(g.reshape(batch, n, d).swapaxes(0, 1)).reshape(n, batch * d)
-        dp = np.matmul(u.reshape(heads, n, batch * d), g_tok.T)[None]  # batch-summed, key-major
-        du = np.matmul(p[0], g_tok).reshape(heads, n * batch, d)
-        dpad = attn_softmax_backward(p, p_pad, dp)  # dp becomes the logit gradient
-        d_rel = _table_grad(dp[0], a.b_rel.data, dpad[0], pad_weights)
+        dp = np.matmul(u.reshape(heads, n, batch * d), g_tok.T)  # batch-summed, key-major
+        du = np.matmul(p, g_tok).reshape(heads, n * batch, d)
+        d_rel = _table_grad(dp, table)
+        attn_softmax_backward(s, d_rel.reshape(s.shape))  # d_rel becomes the table's gradient
         d_m = np.matmul(x_tok.T, du)  # [H, d, d]
         d_wv, d_w_o = np.matmul(d_m, w_o.swapaxes(-1, -2)), np.matmul(w_v.swapaxes(-1, -2), d_m)
         dx_tok = du[0] @ m_h[0].T
@@ -538,8 +494,8 @@ def mhsa_forward(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     """Sum over heads of softmax(QK^T/sqrt(d) + B) V W_o, plus output bias.
 
     The scale divisor is sqrt(d) as the block's token width. A positional
-    mixer has no Q or K: its logits are the bias table alone, plus a pad key
-    with a zero value vector.
+    mixer has no Q or K: its logits are the bias table alone, and the mass
+    it puts on offsets off the grid mixes nothing.
     """
     _check_attn_input(x, a)
     return attention_mix(x, a)

@@ -136,7 +136,9 @@ def save_checkpoint(path: str, model: Model, config: dict, epoch: int,
         "config": config,
         "epoch": epoch,
         "modes": model.modes(),
-        "pad_tokens": [isinstance(b.attn, PositionalMixer) for b in model.blocks],  # marks positional layers
+        # marks positional layers; the key, named for the pad slot they once
+        # had, stays as it is under format version 1
+        "pad_tokens": [isinstance(b.attn, PositionalMixer) for b in model.blocks],
         "metric_history": metric_history,
     }
     tensors = {name: p.data for name, p in model.named_parameters()}

@@ -5,14 +5,14 @@ offset (the construction of Cordonnier et al. 2020), as a
 :class:`convattn.blocks.PositionalMixer`: no query/key projections, an
 identity value projection, the conv tap as each head's output projection
 (so the forward's folded M_h = W_v,h W_o,h is exactly the tap), and a bias
-spike that makes its attention row one-hot on the key at that offset (or on
-the all-zero pad slot when the offset leaves the grid, reproducing zero
-padding). Exactness rests on that softmax: off the spike every logit gap is
-about -beta; at the default beta=100 that is below log(tiny) of float32, so
-the softmax flushes the tail to exact zero, each head is exactly one-hot,
-and the output matches the convolution up to float32 rounding. A tail that
-stays above tiny (a small beta, or the float64 verification dtype) bounds
-the difference by ~N*exp(-beta).
+spike that makes each head's softmax over its table one-hot on that offset:
+on the key there, or on no key when the offset leaves the grid, which
+reproduces zero padding. Exactness rests on that softmax: off the spike
+every logit gap is about -beta; at the default beta=100 that is below
+log(tiny) of float32, so the softmax flushes the tail to exact zero, each
+head is exactly one-hot, and the output matches the convolution up to
+float32 rounding. A tail that stays above tiny (a small beta, or the
+float64 verification dtype) bounds the difference by ~N*exp(-beta).
 
 The attention layer replaces the conv; a switched block keeps no conv.
 Every produced weight is trainable, but at the default beta the one-hot
@@ -66,7 +66,7 @@ class ReparamReport:
 
 
 def reparameterize(conv: ConvMixer, grid_hw: tuple[int, int], beta: float = DEFAULT_BETA) -> PositionalMixer:
-    """Build the positional mixer (pad slot, no q or k) that computes
+    """Build the positional mixer (no q or k) that computes
     exactly what ``conv`` computes.
 
     Heads are indexed row-major over the receptive field: head k = i*K + j

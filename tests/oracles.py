@@ -89,31 +89,29 @@ def mhsa_loops(x, w_q, w_k, w_v, w_o, b_rel, out_bias, h_t, w_t, pad_token):
     return out
 
 
-def query_key(a):
-    """(w_q, w_k, pad slot) of an attention mixer as :func:`mhsa_loops`
-    reads them: a positional mixer is q = k = 0 with the pad slot."""
-    if isinstance(a, blocks.PositionalMixer):
-        zeros = np.zeros(a.w_v.shape, dtype=a.w_v.data.dtype)
-        return zeros, zeros, True
-    return a.w_q.data, a.w_k.data, False
-
-
 def mixer_loops(x, a):
-    """:func:`mhsa_loops` on the weights of the mixer ``a``; x is [b, n, d]."""
-    w_q, w_k, pad = query_key(a)
+    """:func:`mhsa_loops` on the weights of the mixer ``a``; x is [b, n, d].
+    A positional mixer is q = k = 0 with the pad slot."""
+    if isinstance(a, blocks.PositionalMixer):
+        w_q = w_k = np.zeros(a.w_v.shape, dtype=a.w_v.data.dtype)
+        pad = True
+    else:
+        w_q, w_k, pad = a.w_q.data, a.w_k.data, False
     return mhsa_loops(x, w_q, w_k, a.w_v.data, a.w_o.data, a.b_rel.data, a.out_bias.data, *a.grid_hw, pad)
 
 
 def attention_scores(x, head, a):
     """Attention rows for one head of an attention mixer on a single
-    sample: [N, N_keys], with the pad slot's probability as a last column
-    when the mixer has one (a positional mixer).
+    sample: [N, N_keys], with a last column for a positional mixer: the
+    mass its query puts on table offsets off the grid, where the loop
+    oracle's pad slot sits.
 
     Unlike the loop oracles this reuses the library's bias expansion and
     softmax kernel (``blocks.attn_probs_inplace``, read at call time so a
     test's spy on it sees the call), so the tests that read it exercise
     them. Its scores come from each head's own q and k, not from the
-    layer's token-space products; a positional mixer's are zero.
+    layer's token-space products; a positional mixer has none, and its
+    softmax runs over its head's table.
     """
     blocks._check_attn_input(x, a)
     if x.shape[0] != 1:
@@ -122,17 +120,20 @@ def attention_scores(x, head, a):
         raise ShapeError(f"head {head} out of range 0..{a.n_heads - 1}")
     h_t, w_t = a.grid_hw
     n = h_t * w_t
+    table = a.b_rel.data
+    if isinstance(a, blocks.PositionalMixer):
+        s = np.zeros((1, a.n_heads, table[0].size, 1), dtype=table.dtype)
+        blocks.attn_probs_inplace(s, table.reshape(a.n_heads, -1, 1), None)
+        s, idx = s[0, head, :, 0], blocks._rel_geometry(h_t, w_t)  # idx [N_keys, N_queries]
+        off_grid = np.ones((s.size, n), dtype=bool)
+        off_grid[idx, np.arange(n)] = False  # column q: every offset query q reads
+        return Tensor(np.concatenate([s[idx].T, (s[:, None] * off_grid).sum(axis=0)[:, None]], axis=-1))
     flat = x.data.reshape(n, a.dim)
-    w_q, w_k, pad_slot = query_key(a)
-    q_s = flat @ w_q * blocks._attn_scale(a.dim)  # [H, N, d_h]
-    k = flat @ w_k
-    grid, pad, _ = blocks._bias_logits(a.b_rel.data, h_t, w_t, pad_slot)
+    q_s = flat @ a.w_q.data * blocks._attn_scale(a.dim)  # [H, N, d_h]
+    k = flat @ a.w_k.data
     p = (k @ q_s.swapaxes(-1, -2))[None]  # key-major [1, H, N_keys, N_queries]
-    p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
-    rows = p[0, head].T
-    if pad_slot:
-        rows = np.concatenate([rows, p_pad[0, head][:, None]], axis=-1)
-    return Tensor(rows)
+    blocks.attn_probs_inplace(p, blocks._bias_logits(table, h_t, w_t), None)
+    return Tensor(p[0, head].T)
 
 
 def model_forward_straightline(images, model):

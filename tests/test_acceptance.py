@@ -97,8 +97,8 @@ def test_criterion_4_gradient_integrity_desk_block():
         for mode in (CONV, SA):
             blk = make_block(rng, d, CONV, h_t, w_t)
             if mode == SA:
-                # a switched block (positional mixer, pad slot included) at a
-                # small spike, its table perturbed: an unsaturated softmax
+                # a switched block (a positional mixer) at a small spike, its
+                # table perturbed: an unsaturated softmax
                 switch_block(blk, (h_t, w_t), beta=2.0)
                 blk.attn.b_rel.data += rng.normal(0, 0.5, blk.attn.b_rel.shape)
             x = Tensor(rng.uniform(-1, 1, (2, h_t, w_t, d)))

@@ -121,7 +121,7 @@ def test_mixers_check_token_maps(rng, call, shape, message):
 def test_rel_bias_translation_consistency(rng):
     h_t = w_t = 4
     b_rel = rng.normal(size=(2, 2 * h_t - 1, 2 * w_t - 1))
-    grid, _, _ = _bias_logits(b_rel, h_t, w_t, pad_token=False)
+    grid = _bias_logits(b_rel, h_t, w_t)
     n = h_t * w_t
     rows, cols = np.divmod(np.arange(n), w_t)
     for _ in range(50):
@@ -134,29 +134,12 @@ def test_rel_bias_translation_consistency(rng):
             np.testing.assert_array_equal(grid[:, k1, q1], grid[:, k2, q2])
 
 
-def test_rel_bias_pad_collapses_offgrid_mass(rng):
-    # pad logit equals logsumexp of the table over the query's off-grid offsets
-    h_t = w_t = 3
-    b_rel = rng.normal(size=(1, 5, 5))
-    _, pad, _ = _bias_logits(b_rel, h_t, w_t, pad_token=True)
-    rows, cols = np.divmod(np.arange(9), 3)
-    for q in range(9):
-        offgrid = []
-        for dr in range(-2, 3):
-            for dc in range(-2, 3):
-                if not (0 <= rows[q] + dr < 3 and 0 <= cols[q] + dc < 3):
-                    offgrid.append(b_rel[0, dr + 2, dc + 2])
-        expected = np.log(np.exp(np.asarray(offgrid)).sum())
-        np.testing.assert_allclose(pad[0, q], expected, rtol=1e-5)
-
-
 def test_one_token_grid_has_no_pad_mass(rng):
-    # on a 1x1 grid no table offset is off the grid: the pad slot keeps
-    # _PAD_NEG, so a positional layer puts all mass on its one token
+    # on a 1x1 grid the table has one offset and it is on the grid, so a
+    # positional layer puts all mass on its one token, whatever the table
     d = 3
     a = positional_init(d, 2, d, (1, 1), rng)
-    _, pad, weights = _bias_logits(a.b_rel.data, 1, 1, pad_token=True)
-    assert weights is None and np.all(pad == blocks._PAD_NEG)
+    a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
     x = Tensor(rng.normal(size=(2, 1, 1, d)), requires_grad=True)
     g = tt.Graph()
     with g:
@@ -169,12 +152,10 @@ def test_one_token_grid_has_no_pad_mass(rng):
 
 
 def test_rel_geometry_cache_is_read_only():
-    # the cached index and mask are shared by every later caller
-    idx, offgrid = _rel_geometry(3, 4)
+    # the cached index is shared by every later caller
+    idx = _rel_geometry(3, 4)
     with pytest.raises(ValueError, match="read-only"):
         idx[0, 0] = 0
-    with pytest.raises(ValueError, match="read-only"):
-        offgrid[0, 0] = True
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +186,8 @@ def test_attention_spike_is_one_hot(rng):
 
 
 def test_attention_rows_sum_to_one_with_pad(rng):
+    # a positional row's last column is its mass off the grid, which the
+    # loop oracle gives its pad slot
     d = 6
     a = positional_init(d, 3, d, (3, 3), rng)
     a.b_rel.data[:] = rng.normal(size=a.b_rel.shape)
@@ -225,7 +208,7 @@ def test_attention_scores_match_bruteforce(rng):
         flat = x.reshape(9, d)
         q = flat @ a.w_q.data[1]
         k = flat @ a.w_k.data[1]
-        grid = _bias_logits(a.b_rel.data, h_t, w_t, False)[0][1]  # [k, q]
+        grid = _bias_logits(a.b_rel.data, h_t, w_t)[1]  # [k, q]
         logits = q @ k.T / np.sqrt(d) + grid.T
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = e / e.sum(axis=1, keepdims=True)
@@ -277,17 +260,16 @@ def test_mhsa_matches_bruteforce(rng, mixer):
 
 
 @pytest.mark.parametrize("d_h", [2, 6])
-@pytest.mark.parametrize("pad", [False, True])
-def test_head_width_other_than_token_width(rng, monkeypatch, d_h, pad):
-    # the general path (pad False) takes each head's forms as [d, d]
+@pytest.mark.parametrize("positional", [False, True])
+def test_head_width_other_than_token_width(rng, monkeypatch, d_h, positional):
+    # the general path (positional False) takes each head's forms as [d, d]
     # matrices in token space, which holds for any head width; the
-    # positional mixer (pad True: the pad slot, no q or k) takes any head
-    # width too. The loop oracle and float64 finite differences through
+    # positional mixer (no q or k) takes any head width too. The loop oracle and float64 finite differences through
     # every input, in 2-row slices
     with tt.using_dtype(np.float64):
         b, heads, h_t, w_t, d = 5, 3, 3, 3, 4
         monkeypatch.setattr(blocks, "_SLICE_BYTES", 2 * heads * (h_t * w_t) ** 2 * 8)
-        a = (positional_init if pad else AttnMixer.init)(d, heads, d_h, (h_t, w_t), rng)
+        a = (positional_init if positional else AttnMixer.init)(d, heads, d_h, (h_t, w_t), rng)
         for _, param in a.named_parameters():
             param.data[:] = rng.normal(size=param.shape) / np.sqrt(d)
         x = Tensor(rng.normal(size=(b, h_t, w_t, d)))
@@ -326,9 +308,10 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, sliced, wrt, d_h):
     # qk "zero" (w_q = w_k = 0) and "q_zero" (w_q = 0 only) run the general
     # path, since the mixer's type picks it: w_q's gradient x^T (dS k) needs
     # the per-sample dS. "positional" is a PositionalMixer: no q or k, its
-    # batch-sum one gemm per head, and the pad logit's gradient reaching the
-    # table through the off-grid logsumexp weights; float64 keeps the
-    # softmax tail, so the table gradient is not zero; it also runs with
+    # batch-sum one gemm per head, its logit gradient folded onto the table
+    # before one softmax backward over the whole table, off-grid offsets
+    # included; float64 keeps the softmax tail, so the table gradient is
+    # not zero; it also runs with
     # heads 2 or 5 wide against d = 3, since the folded W_v W_o is [d, d]
     # whatever the head width.
     # Every logit of these cases lies within +-_NARROW_RANGE, so the
@@ -364,10 +347,9 @@ def test_attention_mix_gradient(rng, monkeypatch, qk, sliced, wrt, d_h):
         bounds = []
         probs_inplace = blocks.attn_probs_inplace
 
-        def spy(p, grid, pad_logits):
-            logits = p + grid
-            bounds.extend(np.maximum(np.abs(logits).max(axis=(1, 2, 3)), pad_logits.max()))
-            return probs_inplace(p, grid, pad_logits)
+        def spy(p, grid, pad):
+            bounds.extend(np.abs(p + grid).max(axis=(1, 2, 3)))
+            return probs_inplace(p, grid, pad)
 
         monkeypatch.setattr(blocks, "attn_probs_inplace", spy)
         attention_mix(x, a)
@@ -409,7 +391,7 @@ def test_attention_mix_tape_free_forward_matches_taped(rng, monkeypatch):
         assert all(np.shares_memory(p, run[0]) for p in run)
 
     # a switched (positional) mixer builds its probabilities once per call
-    # on a [1, H, N, N] buffer, whatever the batch, taped or not
+    # on a [1, H, R, 1] table buffer, whatever the batch, taped or not
     switched = reparameterize(ConvMixer.init(3, d, rng), (h_t, w_t))
     for batch in (1, b):
         x = Tensor(rng.normal(size=(batch, h_t, w_t, d)))
@@ -424,18 +406,46 @@ def test_attention_mix_tape_free_forward_matches_taped(rng, monkeypatch):
         np.testing.assert_array_equal(free.data, taped.data)
 
 
-def capture_attention(monkeypatch):
-    """Record each slice's probabilities (p, p_pad) and each raw gradient
-    tuple the fused attention op returns, before the tape casts it.
+def test_attention_softmax_takes_no_pad_slot(rng, monkeypatch):
+    # neither path has a pad slot: over a taped forward and backward of
+    # fresh attention and of a switched layer, every softmax call is passed
+    # None for the pad, and a switched layer's one call per forward is each
+    # head's softmax over its whole (2h-1)(2w-1) bias table
+    d, h_t, w_t = 4, 3, 4
+    calls = []
+    probs_inplace = blocks.attn_probs_inplace
 
-    ``p`` is stored as a query-major copy [B, H, N_queries, N_keys]: the op
-    keeps it key-major, and a tape-free forward reuses its buffer."""
+    def spy(p, grid, pad):
+        calls.append((p.shape, pad))
+        return probs_inplace(p, grid, pad)
+
+    monkeypatch.setattr(blocks, "attn_probs_inplace", spy)
+    fresh = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
+    switched = reparameterize(ConvMixer.init(3, d, rng), (h_t, w_t))
+    for a in (fresh, switched):
+        calls[:] = []
+        g = tt.Graph()
+        with g:
+            loss = sum_(attention_mix(Tensor(rng.normal(size=(2, h_t, w_t, d)), requires_grad=True), a))
+        tt.backward(loss, g)
+        assert calls and all(pad is None for _, pad in calls)
+    assert [shape for shape, _ in calls] == [(1, 9, (2 * h_t - 1) * (2 * w_t - 1), 1)]
+
+
+def capture_attention(monkeypatch):
+    """Record each slice's probabilities and each raw gradient tuple the
+    fused attention op returns, before the tape casts it.
+
+    The probabilities are stored as a query-major copy [B, G, Q, N_keys]:
+    the op keeps them key-major, and a tape-free forward reuses its buffer.
+    On the positional path that is [1, H, 1, R], each head's softmax over
+    its table."""
     probs, grads = [], []
     probs_inplace, record = blocks.attn_probs_inplace, blocks.record
 
     def capture_probs(p, grid, pad):
         result = probs_inplace(p, grid, pad)
-        probs.append((p.swapaxes(-1, -2).copy(), result[0]))
+        probs.append(p.swapaxes(-1, -2).copy())
         return result
 
     def capture_record(out, inputs, backward_fn):
@@ -464,10 +474,10 @@ def test_attention_runs_in_tensor_dtype(rng, monkeypatch, dtype):
             out = mhsa_forward(grid_of(rng, 2, 4, 4, d), a)
             loss = sum_(out)
         tt.backward(loss, g)
-    [(p, p_pad)] = probs
+    [p] = probs
     [raw] = grads  # dx, dw_q, dw_k, dw_v, dw_o, db_rel, dout_bias
     assert out.data.dtype == dtype
-    assert p.dtype == p_pad.dtype == dtype
+    assert p.dtype == dtype
     assert [t.dtype for t in raw] == [dtype] * 7
 
 
@@ -498,11 +508,11 @@ def test_backward_recomputes_the_forward_probabilities_bitwise(rng, monkeypatch,
         loss = sum_(attention_mix(grid_of(rng, b, h_t, w_t, d), a))
     assert not recomputed
     tt.backward(loss, g)
-    assert [p.shape[0] for p, _ in probs] == [p.shape[0] for p in recomputed] == [3, 3, 1]
-    for (p, _), q in zip(probs, recomputed):
+    assert [p.shape[0] for p in probs] == [p.shape[0] for p in recomputed] == [3, 3, 1]
+    for p, q in zip(probs, recomputed):
         assert p.tobytes() == q.tobytes()
     if spike:
-        assert all(p.max() == 1.0 for p, _ in probs)
+        assert all(p.max() == 1.0 for p in probs)
 
 
 def _taped_peak_per_sample(rng, d, init=AttnMixer.init, taped=True):
@@ -561,18 +571,14 @@ def test_positional_path_keeps_few_token_arrays_per_sample(rng, d):
     assert _taped_peak_per_sample(rng, d, positional_init, taped=False) < 2.0 * per_sample
 
 
-def _column_softmax(p, grid, pad):
+def _column_softmax(p, grid):
     """Key-major softmax with each query's own shift and the subnormal
     flush, written out: the arithmetic for a wide sample."""
     p = p + grid
-    m = np.maximum(p.max(axis=-2), pad)
-    floor = np.log(np.finfo(p.dtype).tiny)
-    z, z_pad = p - m[..., None, :], pad - m
-    z[z < floor] = -np.inf
-    z_pad[z_pad < floor] = -np.inf
-    e, e_pad = np.exp(z), np.exp(z_pad)
-    s = e.sum(axis=-2) + e_pad
-    return e / s[..., None, :], e_pad / s
+    z = p - p.max(axis=-2)[..., None, :]
+    z[z < np.log(np.finfo(p.dtype).tiny)] = -np.inf
+    e = np.exp(z)
+    return e / e.sum(axis=-2)[..., None, :]
 
 
 @pytest.mark.parametrize("case", ["spike", "wide", "non-finite"])
@@ -580,28 +586,29 @@ def test_wide_logit_ranges_keep_the_per_query_softmax_bits(rng, case):
     heads, n, rows = 3, 16, 2
     p = rng.normal(size=(rows, heads, n, n)).astype(np.float32)
     grid = rng.normal(size=(heads, n, n)).astype(np.float32)
-    pad = rng.normal(size=(heads, n)).astype(np.float32)
     if case == "spike":
         grid[:, np.arange(n), np.arange(n)] += 100.0
     elif case == "wide":
         p[..., ::2] += 65.0  # every other query 65 above the rest, each softmax unsaturated
     elif case == "non-finite":
         p[:, 0, 0, 0] = np.inf
-    assert blocks._softmax_shift(p + grid, pad).shape == (rows, heads, n)
+    assert blocks._softmax_shift(p + grid).shape == (rows, heads, n)
     with np.errstate(invalid="ignore"):  # inf - inf in the non-finite case
-        expected, expected_pad = _column_softmax(p, grid, pad)
-        p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
+        expected = _column_softmax(p, grid)
+        blocks.attn_probs_inplace(p, grid, None)
     np.testing.assert_array_equal(p, expected)
-    np.testing.assert_array_equal(p_pad, expected_pad)
 
 
-@pytest.mark.parametrize("pad_slot", [False, True])
-def test_logits_within_64_of_zero_take_no_shift(rng, pad_slot):
-    # a sample whose logits lie in [-64, 64], no pad logit above 64, is not
-    # shifted: each exponent is a normal float32 and their sum is finite, so
-    # nothing is flushed or overflows (a RuntimeWarning fails the test), and
+@pytest.mark.parametrize("rebuilt", [False, True])
+def test_logits_within_64_of_zero_take_no_shift(rng, rebuilt):
+    # a sample whose logits lie in [-64, 64] is not shifted: each exponent
+    # is a normal float32 and their sum is finite, so nothing is flushed or
+    # overflows (a RuntimeWarning fails the test), and
     # the probabilities are the softmax's to float32 rounding. A sample
-    # 1e-3 past the bound keeps the per-query shift, bit for bit
+    # 1e-3 past the bound keeps the per-query shift, bit for bit. Rebuilt,
+    # the probabilities come from attn_probs_again on the same raw scores
+    # with the shift and totals attn_probs_inplace returned, and must be
+    # those same bits
     heads, n = 3, 16
     p = rng.uniform(-1, 1, size=(3, heads, n, n)).astype(np.float32)
     grid = rng.uniform(-1, 1, size=(heads, n, n)).astype(np.float32)
@@ -609,28 +616,30 @@ def test_logits_within_64_of_zero_take_no_shift(rng, pad_slot):
     p[:2, 0, 0, 0] = 64.0  # sample 0 touches both bounds, sample 1 the upper one
     p[0, 1, 2, 3] = -64.0
     p[2, 2, 5, 5] = 64.0 + 1e-3
-    pad = (rng.uniform(-1, 1, size=(heads, n)) if pad_slot else np.full((heads, n), blocks._PAD_NEG)).astype(
-        np.float32)
-    assert blocks._softmax_shift(p[:2] + grid, pad) is None
-    pad_above = pad.copy()
-    pad_above[0, 0] = 64.0 + 1e-3  # one pad logit past the bound shifts every sample per query
-    assert blocks._softmax_shift(p[:2] + grid, pad_above).shape == (2, heads, n)
-    shift = blocks._softmax_shift(p + grid, pad)
+    assert blocks._softmax_shift(p[:2] + grid) is None
+    shift = blocks._softmax_shift(p + grid)
     assert not shift[:2].any()
-    np.testing.assert_array_equal(shift[2], np.maximum((p[2] + grid).max(axis=-2), pad))
+    np.testing.assert_array_equal(shift[2], (p[2] + grid).max(axis=-2))
 
     logits = (p[:2] + grid).astype(np.float64)
-    z = np.concatenate([logits, np.broadcast_to(pad[:, None, :], (2, heads, 1, n))], axis=-2)
-    e = np.exp(z - z.max(axis=-2, keepdims=True))
+    e = np.exp(logits - logits.max(axis=-2, keepdims=True))
     expected = e / e.sum(axis=-2, keepdims=True)
-    expected_wide, expected_wide_pad = _column_softmax(p[2:], grid, pad)
-    p_pad, _, _ = blocks.attn_probs_inplace(p, grid, pad)
-    assert p.dtype == p_pad.dtype == np.float32
-    np.testing.assert_allclose(p[:2], expected[..., :n, :], rtol=2e-5)
-    np.testing.assert_allclose(p_pad[:2], expected[..., n, :], rtol=2e-5, atol=1e-37)
+    expected_wide = _column_softmax(p[2:], grid)
+    raw = p.copy()
+    stats = blocks.attn_probs_inplace(p, grid, None)
+    if rebuilt:
+        narrow = raw[:2].copy()
+        narrow_stats = blocks.attn_probs_inplace(narrow.copy(), grid, None)
+        assert narrow_stats[0] is None  # no shift for the narrow samples alone
+        blocks.attn_probs_again(narrow, grid, *narrow_stats)
+        np.testing.assert_array_equal(narrow, p[:2])
+        blocks.attn_probs_again(raw, grid, *stats)
+        np.testing.assert_array_equal(raw, p)
+        p = raw
+    assert p.dtype == np.float32
+    np.testing.assert_allclose(p[:2], expected, rtol=2e-5)
     assert p[:2].min() > np.finfo(np.float32).tiny
     np.testing.assert_array_equal(p[2:], expected_wide)
-    np.testing.assert_array_equal(p_pad[2:], expected_wide_pad)
 
 
 def test_each_sample_softmax_is_independent_of_its_batch(rng, monkeypatch):
@@ -642,14 +651,14 @@ def test_each_sample_softmax_is_independent_of_its_batch(rng, monkeypatch):
     p[1] *= 40.0  # a wide sample between narrow ones
     p[3] += 30.0
     grid = rng.normal(size=(heads, n, n)).astype(np.float32)
-    pad = rng.normal(size=(heads, n)).astype(np.float32)
     alone = [p[i:i + 1].copy() for i in range(len(p))]
-    alone_pad = [blocks.attn_probs_inplace(q, grid, pad)[0] for q in alone]
+    for q in alone:
+        blocks.attn_probs_inplace(q, grid, None)
     for batch in ([0, 2, 3], [0, 1, 2, 3]):  # all narrow, and mixed
         probs = p[batch]
-        batch_pad, _, _ = blocks.attn_probs_inplace(probs, grid, pad)
+        blocks.attn_probs_inplace(probs, grid, None)
         for j, i in enumerate(batch):
-            assert probs[j].tobytes() == alone[i].tobytes() and batch_pad[j].tobytes() == alone_pad[i].tobytes()
+            assert probs[j].tobytes() == alone[i].tobytes()
 
     d, h_t, w_t = 8, 4, 4
     a = AttnMixer.init(d, 9, d, (h_t, w_t), rng)
@@ -662,10 +671,10 @@ def test_each_sample_softmax_is_independent_of_its_batch(rng, monkeypatch):
     spans = []
     probs_inplace = blocks.attn_probs_inplace
 
-    def spy(p, grid, pad_logits):
+    def spy(p, grid, pad):
         logits = p + grid
-        spans.extend(np.maximum(logits.max(axis=(1, 2, 3)), pad_logits.max()) - logits.min(axis=(1, 2, 3)))
-        return probs_inplace(p, grid, pad_logits)
+        spans.extend(logits.max(axis=(1, 2, 3)) - logits.min(axis=(1, 2, 3)))
+        return probs_inplace(p, grid, pad)
 
     monkeypatch.setattr(blocks, "attn_probs_inplace", spy)
     outs = []
@@ -773,7 +782,7 @@ def test_model_matches_straightline_reference(rng):
 def test_fused_tail_matches_straightline_reference(rng, geometry):
     # the preset shapes, with LayerNorm affines away from 1 and 0 (so the
     # fold of gamma and beta into W1 shows) and first-layer weights wide
-    # enough that the GELU bends; the last block is switched (pad slot)
+    # enough that the GELU bends; the last block is switched (positional)
     dim, patch, modes, batch = {"desk": (32, 8, [CONV, SA, CONV, CONV], 2), "interp": (16, 4, [CONV, CONV], 1)}[geometry]
     with tt.using_dtype(np.float64):
         model = build_model(dim, len(modes), 3, patch, (32, 32), 3, 10, modes, rng)

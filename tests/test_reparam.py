@@ -137,29 +137,33 @@ def test_softmax_tail_bound(rng):
 
 def test_switched_softmax_tail_is_exact_zero(rng, monkeypatch):
     # every off-spike logit gap is about -beta, below log(float32 tiny), so
-    # it is flushed to an exact zero instead of a subnormal exp(-100)
+    # it is flushed to an exact zero instead of a subnormal exp(-100): each
+    # head's one softmax over its table is exactly one-hot on its offset
     d, h_t, w_t = 16, 8, 8
     probs, _ = capture_attention(monkeypatch)
     blk = make_block(rng, d, CONV, h_t, w_t)
     switch_block(blk, (h_t, w_t))
-    mhsa_forward(Tensor(rng.normal(size=(2, h_t, w_t, d))), blk.attn)
-    [(p, p_pad)] = probs
-    assert p.dtype == p_pad.dtype == np.float32
+    x = rng.normal(size=(2, h_t, w_t, d))
+    mhsa_forward(Tensor(x), blk.attn)
+    [s] = probs  # [1, H, 1, R]
+    assert s.dtype == np.float32
     tiny = np.finfo(np.float32).tiny
-    for arr in (p, p_pad):
-        assert not np.any((arr > 0) & (arr < tiny))
-    # the one-hot target of head i*3+j at query (r, c) is the key at
-    # (r+i-1, c+j-1), or the pad slot when that leaves the grid
-    expected = np.zeros((9, h_t * w_t, h_t * w_t + 1), dtype=np.float32)
+    assert not np.any((s > 0) & (s < tiny))
+    table = np.zeros((9, 2 * h_t - 1, 2 * w_t - 1), dtype=np.float32)
     for head in range(9):
         dr, dc = divmod(head, 3)
+        table[head, dr - 1 + h_t - 1, dc - 1 + w_t - 1] = 1.0
+    np.testing.assert_array_equal(s.reshape(table.shape), table)
+    # so the one-hot target of head i*3+j at query (r, c) is the key at
+    # (r+i-1, c+j-1), or the off-grid column when that leaves the grid
+    for head in range(9):
+        dr, dc = divmod(head, 3)
+        expected = np.zeros((h_t * w_t, h_t * w_t + 1), dtype=np.float32)
         for q in range(h_t * w_t):
             r, c = divmod(q, w_t)
             r, c = r + dr - 1, c + dc - 1
-            expected[head, q, r * w_t + c if 0 <= r < h_t and 0 <= c < w_t else -1] = 1.0
-    rows = np.concatenate([p, p_pad[..., None]], axis=-1)
-    np.testing.assert_array_equal(rows[rows != 1.0], 0.0)
-    np.testing.assert_array_equal(rows == 1.0, np.broadcast_to(expected == 1.0, rows.shape))
+            expected[q, r * w_t + c if 0 <= r < h_t and 0 <= c < w_t else -1] = 1.0
+        np.testing.assert_array_equal(attention_scores(Tensor(x[:1]), head, blk.attn).data, expected)
 
 
 def test_switch_block_preserves_function(rng):
@@ -189,7 +193,7 @@ def test_switch_block_drops_the_conv_and_is_idempotent(rng):
 
 def test_switched_model_matches_its_checkpoint_round_trip(rng, tmp_path):
     # the live switched model and the one rebuilt from its checkpoint are the
-    # same object graph: attention alone in every block, pad slot included
+    # same object graph: positional attention alone in every block
     model = small_model(rng, [CONV, CONV], d=8)
     for blk in model.blocks:
         switch_block(blk, (4, 4))
