@@ -18,6 +18,7 @@ from .blocks import (
     model_forward,
     patch_embed_forward,
 )
+from .config import TrainConfig
 from .reparam import ReparamReport, reparameterize, switch_block, verify_equivalence
 from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at, switch_epochs
 from .spectral import (
@@ -29,4 +30,4 @@ from .spectral import (
     spectrum_of_maps,
 )
 from .tensor import Graph, Tensor, backward, finite_diff_check, using_dtype
-from .train import TrainConfig, TrainResult, evaluate, run_interpolation_suite
+from .train import TrainResult, evaluate, run_interpolation_suite

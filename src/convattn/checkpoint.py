@@ -23,7 +23,9 @@ import struct
 
 import numpy as np
 
-from .blocks import Model, PositionalMixer, build_model
+from .blocks import Model, PositionalMixer
+from .config import TrainConfig
+from .optim import AdamW
 from .schedule import CONV, SA
 
 __all__ = [
@@ -34,7 +36,9 @@ __all__ = [
     "read_container",
     "save_checkpoint",
     "load_checkpoint",
+    "config_from_checkpoint",
     "model_from_checkpoint",
+    "restore_optimizer",
 ]
 
 MAGIC = b"CONVATTN"
@@ -144,7 +148,8 @@ def save_checkpoint(path: str, model: Model, config: dict, epoch: int,
     tensors = {name: p.data for name, p in model.named_parameters()}
     if optimizer is not None:
         header["opt_steps"] = optimizer.steps
-        tensors.update(optimizer.state_tensors())
+        for name in optimizer.params:
+            tensors[f"opt.m.{name}"], tensors[f"opt.v.{name}"] = optimizer.m[name], optimizer.v[name]
     write_container(path, header, tensors)
 
 
@@ -165,6 +170,12 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     pads = header.get("pad_tokens", [False] * len(modes))
     if not isinstance(pads, list) or len(pads) != len(modes) or not all(isinstance(p, bool) for p in pads):
         raise CheckpointError(f"{path}: checkpoint header pad_tokens {pads!r} are not one boolean per layer")
+    steps = header.get("opt_steps", {})
+    if not isinstance(steps, dict) or not all(type(n) is int and n >= 0 for n in steps.values()):
+        raise CheckpointError(f"{path}: checkpoint header opt_steps is not a map from names to step counts")
+    history = header.get("metric_history", [])
+    if not isinstance(history, list) or not all(isinstance(m, dict) for m in history):
+        raise CheckpointError(f"{path}: checkpoint header metric_history is not a list of objects")
     return header, tensors
 
 
@@ -172,31 +183,31 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 _ARCH_KEYS = ("dim", "num_layers", "kernel_size", "patch_size", "image_hw", "in_channels", "num_classes")
 
 
-def model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Model:
-    """Rebuild the model: architecture from the header, weights from blobs.
-    A layer ``pad_tokens`` marks is a :class:`PositionalMixer`; an older
-    file's all-zero ``w_q``/``w_k`` for it are dropped, non-zero ones refused."""
+def config_from_checkpoint(header: dict) -> TrainConfig:
+    """The run config in a header :func:`load_checkpoint` returned, with one
+    layer per mode; a missing architecture key, an unknown key or a value
+    ``TrainConfig`` refuses raises CheckpointError."""
     cfg = header["config"]
     for key in _ARCH_KEYS:
         if key not in cfg:
             raise CheckpointError(f"checkpoint config has no {key!r}")
-    if len(header["modes"]) != cfg["num_layers"]:
-        raise CheckpointError(f"checkpoint has {len(header['modes'])} layer modes "
-                              f"but num_layers={cfg['num_layers']!r}")
-    model = build_model(
-        dim=cfg["dim"],
-        num_layers=cfg["num_layers"],
-        kernel_size=cfg["kernel_size"],
-        patch_size=cfg["patch_size"],
-        image_hw=tuple(cfg["image_hw"]),
-        in_channels=cfg["in_channels"],
-        num_classes=cfg["num_classes"],
-        modes=header["modes"],
-        rng=np.random.default_rng(0),
-        mlp_ratio=cfg.get("mlp_ratio", 4),
-        use_abs_pos=cfg.get("use_abs_pos", False),
-        final_ln=cfg.get("final_ln", True),
-    )
+    unknown = sorted(cfg.keys() - TrainConfig.__dataclass_fields__.keys())
+    if unknown:
+        raise CheckpointError(f"checkpoint config has unknown keys {unknown}")
+    try:
+        config = TrainConfig(**{**cfg, "image_hw": tuple(cfg["image_hw"])})
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from exc
+    if len(header["modes"]) != config.num_layers:
+        raise CheckpointError(f"checkpoint has {len(header['modes'])} layer modes but num_layers={config.num_layers}")
+    return config
+
+
+def model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Model:
+    """Rebuild the model: architecture from the header, weights from blobs.
+    A layer ``pad_tokens`` marks is a :class:`PositionalMixer`; an older
+    file's all-zero ``w_q``/``w_k`` for it are dropped, non-zero ones refused."""
+    model = config_from_checkpoint(header).build_model(header["modes"], np.random.default_rng(0))
     for i, (blk, positional) in enumerate(zip(model.blocks, header.get("pad_tokens", []))):
         if positional and blk.attn is not None:
             if any(tensors.get(f"blocks.{i}.attn.{w}", np.zeros(0)).any() for w in ("w_q", "w_k")):
@@ -206,8 +217,24 @@ def model_from_checkpoint(header: dict, tensors: dict[str, np.ndarray]) -> Model
     for name, p in model.named_parameters():
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-        arr = tensors[name]
-        if arr.shape != p.shape:
-            raise CheckpointError(f"tensor {name!r} has extents {arr.shape}, model expects {p.shape}")
-        p.data = arr.astype(p.data.dtype).copy()
+        p.data = _blob(tensors, name, p.data)
     return model
+
+
+def restore_optimizer(optimizer: AdamW, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Give each of ``optimizer``'s parameters the moments and step count the
+    checkpoint holds for it; a parameter the file lacks keeps fresh state."""
+    steps = header.get("opt_steps", {})
+    for name in optimizer.params:
+        for moments, key in ((optimizer.m, f"opt.m.{name}"), (optimizer.v, f"opt.v.{name}")):
+            if key in tensors:
+                moments[name] = _blob(tensors, key, moments[name])
+        if name in steps:
+            optimizer.steps[name] = steps[name]
+
+
+def _blob(tensors: dict[str, np.ndarray], name: str, like: np.ndarray) -> np.ndarray:
+    """A copy of blob ``name`` in ``like``'s dtype; extents other than ``like``'s are refused."""
+    if tensors[name].shape != like.shape:
+        raise CheckpointError(f"tensor {name!r} has extents {tensors[name].shape}, model expects {like.shape}")
+    return tensors[name].astype(like.dtype)

@@ -27,8 +27,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, read_container, write_file
-from .config import ConfigError, PRESETS, apply_overrides, build_train_config, load_config_file, load_preset
+from .blocks import ConvMixer
+from .checkpoint import (CheckpointError, config_from_checkpoint, load_checkpoint, model_from_checkpoint,
+                         read_container, write_file)
+from .config import ConfigError, PRESETS, TrainConfig, apply_overrides, build_train_config, load_config_file, load_preset
 from .data import DataError
 from .reparam import reparameterize, verify_equivalence
 from .runtime import describe as describe_runtime
@@ -36,7 +38,7 @@ from .schedule import KINDS, SwitchSchedule, switch_epochs
 from .spectral import (TARGET_FREQS, DepthProfile, channel_maps, delta_log_amplitude, depth_profile,
                        depth_profile_rows, require_targets, spectrum_of_maps, write_csv, write_depth_profile_csv)
 from .tensor import ShapeError, Tensor
-from .train import DivergenceError, TrainConfig, load_dataset, probe_batch, run_interpolation_suite, train
+from .train import DivergenceError, load_dataset, probe_batch, run_interpolation_suite, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -184,25 +186,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_reparam_check(args) -> int:
-    if args.kernel_size % 2 == 0:
-        print("kernel size must be odd", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         h_t, w_t = (int(p) for p in args.grid.lower().split("x"))
     except ValueError:
         print(f"--grid must look like 8x8, got {args.grid!r}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.kernel_size // 2 >= min(h_t, w_t):
-        print(f"a K={args.kernel_size} kernel needs both grid sides above {args.kernel_size // 2}, "
-              f"got {h_t}x{w_t}", file=sys.stderr)
-        return EXIT_CONFIG
-    from .blocks import ConvMixer
-
     rng = np.random.default_rng(args.seed)
     kernel = Tensor(rng.normal(0.0, 0.1, (args.kernel_size, args.kernel_size, args.dim, args.dim)))
     bias = Tensor(rng.normal(0.0, 0.1, args.dim))
-    conv = ConvMixer(kernel, bias)
-    attn = reparameterize(conv, (h_t, w_t), beta=args.beta)
+    try:  # an even kernel, or one wider than the grid, is a usage error here
+        conv = ConvMixer(kernel, bias)
+        attn = reparameterize(conv, (h_t, w_t), beta=args.beta)
+    except ShapeError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.perturb:
         attn.w_o.data[0, 0, 0] += args.perturb
     report = verify_equivalence(conv, attn, num_samples=args.samples, tolerance=args.tol,
@@ -221,8 +218,7 @@ def cmd_fourier(args) -> int:
         manifest = _new_manifest("fourier", args.argv, None, out_dir)
     else:
         header, tensors = load_checkpoint(args.checkpoint)
-        model = model_from_checkpoint(header, tensors)
-        config = TrainConfig.from_dict(header["config"])
+        model, config = model_from_checkpoint(header, tensors), config_from_checkpoint(header)
         manifest = _new_manifest("fourier", args.argv, config, out_dir)
     manifest.artifacts["tap"] = args.tap
 

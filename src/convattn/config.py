@@ -1,4 +1,7 @@
-"""Line-oriented run configuration.
+"""Run configuration: ``TrainConfig``, which checks its ranges and model
+geometry when built, and its line-oriented file grammar. A checkpoint
+carries ``TrainConfig.to_dict()``; ``checkpoint.config_from_checkpoint``
+reads it back.
 
 Grammar: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored. Keys may be dotted (``optimizer.lr``) or the flat field names of
@@ -12,14 +15,94 @@ later sources win.
 
 from __future__ import annotations
 
+import numbers
+from dataclasses import asdict, dataclass
 from importlib import resources
 
-from .train import TrainConfig
+import numpy as np
 
-__all__ = ["ConfigError", "parse_config_text", "load_config_file", "load_preset",
+from .blocks import Model, build_model
+from .reparam import DEFAULT_BETA
+from .schedule import SwitchSchedule
+
+__all__ = ["TrainConfig", "ConfigError", "parse_config_text", "load_config_file", "load_preset",
            "apply_overrides", "build_train_config", "PRESETS"]
 
 PRESETS = ("desk", "interp", "fullscale")
+
+
+@dataclass
+class TrainConfig:
+    # model
+    dim: int = 32
+    num_layers: int = 4
+    kernel_size: int = 3
+    patch_size: int = 4
+    mlp_ratio: int = 4
+    num_classes: int = 10
+    image_hw: tuple[int, int] = (32, 32)
+    in_channels: int = 3
+    use_abs_pos: bool = False
+    final_ln: bool = True
+    beta_spike: float = DEFAULT_BETA
+    # schedule
+    schedule_kind: str = "linear"
+    total_epochs: int = 40
+    e_switch: int | None = None
+    # optimizer
+    lr: float = 5e-4
+    weight_decay: float = 0.05
+    beta1: float = 0.9
+    beta2: float = 0.999
+    warmup_epochs: int = 5
+    cosine_decay: bool = True
+    label_smoothing: float = 0.1
+    batch_size: int = 128
+    # data
+    dataset: str = "cifar10"
+    data_dir: str = "data"
+    fraction: float = 0.1
+    eval_fraction: float = 1.0
+    seed: int = 0
+    augment: bool = True
+    normalize: bool = True
+    # artifacts
+    checkpoint_every: int = 0  # 0 = final checkpoint only
+
+    def __post_init__(self):
+        for name in ("fraction", "eval_fraction"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        if self.total_epochs < 1:
+            raise ValueError("total_epochs must be >= 1")
+        for name in ("dim", "num_layers", "kernel_size", "patch_size", "mlp_ratio",
+                     "num_classes", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel size must be odd, got K={self.kernel_size}")
+        h, w = self.image_hw
+        if h % self.patch_size or w % self.patch_size:
+            raise ValueError(f"image {h}x{w} not divisible by patch size {self.patch_size}")
+
+    def schedule(self) -> SwitchSchedule:
+        return SwitchSchedule(self.total_epochs, self.num_layers, self.schedule_kind, self.e_switch)
+
+    def grid_hw(self) -> tuple[int, int]:
+        return (self.image_hw[0] // self.patch_size, self.image_hw[1] // self.patch_size)
+
+    def build_model(self, modes: list[str], rng: np.random.Generator) -> Model:
+        """A model of this architecture with the given per-layer modes."""
+        return build_model(self.dim, self.num_layers, self.kernel_size, self.patch_size, self.image_hw,
+                           self.in_channels, self.num_classes, modes, rng, mlp_ratio=self.mlp_ratio,
+                           use_abs_pos=self.use_abs_pos, final_ln=self.final_ln)
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        d["image_hw"] = list(self.image_hw)
+        return d
+
 
 # dotted-key aliases -> TrainConfig field
 KEY_ALIASES = {

@@ -66,23 +66,6 @@ class AdamW:
             v_hat = v / (1.0 - self.beta2**t)
             p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
 
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.params:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
-        return out
-
-    def load_state(self, tensors: dict[str, np.ndarray], steps: dict[str, int]) -> None:
-        for name in self.params:
-            mk, vk = f"opt.m.{name}", f"opt.v.{name}"
-            if mk in tensors:
-                self.m[name] = tensors[mk].astype(self.m[name].dtype).reshape(self.m[name].shape)
-            if vk in tensors:
-                self.v[name] = tensors[vk].astype(self.v[name].dtype).reshape(self.v[name].shape)
-            if name in steps:
-                self.steps[name] = int(steps[name])
-
 
 def lr_at(epoch: int, total_epochs: int, base_lr: float, warmup_epochs: int = 5,
           cosine_decay: bool = True) -> float:

@@ -60,15 +60,6 @@ class SpectrumProfile:
     n_maps: int
     bin_width: float
 
-    def to_dict(self) -> dict:
-        return {
-            "bins": self.bins,
-            "log_amp": self.log_amp,
-            "counts": self.counts,
-            "n_maps": self.n_maps,
-            "bin_width": self.bin_width,
-        }
-
 
 @dataclass
 class DepthProfile:

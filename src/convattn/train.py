@@ -25,17 +25,19 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import Model, build_model, model_forward
-from .checkpoint import CheckpointError, load_checkpoint, model_from_checkpoint, save_checkpoint, write_file
+from .blocks import Model, model_forward
+from .checkpoint import (config_from_checkpoint, load_checkpoint, model_from_checkpoint, restore_optimizer,
+                         save_checkpoint, write_file)
+from .config import ConfigError, TrainConfig
 from .data import NORM_STATS, Dataset, augment_batch, load_cifar, make_synthetic
 from .optim import AdamW, lr_at
-from .reparam import DEFAULT_BETA, switch_block
+from .reparam import switch_block
 from .runtime import run_shards, shard_slices
-from .schedule import CONV, SA, SwitchSchedule, interpolation_settings, mode_at, switch_epochs
+from .schedule import CONV, SA, interpolation_settings, mode_at, switch_epochs
 from .spectral import DepthProfile, depth_profile, populated_targets, require_targets, write_depth_profile_csv
 from .tensor import Graph, Tensor, backward, record
 
@@ -51,78 +53,6 @@ __all__ = [
     "load_dataset",
     "probe_batch",
 ]
-
-
-@dataclass
-class TrainConfig:
-    # model
-    dim: int = 32
-    num_layers: int = 4
-    kernel_size: int = 3
-    patch_size: int = 4
-    mlp_ratio: int = 4
-    num_classes: int = 10
-    image_hw: tuple[int, int] = (32, 32)
-    in_channels: int = 3
-    use_abs_pos: bool = False
-    final_ln: bool = True
-    beta_spike: float = DEFAULT_BETA
-    # schedule
-    schedule_kind: str = "linear"
-    total_epochs: int = 40
-    e_switch: int | None = None
-    # optimizer
-    lr: float = 5e-4
-    weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    warmup_epochs: int = 5
-    cosine_decay: bool = True
-    label_smoothing: float = 0.1
-    batch_size: int = 128
-    # data
-    dataset: str = "cifar10"
-    data_dir: str = "data"
-    fraction: float = 0.1
-    eval_fraction: float = 1.0
-    seed: int = 0
-    augment: bool = True
-    normalize: bool = True
-    # artifacts
-    checkpoint_every: int = 0  # 0 = final checkpoint only
-
-    def __post_init__(self):
-        for name in ("fraction", "eval_fraction"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
-        for name in ("dim", "num_layers", "kernel_size", "patch_size", "mlp_ratio",
-                     "num_classes", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-
-    def schedule(self) -> SwitchSchedule:
-        return SwitchSchedule(self.total_epochs, self.num_layers, self.schedule_kind, self.e_switch)
-
-    def grid_hw(self) -> tuple[int, int]:
-        return (self.image_hw[0] // self.patch_size, self.image_hw[1] // self.patch_size)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["image_hw"] = list(self.image_hw)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        """The config a checkpoint header carries."""
-        unknown = sorted(d.keys() - {f.name for f in fields(TrainConfig)})
-        if unknown:
-            raise CheckpointError(f"checkpoint config has unknown keys {unknown}")
-        d = dict(d)
-        if "image_hw" in d:
-            d["image_hw"] = tuple(d["image_hw"])
-        return TrainConfig(**d)
 
 
 @dataclass
@@ -246,8 +176,7 @@ def evaluate(model_or_path, dataset: Dataset, config: TrainConfig | None = None,
             raise ValueError("evaluate needs the model's TrainConfig as config to prepare the images")
     else:
         header, tensors = load_checkpoint(model_or_path)
-        model = model_from_checkpoint(header, tensors)
-        config = TrainConfig.from_dict(header["config"])
+        model, config = model_from_checkpoint(header, tensors), config_from_checkpoint(header)
     if model.num_classes != dataset.num_classes:
         raise ValueError(f"model has {model.num_classes} classes, dataset has {dataset.num_classes}")
     top1, top5 = _eval_model(model, dataset.images, dataset.labels, config, batch_size)
@@ -284,14 +213,12 @@ def _check_resume_config(header: dict, config: TrainConfig) -> None:
     or whose layer modes are not the schedule's at its epoch. A fresh run
     follows the schedule by construction, so this is the one place modes
     are checked."""
-    from .config import ConfigError  # local import keeps module deps one-way
-
-    saved, current = header["config"], config.to_dict()
+    saved, current = config_from_checkpoint(header).to_dict(), config.to_dict()
     for name in _RESUME_FIELDS:
-        if saved.get(name) != current[name]:
-            raise ConfigError(f"resume checkpoint has {name}={saved.get(name)!r} "
+        if saved[name] != current[name]:
+            raise ConfigError(f"resume checkpoint has {name}={saved[name]!r} "
                               f"but the config has {name}={current[name]!r}")
-    sched, epoch = config.schedule(), int(header["epoch"])
+    sched, epoch = config.schedule(), header["epoch"]
     for layer, mode in enumerate(header["modes"], start=1):
         expected = mode_at(sched, epoch, layer)
         if mode != expected:
@@ -302,8 +229,6 @@ def _check_resume_config(header: dict, config: TrainConfig) -> None:
 def _check_kernel_fits(config: TrainConfig) -> None:
     """Refuse a schedule that switches a layer whose kernel reaches past the
     token grid, where the attention rewrite has no bias entry for an offset."""
-    from .config import ConfigError  # local import keeps module deps one-way
-
     (h_t, w_t), half = config.grid_hw(), config.kernel_size // 2
     if half >= min(h_t, w_t) and switch_epochs(config.schedule()):
         raise ConfigError(f"a K={config.kernel_size} kernel needs both grid sides above {half} for a layer "
@@ -360,25 +285,19 @@ def train(config: TrainConfig, out_dir: str | None = None, resume_from: str | No
     sched = config.schedule()
     grid_hw = config.grid_hw()
 
-    metrics: list[dict] = []
-    start_epoch = 1
+    metrics, start_epoch = [], 1
     if resume_from is not None:
         header, tensors = load_checkpoint(resume_from)
         _check_resume_config(header, config)
         model = model_from_checkpoint(header, tensors)
-        optimizer = AdamW(model.named_parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
-                          weight_decay=config.weight_decay)
-        optimizer.load_state(tensors, header.get("opt_steps", {}))
-        metrics = list(header.get("metric_history", []))
-        start_epoch = int(header["epoch"]) + 1
+        metrics, start_epoch = list(header["metric_history"]), header["epoch"] + 1
     else:
-        init_modes = [mode_at(sched, 1, layer) for layer in range(1, config.num_layers + 1)]
-        model = build_model(config.dim, config.num_layers, config.kernel_size, config.patch_size,
-                            config.image_hw, config.in_channels, config.num_classes, init_modes,
-                            _rng(config.seed, _TAG_INIT), mlp_ratio=config.mlp_ratio,
-                            use_abs_pos=config.use_abs_pos, final_ln=config.final_ln)
-        optimizer = AdamW(model.named_parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
-                          weight_decay=config.weight_decay)
+        model = config.build_model([mode_at(sched, 1, layer) for layer in range(1, config.num_layers + 1)],
+                                   _rng(config.seed, _TAG_INIT))
+    optimizer = AdamW(model.named_parameters(), lr=config.lr, betas=(config.beta1, config.beta2),
+                      weight_decay=config.weight_decay)
+    if resume_from is not None:
+        restore_optimizer(optimizer, header, tensors)
 
     epochs = range(start_epoch, config.total_epochs + 1)
     if epochs:  # a finished run resumes to its final artifacts without a training set

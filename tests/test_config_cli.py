@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from convattn.blocks import build_model
-from convattn.checkpoint import (load_checkpoint, model_from_checkpoint, read_container, save_checkpoint,
-                                 write_container)
+from convattn.checkpoint import (CheckpointError, config_from_checkpoint, load_checkpoint, model_from_checkpoint,
+                                 read_container, save_checkpoint, write_container)
 from convattn.cli import main
 from convattn.config import (
     ConfigError,
@@ -23,7 +23,7 @@ from convattn.config import (
     parse_config_text,
 )
 from convattn.spectral import depth_profile, write_depth_profile_csv
-from convattn.train import TrainConfig, _prepare, load_dataset, probe_batch, run_interpolation_suite
+from convattn.train import TrainConfig, _prepare, evaluate, load_dataset, probe_batch, run_interpolation_suite
 
 TINY_CFG = """
 # tiny synthetic run
@@ -372,6 +372,69 @@ def test_cmd_fourier_corrupt_checkpoint_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("file error:")
 
 
+def _first_moment(tensors):
+    name = next(n for n in tensors if n.startswith("opt.m."))
+    tensors[name] = tensors[name].ravel()[:-1].copy()  # one element short
+
+
+# one field of an epoch-1 checkpoint, edited; and the reader that meets it
+MALFORMED = {
+    "dim-str-fourier": ("fourier", lambda h, t: h["config"].update(dim="x")),
+    "dim-str-evaluate": ("evaluate", lambda h, t: h["config"].update(dim="x")),
+    "dim-str-resume": ("resume", lambda h, t: h["config"].update(dim="x")),
+    "fraction-zero-fourier": ("fourier", lambda h, t: h["config"].update(fraction=0)),
+    "kernel-even-fourier": ("fourier", lambda h, t: h["config"].update(kernel_size=2)),
+    "opt_steps-str-resume": ("resume", lambda h, t: h["opt_steps"].update({next(iter(h["opt_steps"])): "x"})),
+    "moment-short-resume": ("resume", lambda h, t: _first_moment(t)),
+    "metric_history-str-resume": ("resume", lambda h, t: h.update(metric_history="zz")),
+}
+
+
+@pytest.fixture(scope="module")
+def epoch1_run(tmp_path_factory):
+    """(train arguments, epoch-1 checkpoint) of a two-epoch tiny run."""
+    tmp = tmp_path_factory.mktemp("epoch1")
+    (tmp / "tiny.cfg").write_text(TINY_CFG)
+    run = ["--config", str(tmp / "tiny.cfg"), "--set", "schedule.total_epochs=2",
+           "--set", "train.checkpoint_every=1"]
+    assert main(["train", *run, "--out", str(tmp / "run")]) == 0
+    return run, str(tmp / "run" / "checkpoint_epoch_1.bin")
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_checkpoint_field_exits_3(case, epoch1_run, tmp_path, capsys):
+    reader, edit = MALFORMED[case]
+    run, source = epoch1_run
+    header, tensors = read_container(source)
+    edit(header, tensors)
+    ckpt = str(tmp_path / "edited.bin")
+    write_container(ckpt, header, tensors)
+    capsys.readouterr()
+    if reader == "evaluate":
+        with pytest.raises(CheckpointError):
+            evaluate(ckpt, load_dataset(build_train_config(parse_config_text(TINY_CFG)), "test"))
+        return
+    out = str(tmp_path / "run")
+    argv = (["fourier", "--checkpoint", ckpt, "--random-batch", "4"] if reader == "fourier"
+            else ["train", *run, "--resume-from", ckpt])
+    assert main([*argv, "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("file error:")
+    if reader == "resume":
+        assert json.load(open(os.path.join(out, "manifest.json")))["status"] == "failed"
+        assert not os.path.exists(os.path.join(out, "metrics.jsonl"))
+
+
+@pytest.mark.parametrize("override, message", [
+    ("model.kernel_size=2", "kernel size must be odd, got K=2"),
+    ("model.patch_size=5", "image 32x32 not divisible by patch size 5"),
+], ids=["kernel-even", "patch-not-dividing"])
+def test_geometry_config_error_exits_2(override, message, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", "--preset", "desk", "--set", override, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)  # refused while the config is built, before the manifest
+
+
 def test_cmd_train_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.banana = 3\n")
@@ -422,7 +485,7 @@ def test_train_fourier_and_interp_write_one_profile(tiny_cfg_path, tmp_path):
     suite = {r["e_switch"]: r for r in run_interpolation_suite(base, str(tmp_path / "suite"))}
     ckpt = suite[1]["checkpoint"]
     header, tensors = load_checkpoint(ckpt)
-    config = TrainConfig.from_dict(header["config"])
+    config = config_from_checkpoint(header)
     model = model_from_checkpoint(header, tensors)
     assert model.modes() == ["sa", "sa"]
 
@@ -463,7 +526,7 @@ def test_cmd_fourier_random_batch_profiles_prepared_images(tiny_cfg_path, tmp_pa
     out = tmp_path / "fourier"
     assert main(["fourier", "--checkpoint", ckpt, "--random-batch", "16", "--out", str(out)]) == 0
     header, tensors = load_checkpoint(ckpt)
-    config = TrainConfig.from_dict(header["config"])
+    config = config_from_checkpoint(header)
     model = model_from_checkpoint(header, tensors)
     images = np.random.default_rng(config.seed).random((16, *config.image_hw, config.in_channels))
     images = images.astype(np.float32)

@@ -443,8 +443,16 @@ _MISSING = object()
     ("pad_tokens", "yes", "pad_tokens 'yes' are not one boolean per layer"),
     ("pad_tokens", [0, 1], r"pad_tokens \[0, 1\] are not one boolean per layer"),
     ("pad_tokens", [False], r"pad_tokens \[False\] are not one boolean per layer"),
+    ("opt_steps", [3], "opt_steps is not a map from names to step counts"),
+    ("opt_steps", {"head.w": 2.0}, "opt_steps is not a map"),
+    ("opt_steps", {"head.w": True}, "opt_steps is not a map"),
+    ("opt_steps", {"head.w": -1}, "opt_steps is not a map"),
+    ("metric_history", "zz", "metric_history is not a list of objects"),
+    ("metric_history", [{"epoch": 1}, 2], "metric_history is not a list of objects"),
 ], ids=["config-missing", "config-list", "epoch-missing", "epoch-str", "epoch-float", "epoch-bool",
-        "modes-missing", "modes-str", "modes-unknown", "pad_tokens-str", "pad_tokens-ints", "pad_tokens-short"])
+        "modes-missing", "modes-str", "modes-unknown", "pad_tokens-str", "pad_tokens-ints", "pad_tokens-short",
+        "opt_steps-list", "opt_steps-float", "opt_steps-bool", "opt_steps-negative", "metric_history-str",
+        "metric_history-item"])
 def test_load_checkpoint_checks_header_keys(tmp_path, key, value, match):
     path = str(tmp_path / "c.bin")
     write_container(path, _HEADER, {})
@@ -557,7 +565,7 @@ def test_switched_desk_run_keeps_no_query_key(tmp_path):
     header, tensors = load_checkpoint(res.checkpoint_path)
     assert header["pad_tokens"] == [True] * 4
     query_key = re.compile(r"\.attn\.w_[qk]$")
-    for names in ([name for name, _ in res.model.named_parameters()], res.optimizer.state_tensors(),
+    for names in ([name for name, _ in res.model.named_parameters()], res.optimizer.m, res.optimizer.v,
                   res.optimizer.steps, header["opt_steps"], tensors):
         assert names and not any(query_key.search(name) for name in names)
 
