@@ -344,8 +344,10 @@ def _check_attn_input(x: Tensor, a: _Heads) -> None:
         raise ShapeError(f"token channels {x.shape[3]} != mixer dim {a.dim}")
 
 
-# Bytes of probabilities per batch slice: each pass over a slice's buffer
+# Bytes of probabilities per batch slice: each pass over a slice's buffers
 # (scores, softmax, value mixing, and their backward) stays in a core's L2.
+# The general path's Y, probabilities and mix Z, and in its backward their
+# gradients, live only in slice-sized buffers; a tape keeps none of them.
 _SLICE_BYTES = 512 * 1024
 
 
@@ -354,6 +356,38 @@ def _batch_slices(batch: int, heads: int, n: int, dtype) -> list[slice]:
     least one row; an empty batch gets one empty slice)."""
     rows = max(1, _SLICE_BYTES // (heads * n * n * np.dtype(dtype).itemsize))
     return [slice(s, min(s + rows, batch)) for s in range(0, max(batch, 1), rows)]
+
+
+def _slice_buffers(rows: int, heads: int, n: int, d: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Y [rows, H*N, d], rows (head, query) per sample, and the key-major
+    probabilities [rows, 1, N_keys, H*N_queries] of one batch slice."""
+    return np.empty((rows, heads * n, d), dtype=dtype), np.empty((rows, 1, n, heads * n), dtype=dtype)
+
+
+def _slice_probs(x_s: np.ndarray, a_h: np.ndarray, grid: np.ndarray, y_s: np.ndarray, p: np.ndarray,
+                 stats=None):
+    """Y = [x_s A_h]_h of the batch slice ``x_s`` [rows, N, d] into ``y_s``,
+    and its logits x_s Y^T into ``p``, turned into probabilities in place:
+    by :func:`attn_probs_inplace`, whose statistics are returned, or, given
+    those ``stats``, rebuilt bitwise by :func:`attn_probs_again`."""
+    rows, n, d = x_s.shape
+    np.matmul(x_s[:, None], a_h, out=y_s.reshape(rows, len(a_h), n, d))
+    np.matmul(x_s, y_s.swapaxes(-1, -2), out=p[:, 0])
+    if stats is None:
+        return attn_probs_inplace(p, grid, None)
+    attn_probs_again(p, grid, *stats)
+    return stats
+
+
+def _head_mix(p: np.ndarray, v: np.ndarray, out: np.ndarray, by_key: bool = False) -> None:
+    """Every head's P_h^T v (or, ``by_key``, P_h v) for a batch slice, into
+    ``out`` [rows, N, H, d]: ``p`` is key-major [rows, 1, N_keys,
+    H*N_queries] and ``v`` [rows, N, d], so each output row is a query
+    (a key) and each head's d channels are contiguous."""
+    rows, n, heads, _ = out.shape
+    blocks = p.reshape(rows, n, heads, n)  # [rows, key, head, query]
+    lhs = blocks.transpose(0, 2, 1, 3) if by_key else blocks.transpose(0, 2, 3, 1)
+    np.matmul(lhs, v[:, None], out=out.swapaxes(1, 2))
 
 
 def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
@@ -367,15 +401,19 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     the same for every sample, so :func:`_positional_mix` computes them with
     one softmax per call and mixes every head's keys in one gemm. An
     :class:`AttnMixer` runs in token space, its logit side folded per head
-    too, A_h = scale W_q,h W_k,h^T. With Y = [x A_h]_h, rows (head, query),
-    one gemm per sample gives its logits, key-major [N_keys, H*N_queries],
-    and each head's mix Z_h = P_h^T x is written token-major into one
-    [B*N, H*d] buffer, per batch slice of about _SLICE_BYTES of
-    probabilities in one buffer, so no [B, H, N, N] tensor is kept. The
-    output is y = Z M, one gemm. The tape keeps Y, Z and the softmax
-    statistics, from which the backward rebuilds the probabilities bitwise
-    (:func:`attn_probs_again`); it takes dM = Z^T dy, then dW_v,h and dW_o,h
-    from dM_h, and dx = P dZ as one gemm per sample.
+    too, A_h = scale W_q,h W_k,h^T. It runs per batch slice of about
+    _SLICE_BYTES of probabilities (:func:`_slice_probs`): Y = [x A_h]_h,
+    rows (head, query), gives each sample's logits in one gemm, key-major
+    [N_keys, H*N_queries]; each head's mix Z_h = P_h^T x is written
+    token-major, [rows*N, H*d], and the slice's output is y = Z M, one gemm.
+    No batch-sized Y, Z or probability array is formed, with or without a
+    tape. The tape keeps x, the weights and each slice's softmax
+    statistics. The backward recomputes each slice's Y and logits and
+    rebuilds its probabilities bitwise (:func:`attn_probs_again`). With
+    W_h = P_h dy, token-major by key, it takes dM_h = Z_h^T dy = x^T W_h
+    and the value side's dx = sum_h W_h M_h^T, so Z is not recomputed; dZ
+    = dy M^T gives the logit gradient, and dA = x^T dY the w_q/w_k
+    gradients. dM and dA are summed over the slices.
     """
     if isinstance(a, PositionalMixer):
         return _positional_mix(x, a)
@@ -383,56 +421,60 @@ def attention_mix(x: Tensor, a: AttnMixer | PositionalMixer) -> Tensor:
     n, heads = h_t * w_t, a.n_heads
     inputs = (x, a.w_q, a.w_k, a.w_v, a.w_o, a.b_rel, a.out_bias)
     taped = tt.recording(inputs)
+    dtype = x.data.dtype
+    y = np.empty((batch, n, d), dtype=dtype)  # before the temporaries: see tensor._ln_stats
     w_q, w_k, w_v, w_o = a.w_q.data, a.w_k.data, a.w_v.data, a.w_o.data
     scale = _attn_scale(d)
     a_h = np.matmul(w_q, w_k.swapaxes(-1, -2)) * scale  # [H, d, d]
-    x_flat = x.data.reshape(batch * n, d)
-    x_b = x_flat.reshape(batch, n, d)
-    y_b = np.matmul(x_b[:, None], a_h).reshape(batch, heads * n, d)
+    x_b = x.data.reshape(batch, n, d)
     grid = _bias_logits(a.b_rel.data, h_t, w_t)
     grid = np.ascontiguousarray(grid.swapaxes(0, 1)).reshape(1, n, heads * n)  # [1, keys, (head, query)]
     m_h = np.matmul(w_v, w_o)  # [H, d, d]
-    slices = _batch_slices(batch, heads, n, y_b.dtype)
-    p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)  # one slice's probabilities
+    slices = _batch_slices(batch, heads, n, dtype)
+    y_buf, p_buf = _slice_buffers(slices[0].stop, heads, n, d, dtype)
+    z_buf = np.empty((slices[0].stop, n, heads, d), dtype=dtype)  # Z, rows (sample, query)
     stats = []  # per slice: shift and column totals
-    z = np.empty((batch * n, heads * d), dtype=y_b.dtype)  # rows (sample, query), columns (head, channel)
-    z_h = z.reshape(batch, n, heads, d).swapaxes(1, 2)
     for s in slices:
-        ps = p[: s.stop - s.start]
-        np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
-        slice_stats = attn_probs_inplace(ps, grid, None)
+        rows = s.stop - s.start
+        slice_stats = _slice_probs(x_b[s], a_h, grid, y_buf[:rows], p_buf[:rows])
         if taped:
             stats.append(slice_stats)
-        np.matmul(ps.reshape(len(ps), n, heads, n).transpose(0, 2, 3, 1), x_b[s, None], out=z_h[s])
-    y = z @ m_h.reshape(heads * d, d)
+        _head_mix(p_buf[:rows], x_b[s], z_buf[:rows])
+        np.matmul(z_buf[:rows].reshape(-1, heads * d), m_h.reshape(heads * d, d), out=y[s].reshape(-1, d))
     y += a.out_bias.data
     out = Tensor(y.reshape(x.shape))
 
     def bwd(g):
-        g_flat = g.reshape(batch * n, d)
-        d_out_bias = g_flat.sum(axis=0)
-        d_m = (z.T @ g_flat).reshape(heads, d, d)
-        d_wv, d_w_o = np.matmul(d_m, w_o.swapaxes(-1, -2)), np.matmul(w_v.swapaxes(-1, -2), d_m)
-        d_z = np.matmul(g.reshape(batch, 1, n, d), m_h.swapaxes(1, 2)).reshape(y_b.shape)
-        d_yb, dx = np.empty(y_b.shape, dtype=d_z.dtype), np.empty(x_b.shape, dtype=d_z.dtype)
-        p = np.empty((slices[0].stop, 1, n, heads * n), dtype=y_b.dtype)
-        dp = np.empty(p.shape, dtype=d_z.dtype)
+        g_b = g.reshape(batch, n, d)
+        dx = np.empty(x_b.shape, dtype=g.dtype)
+        d_out_bias = g_b.reshape(batch * n, d).sum(axis=0)
+        y_buf, p_buf = _slice_buffers(slices[0].stop, heads, n, d, dtype)
+        d_z, dp = np.empty_like(y_buf), np.empty_like(p_buf)  # dZ head-major like Y
+        w_dy = np.empty((slices[0].stop, n, 2, heads, d), dtype=g.dtype)  # W by key and dY by query
+        # dx += [W, dY] [M^T; A^T] and [dM, dA] += x^T [W, dY], rows (head, channel)
+        back = np.concatenate([m_h.swapaxes(1, 2), a_h.swapaxes(1, 2)]).reshape(2 * heads * d, d)
+        d_ma = np.zeros((d, 2 * heads * d), dtype=g.dtype)
         grid_sum = np.zeros((n, heads * n), dtype=dp.dtype)  # batch-summed logit gradient
-        for s, (shift, total) in zip(slices, stats):
-            ps, dps = p[: s.stop - s.start], dp[: s.stop - s.start]
-            np.matmul(x_b[s], y_b[s].swapaxes(-1, -2), out=ps[:, 0])
-            attn_probs_again(ps, grid, shift, total)  # bitwise the forward's probabilities
-            np.matmul(ps[:, 0], d_z[s], out=dx[s])
-            np.matmul(x_b[s], d_z[s].swapaxes(-1, -2), out=dps[:, 0])
+        for s, slice_stats in zip(slices, stats):
+            rows = s.stop - s.start
+            x_s, g_s, y_s, ps, d_zs, dps, wd = (
+                x_b[s], g_b[s], y_buf[:rows], p_buf[:rows], d_z[:rows], dp[:rows], w_dy[:rows])
+            _slice_probs(x_s, a_h, grid, y_s, ps, slice_stats)  # bitwise the forward's
+            _head_mix(ps, g_s, wd[:, :, 0], by_key=True)
+            np.matmul(g_s[:, None], m_h.swapaxes(1, 2), out=d_zs.reshape(rows, heads, n, d))
+            np.matmul(x_s, d_zs.swapaxes(-1, -2), out=dps[:, 0])
             attn_softmax_backward(ps, dps)  # dps becomes the logit gradient
             for row in dps:
                 grid_sum += row[0]
-            dx[s] += np.matmul(dps[:, 0], y_b[s])
-            np.matmul(dps[:, 0].swapaxes(-1, -2), x_b[s], out=d_yb[s])
-        d_y = np.ascontiguousarray(d_yb.reshape(batch, heads, n, d).swapaxes(1, 2)).reshape(batch * n, heads * d)
-        dx += (d_y @ a_h.swapaxes(0, 1).reshape(d, heads * d).T).reshape(x_b.shape)
-        d_a = (x_flat.T @ d_y).reshape(d, heads, d).swapaxes(0, 1) * scale
+            _head_mix(dps, x_s, wd[:, :, 1])
+            np.matmul(dps[:, 0], y_s, out=dx[s])
+            wd = wd.reshape(rows * n, 2 * heads * d)
+            dx[s] += (wd @ back).reshape(rows, n, d)
+            d_ma += x_s.reshape(-1, d).T @ wd
+        d_m, d_a = d_ma.reshape(d, 2, heads, d).transpose(1, 2, 0, 3)
+        d_a = d_a * scale
         d_wq, d_wk = np.matmul(d_a, w_k), np.matmul(d_a.swapaxes(-1, -2), w_q)
+        d_wv, d_w_o = np.matmul(d_m, w_o.swapaxes(-1, -2)), np.matmul(w_v.swapaxes(-1, -2), d_m)
         d_rel = _table_grad(grid_sum.reshape(n, heads, n).swapaxes(0, 1), a.b_rel.data)
         return dx.reshape(x.shape), d_wq, d_wk, d_wv, d_w_o, d_rel, d_out_bias
 

@@ -175,8 +175,11 @@ def cmd_train(args) -> int:
             note = _profile_note(result.profile, config.grid_hw())
             if note is not None:
                 manifest.artifacts["depth_profile_note"] = note
-        last = result.metrics[-1]
-        print(f"done: {len(result.metrics)} epochs, top1 {last['top1']:.2f}, top5 {last['top5']:.2f}")
+        done = f"done: {len(result.metrics)} epochs"
+        if result.metrics:  # a finished run resumed from an empty history trains and records none
+            last = result.metrics[-1]
+            done += f", top1 {last['top1']:.2f}, top5 {last['top5']:.2f}"
+        print(done)
 
     return _run(manifest, work)
 

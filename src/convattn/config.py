@@ -16,7 +16,7 @@ later sources win.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -29,6 +29,17 @@ __all__ = ["TrainConfig", "ConfigError", "parse_config_text", "load_config_file"
            "apply_overrides", "build_train_config", "PRESETS"]
 
 PRESETS = ("desk", "interp", "fullscale")
+
+
+# each TrainConfig annotation: the values a field takes, and their name in errors
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "int | None": ((numbers.Integral, type(None)), "an integer or none"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "tuple[int, int]": (tuple, "a pair of positive integers"),
+}
 
 
 @dataclass
@@ -70,6 +81,14 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
+        for f in fields(self):
+            value, (expected, what) = getattr(self, f.name), _FIELD_TYPES[f.type]
+            # bool is an int to Python: a number field refuses it, a bool field takes nothing else
+            if isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if len(self.image_hw) != 2 or not all(
+                isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1 for v in self.image_hw):
+            raise ValueError(f"image_hw must be a pair of positive integers, got {self.image_hw!r}")
         for name in ("fraction", "eval_fraction"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
@@ -77,9 +96,8 @@ class TrainConfig:
             raise ValueError("total_epochs must be >= 1")
         for name in ("dim", "num_layers", "kernel_size", "patch_size", "mlp_ratio",
                      "num_classes", "batch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
         if self.kernel_size % 2 == 0:
             raise ValueError(f"kernel size must be odd, got K={self.kernel_size}")
         h, w = self.image_hw

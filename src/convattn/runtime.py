@@ -19,8 +19,9 @@ missing, the shards run one after another on the caller.
 
 Importing the package also sets two process-wide glibc malloc thresholds:
 ``M_TRIM_THRESHOLD`` to 256 MiB and ``M_MMAP_THRESHOLD`` to 64 MiB. A
-training step lives on multi-MiB temporaries (the attention mixer's Y and
-mix Z, the positional mixer's u = x M, the MLP activations); under
+training step lives on multi-MiB temporaries (the positional mixer's
+u = x M, the MLP activations; general attention's Y and mix Z are only
+slice-sized, see ``blocks._SLICE_BYTES``); under
 glibc's dynamic mmap threshold each of them is a fresh mapping that pays
 its page faults again every step, while with the thresholds set freed
 pages stay in the heap for the next step to reuse. The settings hold for

@@ -388,6 +388,7 @@ def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool
     own directory ``out_dir/conv{E}_sa{S}``.
 
     Returns one record per setting with the depth profile, final accuracy
+    (None for a setting resumed from a checkpoint with no metric history)
     and artifact paths. A grid that populates no target frequency, or that a
     switching setting's kernel reaches past, raises before any setting
     trains. With ``resume``, a setting whose ``checkpoint_final.bin``
@@ -405,11 +406,12 @@ def run_interpolation_suite(base_config: TrainConfig, out_dir: str, resume: bool
         ckpt_path = os.path.join(run_dir, "checkpoint_final.bin")
         result = train(cfg, out_dir=run_dir,
                        resume_from=ckpt_path if resume and os.path.exists(ckpt_path) else None)
+        last = result.metrics[-1] if result.metrics else {}  # none after resuming an empty history
         results.append({
             "e_switch": cfg.e_switch,
             "sa_epochs": sa_epochs,
-            "top1": result.metrics[-1]["top1"],
-            "top5": result.metrics[-1]["top5"],
+            "top1": last.get("top1"),
+            "top5": last.get("top5"),
             "profile": result.profile,
             "checkpoint": result.checkpoint_path,
             "csv": result.profile_path,

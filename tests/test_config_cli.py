@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import importlib
 import json
 import math
@@ -387,6 +388,9 @@ MALFORMED = {
     "opt_steps-str-resume": ("resume", lambda h, t: h["opt_steps"].update({next(iter(h["opt_steps"])): "x"})),
     "moment-short-resume": ("resume", lambda h, t: _first_moment(t)),
     "metric_history-str-resume": ("resume", lambda h, t: h.update(metric_history="zz")),
+    "lr-str-resume": ("resume", lambda h, t: h["config"].update(lr="x")),
+    "augment-str-fourier": ("fourier", lambda h, t: h["config"].update(augment="maybe")),
+    "dataset-int-evaluate": ("evaluate", lambda h, t: h["config"].update(dataset=3)),
 }
 
 
@@ -435,6 +439,30 @@ def test_geometry_config_error_exits_2(override, message, tmp_path, capsys):
     assert not os.path.exists(out)  # refused while the config is built, before the manifest
 
 
+@pytest.mark.parametrize("override, message", [
+    ("optimizer.lr=x", "lr must be a number, got 'x'"),
+    ("optimizer.lr=true", "lr must be a number, got True"),
+    ("data.augment=maybe", "augment must be true or false, got 'maybe'"),
+    ("data.dataset=3", "dataset must be a string, got 3"),
+    ("model.dim=2.0", "dim must be an integer, got 2.0"),
+], ids=["float-str", "float-bool", "bool-str", "str-int", "int-float"])
+def test_mistyped_config_value_exits_2(override, message, tiny_cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", tiny_cfg_path, "--set", override, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)  # refused while the config is built, before the manifest
+
+
+def test_every_config_field_is_type_checked():
+    # a number where a string belongs, and a string or the other kind of
+    # value where a bool or a number does
+    for f in dataclasses.fields(TrainConfig):
+        wrongs = [1] if f.type == "str" else ["x", 1] if f.type == "bool" else ["x", True]
+        for wrong in wrongs:
+            with pytest.raises(ValueError, match=f"^{f.name} must be "):
+                TrainConfig(**{f.name: wrong})
+
+
 def test_cmd_train_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.banana = 3\n")
@@ -452,6 +480,25 @@ def test_cmd_train_divergence_exits_4(tiny_cfg_path, tmp_path, capsys):
     assert manifest["status"] == "diverged"
     assert "epoch" in manifest["error"]
     assert manifest["finished_at"] is not None
+
+
+def test_resuming_a_finished_run_with_no_history_exits_0(tiny_cfg_path, tmp_path):
+    # a checkpoint saved at its last epoch with an empty metric history
+    # resumes to its final artifacts: no epoch trains, none is reported
+    override = ["--set", "schedule.kind=all-conv"]
+    config = build_train_config(apply_overrides(parse_config_text(TINY_CFG), override[1:]))
+    model = config.build_model(["conv"] * config.num_layers, np.random.default_rng(0))
+    ckpt = str(tmp_path / "final.bin")
+    save_checkpoint(ckpt, model, config.to_dict(), config.total_epochs, [])
+    out = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-c", _CHILD, "train", "--config", tiny_cfg_path, *override,
+                           "--resume-from", ckpt, "--out", str(out)],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "done: 0 epochs"
+    assert json.load(open(out / "manifest.json"))["status"] == "completed"
+    assert (out / "metrics.jsonl").read_text() == ""
+    assert load_checkpoint(str(out / "checkpoint_final.bin"))[0]["metric_history"] == []
 
 
 # --------------------------------------------------------------------------
@@ -730,6 +777,21 @@ def test_cmd_interp_resume_checks_the_config(tiny_cfg_path, tmp_path, capsys):
     assert open(os.path.join(out, "interpolation_combined.csv")).read() == combined
 
 
+def test_cmd_interp_resumes_settings_with_no_history(tiny_cfg_path, tmp_path):
+    # a finished setting whose checkpoint holds no metric history resumes
+    # with no final accuracy to report
+    out = str(tmp_path / "i")
+    args = ["interp", "--config", tiny_cfg_path, "--set", "schedule.total_epochs=2", "--out", out]
+    assert main(args) == 0
+    for name in _setting_dirs(out):
+        path = os.path.join(out, name, "checkpoint_final.bin")
+        header, tensors = read_container(path)
+        write_container(path, {**header, "metric_history": []}, tensors)
+    assert main(args + ["--resume"]) == 0
+    settings = json.load(open(os.path.join(out, "manifest.json")))["artifacts"]["settings"]
+    assert [s["top1"] for s in settings] == [None] * len(_setting_dirs(out))
+
+
 def test_cmd_interp_tiny_grid_exits_2_before_training(tiny_cfg_path, tmp_path, capsys):
     out = str(tmp_path / "i")
     code = main(["interp", "--config", tiny_cfg_path, "--set", "model.patch_size=32",
@@ -751,14 +813,19 @@ _CHILD = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_DFL); "
           "from convattn.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
+def _child_env() -> dict:
+    """The environment for a ``convattn`` child process: this checkout's
+    ``src`` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
 def test_signal_finalizes_the_manifest(signum, tiny_cfg_path, tmp_path):
     out = tmp_path / "run"
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-c", _CHILD, "train", "--config", tiny_cfg_path,
                              "--set", "schedule.total_epochs=400", "--set", "train.checkpoint_every=1",
-                             "--out", str(out)], env=env, stderr=subprocess.PIPE, text=True)
+                             "--out", str(out)], env=_child_env(), stderr=subprocess.PIPE, text=True)
     try:
         metrics = out / "metrics.jsonl"
         deadline = time.monotonic() + 120
