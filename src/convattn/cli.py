@@ -192,8 +192,7 @@ def cmd_reparam_check(args) -> int:
     try:
         h_t, w_t = (int(p) for p in args.grid.lower().split("x"))
     except ValueError:
-        print(f"--grid must look like 8x8, got {args.grid!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--grid must look like 8x8, got {args.grid!r}") from None
     rng = np.random.default_rng(args.seed)
     kernel = Tensor(rng.normal(0.0, 0.1, (args.kernel_size, args.kernel_size, args.dim, args.dim)))
     bias = Tensor(rng.normal(0.0, 0.1, args.dim))
@@ -201,8 +200,7 @@ def cmd_reparam_check(args) -> int:
         conv = ConvMixer(kernel, bias)
         attn = reparameterize(conv, (h_t, w_t), beta=args.beta)
     except ShapeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
     if args.perturb:
         attn.w_o.data[0, 0, 0] += args.perturb
     report = verify_equivalence(conv, attn, num_samples=args.samples, tolerance=args.tol,
@@ -274,8 +272,7 @@ def cmd_schedule(args) -> int:
     try:
         sched = SwitchSchedule(args.epochs, args.layers, args.kind, args.e_switch)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
     table = switch_epochs(sched)
     if args.format == "json":
         payload = {"T": args.epochs, "L": args.layers, "kind": args.kind,

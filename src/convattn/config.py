@@ -22,6 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .blocks import Model, build_model
+from .data import DATASETS
 from .reparam import DEFAULT_BETA
 from .schedule import SwitchSchedule
 
@@ -40,6 +41,10 @@ _FIELD_TYPES = {
     "str": (str, "a string"),
     "tuple[int, int]": (tuple, "a pair of positive integers"),
 }
+
+
+class ConfigError(ValueError):
+    pass
 
 
 @dataclass
@@ -94,6 +99,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
         if self.total_epochs < 1:
             raise ValueError("total_epochs must be >= 1")
+        if self.dataset not in DATASETS:
+            raise ValueError(f"unknown dataset {self.dataset!r}; expected one of {DATASETS}")
         for name in ("dim", "num_layers", "kernel_size", "patch_size", "mlp_ratio",
                      "num_classes", "batch_size"):
             if getattr(self, name) < 1:
@@ -105,7 +112,11 @@ class TrainConfig:
             raise ValueError(f"image {h}x{w} not divisible by patch size {self.patch_size}")
 
     def schedule(self) -> SwitchSchedule:
-        return SwitchSchedule(self.total_epochs, self.num_layers, self.schedule_kind, self.e_switch)
+        """The switch schedule. Checked here, not when built: interp replaces its kind."""
+        try:
+            return SwitchSchedule(self.total_epochs, self.num_layers, self.schedule_kind, self.e_switch)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def grid_hw(self) -> tuple[int, int]:
         return (self.image_hw[0] // self.patch_size, self.image_hw[1] // self.patch_size)
@@ -155,10 +166,6 @@ KEY_ALIASES = {
 }
 
 _FIELDS = set(TrainConfig.__dataclass_fields__)
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_value(raw: str):

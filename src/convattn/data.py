@@ -25,6 +25,7 @@ __all__ = [
     "make_synthetic",
     "augment_batch",
     "NORM_STATS",
+    "DATASETS",
 ]
 
 IMAGE_BYTES = 3072
@@ -48,6 +49,7 @@ NORM_STATS = {
     "cifar100": ((0.5071, 0.4865, 0.4409), (0.2673, 0.2564, 0.2762)),
     "synthetic": ((0.5, 0.5, 0.5), (0.25, 0.25, 0.25)),
 }
+DATASETS = tuple(NORM_STATS)  # every name data.dataset takes
 
 
 class DataError(RuntimeError):

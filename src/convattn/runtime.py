@@ -35,6 +35,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import signal
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -154,7 +155,13 @@ def run_shards(fn, shards: list) -> list:
         try:
             first = runs[0][0].run(fn, runs[0][1])
         finally:
-            rest.exception()  # no shard outlives the region's BLAS setting
+            # no shard outlives the region's BLAS setting: SIGINT and SIGTERM
+            # stay pending in the caller, so a handler raises after the wait
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+            try:
+                rest.exception()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return [first, *rest.result()]
 
 

@@ -1,9 +1,9 @@
 """Per-layer conv-to-attention switch schedules.
 
-The linear rule keeps layer l convolutional while t <= T * (1 - l/(L+1)),
-so rear layers switch first and spend the longest stretch as self-attention.
-Epochs are 1-indexed and the rule is evaluated at epoch start: a layer whose
-condition flips is reparameterized before the first batch of that epoch.
+A schedule keeps layer l convolutional for its first conv_epochs(l) epochs,
+0 to T. The linear rule gives floor(T * (1 - l/(L+1))), so rear layers switch
+first and spend the longest stretch as self-attention. Epochs are 1-indexed;
+a layer is reparameterized before the first batch of its first SA epoch.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ __all__ = [
     "SA",
     "KINDS",
     "SwitchSchedule",
+    "conv_epochs",
     "mode_at",
     "switch_epochs",
     "interpolation_settings",
@@ -51,46 +52,32 @@ class SwitchSchedule:
             raise ValueError(f"e_switch only applies to the uniform kind, not {self.kind!r}")
 
 
-def mode_at(schedule: SwitchSchedule, t: int, layer: int) -> str:
-    """Mode of ``layer`` (1-based) at epoch ``t`` (1-based), CONV or SA.
-
-    The linear condition t <= T*(1 - l/(L+1)) is evaluated in exact integer
-    arithmetic as t*(L+1) <= T*(L+1-l).
-    """
+def conv_epochs(schedule: SwitchSchedule, layer: int) -> int:
+    """How many epochs ``layer`` (1-based) stays convolutional, 0 to T, in
+    exact integer arithmetic."""
     T, L = schedule.total_epochs, schedule.num_layers
-    if not 1 <= t <= T:
-        raise ValueError(f"epoch {t} out of range 1..{T}")
     if not 1 <= layer <= L:
         raise ValueError(f"layer {layer} out of range 1..{L}")
-    if schedule.kind == "all-conv":
-        return CONV
-    if schedule.kind == "all-sa":
-        return SA
+    if schedule.kind == "linear":
+        return T * (L + 1 - layer) // (L + 1)
     if schedule.kind == "uniform":
-        return CONV if t <= schedule.e_switch else SA
-    return CONV if t * (L + 1) <= T * (L + 1 - layer) else SA
+        return schedule.e_switch
+    return T if schedule.kind == "all-conv" else 0
+
+
+def mode_at(schedule: SwitchSchedule, t: int, layer: int) -> str:
+    """Mode of ``layer`` (1-based) at epoch ``t`` (1-based), CONV or SA."""
+    if not 1 <= t <= schedule.total_epochs:
+        raise ValueError(f"epoch {t} out of range 1..{schedule.total_epochs}")
+    return CONV if t <= conv_epochs(schedule, layer) else SA
 
 
 def switch_epochs(schedule: SwitchSchedule) -> list[tuple[int, int]]:
-    """(layer, first SA epoch) for every layer that switches within the run.
-
-    Sorted ascending by epoch, rear layers first on ties, matching the order
-    switches are applied within an epoch.
-    """
-    out = []
-    for layer in range(1, schedule.num_layers + 1):
-        first_sa = None
-        if mode_at(schedule, 1, layer) == SA:
-            first_sa = 1
-        else:
-            for t in range(2, schedule.total_epochs + 1):
-                if mode_at(schedule, t, layer) == SA:
-                    first_sa = t
-                    break
-        if first_sa is not None and first_sa > 1:
-            out.append((layer, first_sa))
-    out.sort(key=lambda pair: (pair[1], -pair[0]))
-    return out
+    """(layer, first SA epoch) of every layer that switches within the run,
+    by epoch and rear layers first on ties: the order switches are applied in."""
+    counts = ((layer, conv_epochs(schedule, layer)) for layer in range(schedule.num_layers, 0, -1))
+    return sorted(((layer, n + 1) for layer, n in counts if 0 < n < schedule.total_epochs),
+                  key=lambda pair: pair[1])
 
 
 def interpolation_settings(total_epochs: int = 300, num_layers: int = 6) -> list[SwitchSchedule]:

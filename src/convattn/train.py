@@ -108,20 +108,18 @@ def cross_entropy_label_smooth(logits: Tensor, labels: np.ndarray, smoothing: fl
 
 def load_dataset(config: TrainConfig, split: str) -> Dataset:
     fraction = config.fraction if split == "train" else config.eval_fraction
-    if config.dataset in ("cifar10", "cifar100"):
-        return load_cifar(config.data_dir, config.dataset, split, fraction=fraction, seed=config.seed)
     if config.dataset == "synthetic":
         n = 200 if split == "train" else 50
         return make_synthetic(config.num_classes, n_per_class=n, image_hw=config.image_hw,
                               channels=config.in_channels, seed=config.seed, split=split, fraction=fraction)
-    raise ValueError(f"unknown dataset {config.dataset!r}")
+    return load_cifar(config.data_dir, config.dataset, split, fraction=fraction, seed=config.seed)
 
 
 def _norm_stats(config: TrainConfig, image_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and std, repeated over a whole [H, W, C] image: a
     3-float operand along the innermost axis would run numpy's inner loop 3
     elements at a time."""
-    mean, std = NORM_STATS.get(config.dataset, NORM_STATS["synthetic"])
+    mean, std = NORM_STATS[config.dataset]
     return tuple(np.ascontiguousarray(np.broadcast_to(np.asarray(v, dtype=np.float32), image_shape))
                  for v in (mean, std))
 

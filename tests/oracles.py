@@ -9,6 +9,7 @@ that runs the library's own softmax kernel on one sample.
 import numpy as np
 
 from convattn import blocks
+from convattn.schedule import CONV, SA
 from convattn.tensor import ShapeError, Tensor, record
 
 
@@ -138,8 +139,6 @@ def attention_scores(x, head, a):
 
 def model_forward_straightline(images, model):
     """Reference no-tape forward pass of a whole model in float64 numpy."""
-    from convattn.schedule import CONV
-
     pe = model.patch_embed
     x = patch_embed_loops(images.astype(np.float64), pe.projection.data.astype(np.float64), pe.patch_size)
     b, ht, wt, d = x.shape
@@ -172,6 +171,43 @@ def model_forward_straightline(images, model):
         x = layer_norm(x, model.final_ln.gamma.data, model.final_ln.beta.data)
     pooled = x.reshape(b, n, d).mean(axis=1)
     return pooled @ model.head_w.data + model.head_b.data
+
+
+def mode_at_branches(schedule, t, layer):
+    """``schedule.mode_at`` as a branch per kind: the linear condition
+    t <= T*(1 - l/(L+1)) is evaluated in exact integer arithmetic as
+    t*(L+1) <= T*(L+1-l)."""
+    T, L = schedule.total_epochs, schedule.num_layers
+    if not 1 <= t <= T:
+        raise ValueError(f"epoch {t} out of range 1..{T}")
+    if not 1 <= layer <= L:
+        raise ValueError(f"layer {layer} out of range 1..{L}")
+    if schedule.kind == "all-conv":
+        return CONV
+    if schedule.kind == "all-sa":
+        return SA
+    if schedule.kind == "uniform":
+        return CONV if t <= schedule.e_switch else SA
+    return CONV if t * (L + 1) <= T * (L + 1 - layer) else SA
+
+
+def switch_epochs_scan(schedule):
+    """``schedule.switch_epochs`` found by reading :func:`mode_at_branches`
+    at every epoch of every layer."""
+    out = []
+    for layer in range(1, schedule.num_layers + 1):
+        first_sa = None
+        if mode_at_branches(schedule, 1, layer) == SA:
+            first_sa = 1
+        else:
+            for t in range(2, schedule.total_epochs + 1):
+                if mode_at_branches(schedule, t, layer) == SA:
+                    first_sa = t
+                    break
+        if first_sa is not None and first_sa > 1:
+            out.append((layer, first_sa))
+    out.sort(key=lambda pair: (pair[1], -pair[0]))
+    return out
 
 
 def box_blur_circular(maps):

@@ -138,6 +138,11 @@ def test_cmd_reparam_check_perturb_fails(capsys):
     assert report["pass"] is False and report["max_abs_diff"] > 0.001
 
 
+def test_cmd_reparam_check_malformed_grid_exits_2(capsys):
+    assert main(["reparam-check", "--grid", "8by8"]) == 2
+    assert capsys.readouterr().err == "config error: --grid must look like 8x8, got '8by8'\n"
+
+
 def test_cmd_reparam_check_even_kernel_exits_2(capsys):
     assert main(["reparam-check", "-K", "2"]) == 2
     assert "odd" in capsys.readouterr().err
@@ -391,6 +396,7 @@ MALFORMED = {
     "lr-str-resume": ("resume", lambda h, t: h["config"].update(lr="x")),
     "augment-str-fourier": ("fourier", lambda h, t: h["config"].update(augment="maybe")),
     "dataset-int-evaluate": ("evaluate", lambda h, t: h["config"].update(dataset=3)),
+    "dataset-unknown-fourier": ("fourier", lambda h, t: h["config"].update(dataset="bogus")),
 }
 
 
@@ -437,6 +443,30 @@ def test_geometry_config_error_exits_2(override, message, tmp_path, capsys):
     assert main(["train", "--preset", "desk", "--set", override, "--out", out]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not os.path.exists(out)  # refused while the config is built, before the manifest
+
+
+def test_unknown_dataset_exits_2_before_the_manifest(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["train", "--preset", "desk", "--set", "data.dataset=bogus", "--out", out]) == 2
+    assert capsys.readouterr().err == ("config error: unknown dataset 'bogus'; "
+                                       "expected one of ('cifar10', 'cifar100', 'synthetic')\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("schedule.kind=bogus", "unknown schedule kind 'bogus'; expected one of "
+                            "('linear', 'uniform', 'all-conv', 'all-sa')"),
+    ("schedule.e_switch=3", "e_switch only applies to the uniform kind, not 'linear'"),
+], ids=["kind-unknown", "e_switch-linear"])
+def test_bad_schedule_exits_2_as_a_config_error(override, message, tmp_path, capsys):
+    # checked when a run reads the schedule, not when the config is built, since
+    # interp replaces the kind and e_switch a config file gives
+    out = str(tmp_path / "run")
+    assert main(["train", "--preset", "desk", "--set", "data.dataset=synthetic", "--set", override,
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert os.listdir(out) == ["manifest.json"]
+    assert json.load(open(os.path.join(out, "manifest.json")))["status"] == "failed"
 
 
 @pytest.mark.parametrize("override, message", [

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import threading
@@ -115,6 +116,37 @@ def test_shard_error_reaches_the_caller_after_every_shard_ends(two_workers):
     with pytest.raises(RuntimeError, match="shard 1"):
         runtime.run_shards(step, [0, 1])
     assert done == [0]
+
+
+class Stop(BaseException):
+    pass
+
+
+def _raise_stop(signum, frame):
+    raise Stop()
+
+
+def test_signal_waits_for_the_pool_thread_to_end_its_shards(two_workers):
+    main_thread, events = threading.get_ident(), []
+
+    def step(i):
+        if i == 1:
+            time.sleep(0.1)  # the caller is waiting by now
+            signal.pthread_kill(main_thread, signal.SIGINT)
+            time.sleep(0.1)
+            events.append("shard 1 done")
+
+    previous = signal.signal(signal.SIGINT, _raise_stop)
+    try:
+        with pytest.raises(Stop):
+            try:
+                runtime.run_shards(step, [0, 1])
+            finally:
+                events.append("left the region")
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert events == ["shard 1 done", "left the region"]
+    assert runtime.run_shards(lambda i: i, [0, 1]) == [0, 1]
 
 
 # --------------------------------------------------------------------------
